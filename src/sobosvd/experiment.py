@@ -350,38 +350,51 @@ def _jsonable(obj):
 # individual checks
 
 
+def _verdict(defects, tol, detail):
+    """Status, worst defect and detail of a check.
+
+    ``defects`` is non-empty and ``detail`` is formatted with ``worst``,
+    the largest defect. A NaN or infinite defect fails the check with a
+    null ``worst``; ``max`` alone would drop a NaN.
+    """
+    if not np.all(np.isfinite(defects)):
+        return "fail", None, "non-finite defect: " + detail.format(worst=np.nan)
+    worst = float(max(defects))
+    return ("pass" if worst <= tol else "fail"), worst, detail.format(worst=worst)
+
+
 def _check_eckart_young(u, systems, rvs, tol):
     scale = max(norm_l2(u) ** 2, _TINY)
-    worst = 0.0
+    defects = []
     for rv in rvs:
         for j, system in enumerate(systems):
             r = min(rv[j], system.k_max)
             proj = _single_mode_projection(u, system, r)
             measured = norm_l2(u - proj) ** 2
             predicted = float(np.sum(system.sigmas[r:] ** 2))
-            worst = max(worst, abs(measured - predicted) / scale)
+            defects.append(abs(measured - predicted) / scale)
     detail = (
-        f"worst relative gap {worst:.3e} between measured single-mode "
-        f"truncation error and the spectral tail"
+        "worst relative gap {worst:.3e} between measured single-mode "
+        "truncation error and the spectral tail"
     )
-    return ("pass" if worst <= tol else "fail"), worst, detail
+    return _verdict(defects, tol, detail)
 
 
 def _check_h1_identity(u, systems, derivs, rvs, tol):
     scale = max(norm_h1(u) ** 2, _TINY)
-    worst = 0.0
+    defects = []
     for rv in rvs:
         r = min(min(rv), systems[0].k_max)
         ur = truncate_svd(systems[0], r)
         ident = h1_identity(systems[0], derivs[0], derivs[1], r)
-        worst = max(worst, abs(norm_h1(ur) ** 2 - ident.norm_sq) / scale)
-        worst = max(worst, abs(norm_h1(u - ur) ** 2 - ident.error_sq) / scale)
-    detail = f"worst relative defect {worst:.3e} in the two-sided Sobolev series"
-    return ("pass" if worst <= tol else "fail"), worst, detail
+        defects.append(abs(norm_h1(ur) ** 2 - ident.norm_sq) / scale)
+        defects.append(abs(norm_h1(u - ur) ** 2 - ident.error_sq) / scale)
+    detail = "worst relative defect {worst:.3e} in the two-sided Sobolev series"
+    return _verdict(defects, tol, detail)
 
 
 def _check_ek_identity(u, systems, derivs, rvs, tol):
-    worst = 0.0
+    defects = []
     for j, system in enumerate(systems):
         scale = max(norm_ek(u, j) ** 2, _TINY)
         sig_sq = system.sigmas**2
@@ -392,62 +405,61 @@ def _check_ek_identity(u, systems, derivs, rvs, tol):
         for rv in rvs:
             r = min(rv[j], system.k_max)
             proj = _single_mode_projection(u, system, r)
-            worst = max(
-                worst, abs(norm_ek(proj, j) ** 2 - float(np.sum(terms[:r]))) / scale
+            defects.append(
+                abs(norm_ek(proj, j) ** 2 - float(np.sum(terms[:r]))) / scale
             )
-            worst = max(
-                worst,
-                abs(norm_ek(u - proj, j) ** 2 - float(np.sum(terms[r:]))) / scale,
+            defects.append(
+                abs(norm_ek(u - proj, j) ** 2 - float(np.sum(terms[r:]))) / scale
             )
-    detail = f"worst relative defect {worst:.3e} in the one-direction series"
-    return ("pass" if worst <= tol else "fail"), worst, detail
+    detail = "worst relative defect {worst:.3e} in the one-direction series"
+    return _verdict(defects, tol, detail)
 
 
 def _check_hosvd_bound(u, reports, tol):
     scale = max(norm_l2(u) ** 2, _TINY)
-    worst = max(
-        (rep.residual_l2**2 - rep.l2_tail_sq_sum) / scale for rep in reports
-    )
-    detail = f"worst normalized excess {worst:.3e} over the spectral tail sum"
-    return ("pass" if worst <= tol else "fail"), worst, detail
+    defects = [(rep.residual_l2**2 - rep.l2_tail_sq_sum) / scale for rep in reports]
+    detail = "worst normalized excess {worst:.3e} over the spectral tail sum"
+    return _verdict(defects, tol, detail)
 
 
 def _check_quasi_opt(u, reports, tol):
     scale = max(norm_l2(u) ** 2, _TINY)
-    worst = max(
+    defects = [
         (rep.residual_l2**2 - rep.quasi_opt_reference) / scale for rep in reports
-    )
+    ]
     detail = (
-        f"worst normalized excess {worst:.3e} over d times the refined "
-        f"reference error"
+        "worst normalized excess {worst:.3e} over d times the refined "
+        "reference error"
     )
-    return ("pass" if worst <= tol else "fail"), worst, detail
+    return _verdict(defects, tol, detail)
 
 
 def _check_sandwich(u, reports, tol):
     scale = max(norm_h1(u) ** 2, _TINY)
-    worst = -np.inf
+    defects = []
     for rep in reports:
         for lower, value, upper in (
             (rep.norm_lower, rep.approx_h1_sq, rep.norm_upper),
             (rep.h1_lower, rep.residual_h1**2, rep.h1_upper),
         ):
-            worst = max(worst, (lower - value) / scale, (value - upper) / scale)
-    detail = f"worst normalized bracket violation {worst:.3e}"
-    return ("pass" if worst <= tol else "fail"), float(worst), detail
+            defects += [(lower - value) / scale, (value - upper) / scale]
+    detail = "worst normalized bracket violation {worst:.3e}"
+    return _verdict(defects, tol, detail)
 
 
 def _check_derivative_bound(derivs, tol):
-    worst = -np.inf
-    count = 0
-    for deriv in derivs:
-        for dpsi, bound in zip(deriv.dpsi_norms, deriv.bound_values):
-            worst = max(worst, (dpsi - bound) / max(bound, 1.0))
-            count += 1
-    if count == 0:
+    defects = [
+        (dpsi - bound) / max(bound, 1.0)
+        for deriv in derivs
+        for dpsi, bound in zip(deriv.dpsi_norms, deriv.bound_values)
+    ]
+    if not defects:
         return "pass", 0.0, "no retained directions to bound"
-    detail = f"worst normalized excess {worst:.3e} over {count} retained directions"
-    return ("pass" if worst <= tol else "fail"), float(worst), detail
+    detail = (
+        f"worst normalized excess {{worst:.3e}} over {len(defects)} "
+        "retained directions"
+    )
+    return _verdict(defects, tol, detail)
 
 
 def _diagnostics_block(u, reports, rvs):

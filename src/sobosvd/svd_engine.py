@@ -185,6 +185,19 @@ class SingularSystem:
                 )
 
 
+def _fix_signs(vectors: np.ndarray, partners: np.ndarray | None = None) -> None:
+    """Flip columns in place so each one's largest-magnitude entry is positive.
+
+    The matching columns of ``partners`` (the other side of the
+    decomposition) are flipped with them.
+    """
+    pick = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[pick, np.arange(vectors.shape[1])] < 0
+    vectors[:, flip] *= -1.0
+    if partners is not None:
+        partners[:, flip] *= -1.0
+
+
 def weighted_svd(
     matrix: np.ndarray,
     row_weights: np.ndarray,
@@ -224,11 +237,7 @@ def weighted_svd(
     left = u / sr[:, None]
     right = v / sc[:, None]
 
-    # sign fix: largest-magnitude entry of each left vector positive
-    pick = np.argmax(np.abs(left), axis=0)
-    flip = left[pick, np.arange(left.shape[1])] < 0
-    left[:, flip] *= -1.0
-    right[:, flip] *= -1.0
+    _fix_signs(left, right)
 
     for a in (s, left, right):
         a.flags.writeable = False

@@ -36,7 +36,7 @@ from .sobolev import (
     norm_h1,
     norm_l2,
 )
-from .svd_engine import SingularSystem, mode_svd
+from .svd_engine import SingularSystem, _fix_signs, mode_svd
 from .tensor_core import dematricize, matricize, mode_product
 
 
@@ -147,14 +147,18 @@ class TuckerApprox:
     error_history: tuple[float, ...] | None = None
 
 
+def _analysis_map(u: GridFunction, q: np.ndarray, mode: int) -> np.ndarray:
+    """Weighted transpose of a mode basis: coefficients of the projection."""
+    return (q * u.axes[mode].quad_weights[:, None]).T
+
+
 def _apply_projection(
     u: GridFunction, factors: list[np.ndarray]
 ) -> GridFunction:
     """Analysis then synthesis against weighted-orthonormal mode bases."""
     coeff = u.values
     for j, q in enumerate(factors):
-        analysis = (q * u.axes[j].quad_weights[:, None]).T
-        coeff = mode_product(coeff, analysis, j)
+        coeff = mode_product(coeff, _analysis_map(u, q, j), j)
     vals = coeff
     for j, q in enumerate(factors):
         vals = mode_product(vals, q, j)
@@ -203,14 +207,23 @@ def hooi(
     ranks,
     max_iters: int = 50,
     tol: float = 1e-12,
+    *,
+    systems: tuple[SingularSystem, ...] | None = None,
 ) -> TuckerApprox:
     """Alternating refinement of the per-mode subspaces at fixed ranks.
 
     Starts from the spectral projection bases. Each mode update keeps the
     dominant weighted left subspace of the tensor contracted with every
     other analysis map, which cannot increase the L2 error. Stops when an
-    entire sweep improves the error by less than tol, or at max_iters
-    sweeps. Returns the best subspaces seen, with the error history.
+    entire sweep improves the L2 error by at most tol times the L2 norm
+    of ``u`` (a rule that does not depend on the scale of ``u``; an
+    all-zero input stops after one sweep), or at max_iters sweeps.
+    Returns the best subspaces seen, with the error history.
+
+    ``systems`` takes the ``mode_svd`` of every mode of ``u``, as
+    ``hosvd_project`` and ``h1_sandwich`` do; the starting bases are
+    read from it instead of decomposing each mode again. Without it the
+    decompositions are computed here, with the same result.
     """
     if u.ndim < 2:
         raise ModeError("refinement needs at least two axes")
@@ -218,8 +231,10 @@ def hooi(
     if max_iters < 1:
         raise SobosvdError(f"max_iters must be >= 1, got {max_iters}")
     d = u.ndim
-    systems = tuple(mode_svd(u, j) for j in range(d))
+    if systems is None:
+        systems = tuple(mode_svd(u, j) for j in range(d))
     factors = [systems[j].left_vectors[:, : min(rv[j], systems[j].k_max)] for j in range(d)]
+    analyses = [_analysis_map(u, factors[j], j) for j in range(d)]
 
     def current_error(fs) -> float:
         return norm_l2(u - _apply_projection(u, fs))
@@ -234,28 +249,24 @@ def hooi(
         for j in range(d):
             b = u.values
             for i in range(d):
-                if i == j:
-                    continue
-                analysis = (factors[i] * u.axes[i].quad_weights[:, None]).T
-                b = mode_product(b, analysis, i)
+                if i != j:
+                    b = mode_product(b, analyses[i], i)
             mat, _ = matricize(b, (j,))
             w = u.axes[j].quad_weights
             scaled = mat * np.sqrt(w)[:, None]
             q, _, _ = np.linalg.svd(scaled, full_matrices=False)
             r_eff = min(rv[j], q.shape[1])
             new = q[:, :r_eff] / np.sqrt(w)[:, None]
-            # deterministic sign: largest-magnitude entry positive
-            pick = np.argmax(np.abs(new), axis=0)
-            flip = new[pick, np.arange(new.shape[1])] < 0
-            new[:, flip] *= -1.0
+            _fix_signs(new)
             factors[j] = new
+            analyses[j] = _analysis_map(u, new, j)
         err = current_error(factors)
         improvement = history[-1] - err
         history.append(err)
         if err < best_err:
             best_err = err
             best = [f.copy() for f in factors]
-        if improvement < tol * max(u_norm, 1.0):
+        if improvement <= tol * u_norm:
             break
 
     projected = _apply_projection(u, best)
@@ -393,7 +404,8 @@ def h1_sandwich(
     error as the quasi-optimality reference.
 
     Precomputed ``systems``/``derivs`` (one per mode) avoid repeated
-    decompositions across a rank sweep.
+    decompositions across a rank sweep; ``systems`` also seeds the
+    refinement, so no mode is decomposed again for the reference.
     """
     if u.ndim < 2:
         raise ModeError("need at least two axes")
@@ -446,7 +458,7 @@ def h1_sandwich(
 
     quasi_ref = None
     if hooi_reference:
-        refined = hooi(u, rv)
+        refined = hooi(u, rv, systems=systems)
         quasi_ref = d * norm_l2(u - refined.projected) ** 2
 
     return ErrorReport(

@@ -440,3 +440,57 @@ def test_cli_console_script():
     )
     assert proc.returncode == 0
     assert "SINSUM" in proc.stdout
+
+
+def test_run_experiment_decomposes_each_mode_once(monkeypatch):
+    import sobosvd.experiment as experiment
+    import sobosvd.svd_engine as svd_engine
+    import sobosvd.truncation as truncation
+
+    calls = []
+    real = svd_engine.mode_svd
+
+    def counting(u, mode):
+        calls.append(mode)
+        return real(u, mode)
+
+    for module in (experiment, svd_engine, truncation):
+        monkeypatch.setattr(module, "mode_svd", counting)
+    cfg = ExperimentConfig.from_dict(
+        {
+            "function": {"case": "BROWNIAN"},
+            "grid": {"n": [33, 33]},
+            "ranks": {"sweep": {"from": 1, "to": 4}},
+        }
+    )
+    assert "quasi_opt" in cfg.checks
+    result = run_experiment(cfg, edge_cases=True)
+    assert result.passed
+    # one decomposition per mode, plus the zero-input edge check
+    assert len(calls) == 2 + 1
+
+
+@pytest.mark.parametrize(
+    "check, field",
+    [
+        ("hosvd_bound", "residual_l2"),
+        ("quasi_opt", "residual_l2"),
+        ("sandwich", "residual_h1"),
+    ],
+)
+def test_check_with_nan_defect_fails(check, field):
+    import dataclasses
+
+    import sobosvd.experiment as experiment
+
+    u = sv.sample_case(sv.get_case("SINSUM"), (17, 17))
+    good = [sv.h1_sandwich(u, (r, r), hooi_reference=True) for r in (1, 2)]
+    # the NaN comes second: a plain running max(worst, nan) would keep worst
+    reports = [good[0], dataclasses.replace(good[1], **{field: float("nan")})]
+    status, worst, detail = getattr(experiment, f"_check_{check}")(u, reports, 1e-9)
+    assert status == "fail"
+    assert worst is None
+    assert "non-finite" in detail
+    status, worst, _ = getattr(experiment, f"_check_{check}")(u, good, 1e-9)
+    assert status == "pass"
+    assert worst is not None

@@ -250,3 +250,70 @@ def test_sandwich_bernstein_uses_effective_rank(catalog):
     rep = sv.h1_sandwich(u, (big, big), systems=systems, derivs=derivs)
     expected = sv.bernstein_constant(systems[0], derivs[0], derivs[0].count)
     assert rep.bernstein[0] == pytest.approx(expected)
+
+
+def _random_cube(seed=7, n=12):
+    rng = np.random.default_rng(seed)
+    axes = tuple(sv.make_axis(n) for _ in range(3))
+    return sv.GridFunction(axes, rng.standard_normal((n, n, n)))
+
+
+def test_hooi_given_systems_is_bit_identical(catalog):
+    cases = [
+        (catalog["EXPXY"][0], catalog["EXPXY"][1], (3, 3)),
+        (catalog["SUM3D"][0], catalog["SUM3D"][1], (2, 1, 2)),
+    ]
+    u = _random_cube()
+    cases.append((u, tuple(sv.mode_svd(u, j) for j in range(3)), (2, 3, 2)))
+    for u, systems, rv in cases:
+        fresh = sv.hooi(u, rv)
+        given = sv.hooi(u, rv, systems=systems)
+        assert len(fresh.factors) == len(given.factors)
+        for a, b in zip(fresh.factors, given.factors):
+            assert np.array_equal(a, b)
+        assert np.array_equal(fresh.projected.values, given.projected.values)
+        assert fresh.error_history == given.error_history
+
+
+def test_sandwich_hooi_reference_reuses_systems(catalog, monkeypatch):
+    import sobosvd.truncation as truncation
+
+    calls = []
+    real = truncation.mode_svd
+
+    def counting(u, mode):
+        calls.append(mode)
+        return real(u, mode)
+
+    monkeypatch.setattr(truncation, "mode_svd", counting)
+    for name, rv in (("BROWNIAN", (3, 3)), ("SUM3D", (2, 2, 2))):
+        u, systems, derivs = catalog[name]
+        rep = sv.h1_sandwich(
+            u, rv, systems=systems, derivs=derivs, hooi_reference=True
+        )
+        assert rep.quasi_opt_reference is not None
+    assert calls == []
+
+
+def test_hooi_stop_rule_is_scale_invariant():
+    u = _random_cube()
+    for r in (2, 4, 6):
+        runs = {
+            c: sv.hooi(sv.GridFunction(u.axes, c * u.values), (r, r, r))
+            for c in (1e-6, 1.0, 1e6)
+        }
+        sweeps = {c: len(t.error_history) - 1 for c, t in runs.items()}
+        assert len(set(sweeps.values())) == 1, sweeps
+        base = np.array(runs[1.0].error_history)
+        for c, t in runs.items():
+            np.testing.assert_allclose(
+                np.array(t.error_history) / c, base, rtol=1e-9, atol=0.0
+            )
+
+
+def test_hooi_zero_input_stops_after_one_sweep():
+    axes = tuple(sv.make_axis(9) for _ in range(3))
+    z = sv.GridFunction(axes, np.zeros((9, 9, 9)))
+    refined = sv.hooi(z, (2, 2, 2))
+    assert refined.error_history == (0.0, 0.0)
+    assert sv.norm_l2(refined.projected) == 0.0
