@@ -22,7 +22,7 @@ def main():
 
     print("direction  sigma        transfer defect   |psi_k'|     bound")
     for k in range(deriv.count):
-        via_transfer = sv.singular_derivative_operator(u, system, 0, k)
+        via_transfer = deriv.gammas[:, k]
         direct = axis.diff_matrix @ system.left_vectors[:, k]
         gap = direct - via_transfer
         defect = np.sqrt(gap @ (w * gap)) / max(deriv.dpsi_norms[k], 1.0)

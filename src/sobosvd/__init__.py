@@ -15,7 +15,6 @@ _EXPORTS = {
         "AxisMismatchError",
         "ConfigError",
         "DegenerateDataError",
-        "DegenerateModeError",
         "InsufficientRankError",
         "InvalidAxisError",
         "ModeError",
@@ -36,11 +35,9 @@ _EXPORTS = {
     "tensor_core": ("MatShape", "dematricize", "matricize", "mode_product"),
     "svd_engine": (
         "DEFAULT_RANK_TOL",
-        "HOSVDSystem",
         "RETAIN_REL",
         "SingularSystem",
         "combined_weights",
-        "hosvd",
         "mode_svd",
         "numerical_rank",
         "weighted_svd",
@@ -51,15 +48,12 @@ _EXPORTS = {
         "norm_ek",
         "norm_h1",
         "norm_l2",
-        "norm_mix",
         "retained_count",
-        "singular_derivative_operator",
     ),
     "truncation": (
         "BoundCheck",
-        "EkIdentity",
         "ErrorReport",
-        "H1Identity",
+        "SeriesSplit",
         "TuckerApprox",
         "bernstein_constant",
         "ek_identity",
@@ -82,7 +76,6 @@ _EXPORTS = {
     "cases": (
         "AnalyticCase",
         "CaseOracle",
-        "dense_reference_sigmas",
         "geometric_coeffs",
         "get_case",
         "list_cases",

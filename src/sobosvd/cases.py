@@ -236,8 +236,9 @@ def _sum3d(c1: float, c2: float) -> AnalyticCase:
 def _expxy() -> AnalyticCase:
     """exp(x y) on the unit square.
 
-    No closed spectrum; reference values come from self-refinement (see
-    ``dense_reference_sigmas``). The L2 norm is closed: substituting
+    No closed spectrum; reference values come from self-refinement, the
+    mode spectra at n and 2n - 1 agreeing at the second-order rate of the
+    grid. The L2 norm is closed: substituting
     t = 2 x y gives
 
         int int exp(2 x y) = (Ei(2) - eulergamma - log 2) / 2.
@@ -301,7 +302,8 @@ def case_axes(case: AnalyticCase, sizes: Sequence[int]) -> tuple[Axis, ...]:
         sizes = sizes * case.dim
     if len(sizes) != case.dim:
         raise ConfigError(
-            f"case {case.name} has {case.dim} axes, got sizes {sizes}"
+            f"grid lists {len(sizes)} sizes but case {case.name} has "
+            f"{case.dim} dimensions"
         )
     return tuple(make_axis(n, 0.0, 1.0) for n in sizes)
 
@@ -318,17 +320,3 @@ def geometric_coeffs(m: int, ratio: float = 0.5) -> tuple[float, ...]:
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"need 0 < ratio < 1, got {ratio}")
     return tuple(ratio**i for i in range(m))
-
-
-def dense_reference_sigmas(case: AnalyticCase, n: int, count: int) -> np.ndarray:
-    """Leading mode-0 singular values at resolution n, for self-refinement.
-
-    For cases without a closed spectrum, values at increasing n converge
-    at the second-order rate of the grid; comparing n and 2n - 1 gives a
-    Richardson consistency check.
-    """
-    from .svd_engine import mode_svd
-
-    u = sample_case(case, (n,) * case.dim)
-    system = mode_svd(u, 0)
-    return system.sigmas[:count].copy()

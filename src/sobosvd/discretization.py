@@ -15,8 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AxisMismatchError, InvalidAxisError, ModeError, SamplingError
-from .tensor_core import mode_product
+from .errors import AxisMismatchError, InvalidAxisError, SamplingError
+from .tensor_core import check_mode, mode_product
 
 UNIFORM_TRAPEZOID_FD2 = "uniform-trapezoid-fd2"
 
@@ -160,13 +160,6 @@ def require_same_axes(f: GridFunction, g: GridFunction) -> None:
         a.is_compatible(b) for a, b in zip(f.axes, g.axes)
     ):
         raise AxisMismatchError("grid functions live on different axes")
-
-
-def check_mode(mode: int, ndim: int) -> int:
-    mode = int(mode)
-    if not 0 <= mode < ndim:
-        raise ModeError(f"mode {mode} out of range for {ndim} axes")
-    return mode
 
 
 def sample(f: Callable, axes: Sequence[Axis]) -> GridFunction:

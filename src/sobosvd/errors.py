@@ -21,10 +21,6 @@ class ModeError(SobosvdError, IndexError):
     """Mode index out of range, duplicated, or an invalid mode subset."""
 
 
-class DegenerateModeError(SobosvdError, ValueError):
-    """Operation on a singular direction with zero singular value."""
-
-
 class InsufficientRankError(SobosvdError, ValueError):
     """Numerical rank too small for the requested diagnostic."""
 

@@ -26,8 +26,13 @@ from .discretization import GridFunction, make_axis
 from .errors import ConfigError, DegenerateDataError, SampleFileError
 from .sobolev import derivative_data, norm_ek, norm_h1, norm_l2, retained_count
 from .svd_engine import mode_svd, numerical_rank
-from .tensor_core import mode_product
-from .truncation import h1_identity, h1_sandwich, hosvd_project, truncate_svd
+from .truncation import (
+    h1_sandwich,
+    hosvd_project,
+    series_split,
+    single_mode_projection,
+    truncate_svd,
+)
 
 CHECK_NAMES = (
     "eckart_young",
@@ -81,6 +86,11 @@ class ExperimentConfig:
     checks: tuple[str, ...] = CHECK_NAMES
     tolerances: dict | None = None
     output: Path | None = None
+
+    def __post_init__(self):
+        unknown = sorted(set(self.checks) - set(CHECK_NAMES))
+        if unknown:
+            raise ConfigError(f"unknown checks {unknown}; valid: {list(CHECK_NAMES)}")
 
     def tolerance(self, name: str) -> float:
         merged = dict(DEFAULT_TOLERANCES)
@@ -254,15 +264,7 @@ def _build_function(config: ExperimentConfig):
         case = get_case(config.case_name, **(config.case_params or {}))
         if config.grid_sizes is None:
             raise ConfigError("grid sizes are required for a catalog case")
-        sizes = config.grid_sizes
-        if len(sizes) == 1:
-            sizes = sizes * case.dim
-        if len(sizes) != case.dim:
-            raise ConfigError(
-                f"grid lists {len(sizes)} sizes but case {case.name} has "
-                f"{case.dim} dimensions"
-            )
-        u = sample_case(case, sizes)
+        u = sample_case(case, config.grid_sizes)
         desc = {
             "case": case.name,
             "params": _jsonable(case.params),
@@ -325,13 +327,6 @@ def _resolve_ranks(config: ExperimentConfig, u: GridFunction):
     return vectors
 
 
-def _single_mode_projection(u, system, r: int) -> GridFunction:
-    q = system.left_vectors[:, :r]
-    w = u.axes[system.mode].quad_weights
-    p = q @ ((q * w[:, None]).T)
-    return GridFunction(u.axes, mode_product(u.values, p, system.mode))
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -347,7 +342,25 @@ def _jsonable(obj):
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# checks: one function per name, all over the same run context
+
+
+@dataclass
+class _Run:
+    """What the checks read: the function, its mode systems and
+    derivative data, the rank vectors, one report per rank vector, and
+    the L2 and H1 norms of ``u`` that several checks scale by. The
+    diagnostics check stores its block in ``diagnostics``.
+    """
+
+    u: GridFunction
+    systems: tuple
+    derivs: tuple
+    rvs: tuple
+    reports: list
+    l2: float
+    h1: float
+    diagnostics: dict | None = None
 
 
 def _verdict(defects, tol, detail):
@@ -363,16 +376,15 @@ def _verdict(defects, tol, detail):
     return ("pass" if worst <= tol else "fail"), worst, detail.format(worst=worst)
 
 
-def _check_eckart_young(u, systems, rvs, tol):
-    scale = max(norm_l2(u) ** 2, _TINY)
+def _check_eckart_young(run, tol):
+    scale = max(run.l2**2, _TINY)
     defects = []
-    for rv in rvs:
-        for j, system in enumerate(systems):
+    for rv in run.rvs:
+        for j, system in enumerate(run.systems):
             r = min(rv[j], system.k_max)
-            proj = _single_mode_projection(u, system, r)
-            measured = norm_l2(u - proj) ** 2
-            predicted = float(np.sum(system.sigmas[r:] ** 2))
-            defects.append(abs(measured - predicted) / scale)
+            proj = single_mode_projection(run.u, system, r)
+            measured = norm_l2(run.u - proj) ** 2
+            defects.append(abs(measured - series_split(system, r).error_sq) / scale)
     detail = (
         "worst relative gap {worst:.3e} between measured single-mode "
         "truncation error and the spectral tail"
@@ -380,77 +392,60 @@ def _check_eckart_young(u, systems, rvs, tol):
     return _verdict(defects, tol, detail)
 
 
-def _check_h1_identity(u, systems, derivs, rvs, tol):
-    scale = max(norm_h1(u) ** 2, _TINY)
+def _check_h1_identity(run, tol):
+    if run.u.ndim != 2:
+        return "skipped", None, "two-sided series needs d = 2"
+    scale = max(run.h1**2, _TINY)
+    system = run.systems[0]
     defects = []
-    for rv in rvs:
-        r = min(min(rv), systems[0].k_max)
-        ur = truncate_svd(systems[0], r)
-        ident = h1_identity(systems[0], derivs[0], derivs[1], r)
-        defects.append(abs(norm_h1(ur) ** 2 - ident.norm_sq) / scale)
-        defects.append(abs(norm_h1(u - ur) ** 2 - ident.error_sq) / scale)
+    for rv, rep in zip(run.rvs, run.reports):
+        ur = truncate_svd(system, min(*rv, system.k_max))
+        defects.append(abs(norm_h1(ur) ** 2 - rep.h1_norm_sq_series) / scale)
+        defects.append(abs(norm_h1(run.u - ur) ** 2 - rep.h1_error_sq_series) / scale)
     detail = "worst relative defect {worst:.3e} in the two-sided Sobolev series"
     return _verdict(defects, tol, detail)
 
 
-def _check_ek_identity(u, systems, derivs, rvs, tol):
+def _check_ek_identity(run, tol):
     defects = []
-    for j, system in enumerate(systems):
-        scale = max(norm_ek(u, j) ** 2, _TINY)
-        sig_sq = system.sigmas**2
-        dpsi = np.zeros(system.k_max)
-        m = min(derivs[j].count, system.k_max)
-        dpsi[:m] = derivs[j].dpsi_norms[:m]
-        terms = sig_sq * (1.0 + dpsi**2)
-        for rv in rvs:
-            r = min(rv[j], system.k_max)
-            proj = _single_mode_projection(u, system, r)
-            defects.append(
-                abs(norm_ek(proj, j) ** 2 - float(np.sum(terms[:r]))) / scale
-            )
-            defects.append(
-                abs(norm_ek(u - proj, j) ** 2 - float(np.sum(terms[r:]))) / scale
-            )
+    for j, system in enumerate(run.systems):
+        scale = max(norm_ek(run.u, j) ** 2, _TINY)
+        for rv, rep in zip(run.rvs, run.reports):
+            proj = single_mode_projection(run.u, system, min(rv[j], system.k_max))
+            kept, tail = rep.ek_norm_sq_series[j], rep.ek_error_sq_series[j]
+            defects.append(abs(norm_ek(proj, j) ** 2 - kept) / scale)
+            defects.append(abs(norm_ek(run.u - proj, j) ** 2 - tail) / scale)
     detail = "worst relative defect {worst:.3e} in the one-direction series"
     return _verdict(defects, tol, detail)
 
 
-def _check_hosvd_bound(u, reports, tol):
-    scale = max(norm_l2(u) ** 2, _TINY)
-    defects = [(rep.residual_l2**2 - rep.l2_tail_sq_sum) / scale for rep in reports]
-    detail = "worst normalized excess {worst:.3e} over the spectral tail sum"
-    return _verdict(defects, tol, detail)
+def _bracket_check(norm, keys, detail, both_sides=False):
+    """Check over the ``ErrorReport.bound_checks()`` triples named in ``keys``.
+
+    The defects are each value's excess over its upper bound and, with
+    ``both_sides``, its shortfall below the lower bound, relative to the
+    squared ``norm`` (``"l2"`` or ``"h1"``) of u.
+    """
+
+    def check(run, tol):
+        scale = max(getattr(run, norm) ** 2, _TINY)
+        defects = []
+        for rep in run.reports:
+            triples = rep.bound_checks()
+            for key in keys:
+                b = triples[key]
+                defects.append((b.value - b.upper) / scale)
+                if both_sides:
+                    defects.append((b.lower - b.value) / scale)
+        return _verdict(defects, tol, detail)
+
+    return check
 
 
-def _check_quasi_opt(u, reports, tol):
-    scale = max(norm_l2(u) ** 2, _TINY)
-    defects = [
-        (rep.residual_l2**2 - rep.quasi_opt_reference) / scale for rep in reports
-    ]
-    detail = (
-        "worst normalized excess {worst:.3e} over d times the refined "
-        "reference error"
-    )
-    return _verdict(defects, tol, detail)
-
-
-def _check_sandwich(u, reports, tol):
-    scale = max(norm_h1(u) ** 2, _TINY)
-    defects = []
-    for rep in reports:
-        for lower, value, upper in (
-            (rep.norm_lower, rep.approx_h1_sq, rep.norm_upper),
-            (rep.h1_lower, rep.residual_h1**2, rep.h1_upper),
-        ):
-            defects += [(lower - value) / scale, (value - upper) / scale]
-    detail = "worst normalized bracket violation {worst:.3e}"
-    return _verdict(defects, tol, detail)
-
-
-def _check_derivative_bound(derivs, tol):
+def _check_derivative_bound(run, tol):
     defects = [
         (dpsi - bound) / max(bound, 1.0)
-        for deriv in derivs
+        for deriv in run.derivs
         for dpsi, bound in zip(deriv.dpsi_norms, deriv.bound_values)
     ]
     if not defects:
@@ -462,51 +457,43 @@ def _check_derivative_bound(derivs, tol):
     return _verdict(defects, tol, detail)
 
 
-def _diagnostics_block(u, reports, rvs):
-    ranks_axis = [min(rv) for rv in rvs]
+def _check_diagnostics(run, tol):
+    if len(run.rvs) < 3:
+        return "skipped", None, "rate fits need at least 3 rank vectors"
+    ranks_axis = [min(rv) for rv in run.rvs]
     usable = [i for i, r in enumerate(ranks_axis) if r >= 1]
-    l2_scale = max(norm_l2(u), _TINY)
-    h1_scale = max(norm_h1(u), _TINY)
+    block = {"rank_axis": [int(r) for r in ranks_axis], "flag": None}
+    parts = []
+    for key in ("l2", "h1"):
+        block[f"{key}_slope"] = block[f"{key}_r2"] = None
+        scale = max(getattr(run, key), _TINY)
+        try:
+            fit = rate_fit(
+                [ranks_axis[i] for i in usable],
+                [getattr(run.reports[i], f"residual_{key}") / scale for i in usable],
+            )
+        except DegenerateDataError:
+            continue
+        block[f"{key}_slope"], block[f"{key}_r2"] = fit.slope, fit.r2
+        parts.append(f"{key} slope {fit.slope:.3f}")
 
-    block = {
-        "rank_axis": [int(r) for r in ranks_axis],
-        "l2_slope": None,
-        "l2_r2": None,
-        "h1_slope": None,
-        "h1_r2": None,
-        "flag": None,
-    }
-    try:
-        fit = rate_fit(
-            [ranks_axis[i] for i in usable],
-            [reports[i].residual_l2 / l2_scale for i in usable],
-        )
-        block["l2_slope"], block["l2_r2"] = fit.slope, fit.r2
-    except DegenerateDataError:
-        pass
-    try:
-        fit = rate_fit(
-            [ranks_axis[i] for i in usable],
-            [reports[i].residual_h1 / h1_scale for i in usable],
-        )
-        block["h1_slope"], block["h1_r2"] = fit.slope, fit.r2
-    except DegenerateDataError:
-        pass
-
-    if u.ndim == 2:
-        sums = [rep.h1_norm_sq_series for rep in reports]
+    if run.u.ndim == 2:
+        sums = [rep.h1_norm_sq_series for rep in run.reports]
     else:
-        sums = [float(np.sum(rep.ek_norm_sq_series)) for rep in reports]
+        sums = [float(np.sum(rep.ek_norm_sq_series)) for rep in run.reports]
     try:
         block["flag"] = h1_convergence_flag(sums)
     except DegenerateDataError:
         pass
-    return block
+    parts.append(f"flag {block['flag'] or 'unavailable'}")
+    run.diagnostics = block
+    return "pass", None, ", ".join(parts)
 
 
-def _edge_case_check(u, systems):
+def _check_edge_cases(run, tol):
+    u, systems = run.u, run.systems
     problems = []
-    scale = max(norm_l2(u), _TINY)
+    scale = max(run.l2, _TINY)
 
     full = tuple(numerical_rank(s) for s in systems)
     resid = norm_l2(u - hosvd_project(u, full, systems=systems).projected)
@@ -516,7 +503,7 @@ def _edge_case_check(u, systems):
     zero_rank = hosvd_project(u, (0,) * u.ndim, systems=systems).projected
     if norm_l2(zero_rank) != 0.0:
         problems.append("rank-zero projection is not identically zero")
-    if abs(norm_l2(u - zero_rank) - norm_l2(u)) > 1e-12 * scale:
+    if abs(norm_l2(u - zero_rank) - run.l2) > 1e-12 * scale:
         problems.append("rank-zero residual differs from the function norm")
 
     z = GridFunction(u.axes, np.zeros(u.shape))
@@ -527,6 +514,34 @@ def _edge_case_check(u, systems):
     if problems:
         return "fail", None, "; ".join(problems)
     return "pass", None, "full-rank, rank-zero and zero-input behaviour as expected"
+
+
+# CHECK_NAMES in order, then the checks ``edge_cases=True`` adds; each
+# entry maps (run, tolerance) to (status, worst, detail)
+_CHECKS = {
+    "eckart_young": _check_eckart_young,
+    "h1_identity": _check_h1_identity,
+    "ek_identity": _check_ek_identity,
+    "hosvd_bound": _bracket_check(
+        "l2",
+        ("residual_l2",),
+        "worst normalized excess {worst:.3e} over the spectral tail sum",
+    ),
+    "quasi_opt": _bracket_check(
+        "l2",
+        ("quasi_opt",),
+        "worst normalized excess {worst:.3e} over d times the refined reference error",
+    ),
+    "sandwich": _bracket_check(
+        "h1",
+        ("approx_h1", "residual_h1"),
+        "worst normalized bracket violation {worst:.3e}",
+        both_sides=True,
+    ),
+    "derivative_bound": _check_derivative_bound,
+    "diagnostics": _check_diagnostics,
+    "edge_cases": _check_edge_cases,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -580,72 +595,36 @@ def run_experiment(
             }
         )
 
-    checks_wanted = config.checks
-    h1_sq = norm_h1(u) ** 2
-    sandwich_slack = config.tolerance("sandwich") * max(1.0, h1_sq)
-    want_quasi = "quasi_opt" in checks_wanted
+    h1 = norm_h1(u)
+    sandwich_slack = config.tolerance("sandwich") * max(1.0, h1**2)
     reports = [
         h1_sandwich(
             u,
             rv,
             systems=systems,
             derivs=derivs,
-            hooi_reference=want_quasi,
+            hooi_reference="quasi_opt" in config.checks,
             slack=sandwich_slack,
         )
         for rv in rvs
     ]
+    run = _Run(u, systems, derivs, rvs, reports, norm_l2(u), h1)
 
     checks = []
-
-    def record(name, status, worst, detail, tolerance=None):
+    for name in [*config.checks, *(["edge_cases"] if edge_cases else [])]:
+        tol = config.tolerance(name) if name in DEFAULT_TOLERANCES else None
+        status, worst, detail = _CHECKS[name](run, tol)
         checks.append(
             {
                 "name": name,
                 "status": status,
                 "detail": detail,
                 "worst": None if worst is None else float(worst),
-                "tolerance": tolerance,
+                "tolerance": None if status == "skipped" else tol,
             }
         )
         if log is not None:
             log(f"{status.upper():>4}  {name}: {detail}")
-
-    diagnostics = None
-    for name in checks_wanted:
-        tol = config.tolerance(name) if name in DEFAULT_TOLERANCES else None
-        if name == "eckart_young":
-            record(name, *_check_eckart_young(u, systems, rvs, tol), tol)
-        elif name == "h1_identity":
-            if d != 2:
-                record(name, "skipped", None, "two-sided series needs d = 2")
-            else:
-                record(name, *_check_h1_identity(u, systems, derivs, rvs, tol), tol)
-        elif name == "ek_identity":
-            record(name, *_check_ek_identity(u, systems, derivs, rvs, tol), tol)
-        elif name == "hosvd_bound":
-            record(name, *_check_hosvd_bound(u, reports, tol), tol)
-        elif name == "quasi_opt":
-            record(name, *_check_quasi_opt(u, reports, tol), tol)
-        elif name == "sandwich":
-            record(name, *_check_sandwich(u, reports, tol), tol)
-        elif name == "derivative_bound":
-            record(name, *_check_derivative_bound(derivs, tol), tol)
-        elif name == "diagnostics":
-            if len(rvs) < 3:
-                record(name, "skipped", None, "rate fits need at least 3 rank vectors")
-            else:
-                diagnostics = _diagnostics_block(u, reports, rvs)
-                parts = []
-                if diagnostics["l2_slope"] is not None:
-                    parts.append(f"l2 slope {diagnostics['l2_slope']:.3f}")
-                if diagnostics["h1_slope"] is not None:
-                    parts.append(f"h1 slope {diagnostics['h1_slope']:.3f}")
-                parts.append(f"flag {diagnostics['flag'] or 'unavailable'}")
-                record(name, "pass", None, ", ".join(parts))
-
-    if edge_cases:
-        record("edge_cases", *_edge_case_check(u, systems))
 
     passed = all(c["status"] != "fail" for c in checks)
 
@@ -663,7 +642,7 @@ def run_experiment(
         "spectra": spectra,
         "reports": [_jsonable(rep.to_dict()) for rep in reports],
         "checks": checks,
-        "diagnostics": diagnostics,
+        "diagnostics": run.diagnostics,
         "passed": passed,
     }
     jsonschema.Draft202012Validator(REPORT_SCHEMA).validate(report)

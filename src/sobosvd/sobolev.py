@@ -8,7 +8,6 @@ quadrature-weighted:
 * ``norm_l2``:    plain weighted L2 norm.
 * ``norm_ek``:    one-direction Sobolev norm, sqrt(|v|^2 + |D_k v|^2).
 * ``norm_h1``:    sqrt(|v|^2 + sum_j |D_j v|^2).
-* ``norm_mix``:   every derivative subset once, sqrt(sum_S |D_S v|^2).
 
 Derivative transfer
 -------------------
@@ -25,17 +24,13 @@ bounded by (1/lambda_k) |u| |d_j u|, the discrete Cauchy-Schwarz chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .discretization import GridFunction, check_mode, inner_l2, partial_derivative
-from .errors import DegenerateModeError, ModeError, SobosvdError
-from .svd_engine import RETAIN_REL, SingularSystem
+from .errors import ModeError, SobosvdError
+from .svd_engine import RETAIN_REL, SingularSystem, _count_retained
 from .tensor_core import matricize
-
-# mixed norm enumerates 2^d derivative subsets
-MIX_MAX_DIM = 4
 
 
 def norm_l2(f: GridFunction) -> float:
@@ -56,23 +51,6 @@ def norm_h1(f: GridFunction) -> float:
     for j in range(f.ndim):
         df = partial_derivative(f, j)
         acc += inner_l2(df, df)
-    return float(np.sqrt(max(acc, 0.0)))
-
-
-def norm_mix(f: GridFunction) -> float:
-    """Mixed Sobolev norm over all derivative subsets.
-
-    Cost doubles per dimension, so refuse beyond four axes.
-    """
-    if f.ndim > MIX_MAX_DIM:
-        raise ModeError(f"mixed norm capped at {MIX_MAX_DIM} axes, got {f.ndim}")
-    acc = 0.0
-    for size in range(f.ndim + 1):
-        for subset in combinations(range(f.ndim), size):
-            g = f
-            for j in subset:
-                g = partial_derivative(g, j)
-            acc += inner_l2(g, g)
     return float(np.sqrt(max(acc, 0.0)))
 
 
@@ -100,38 +78,7 @@ class DerivativeData:
 
 def retained_count(system: SingularSystem, retain_rel: float = RETAIN_REL) -> int:
     """Number of leading directions with lambda_k > retain_rel * lambda_1."""
-    s = system.sigmas
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    lam = s * s
-    return int(np.count_nonzero(lam > retain_rel * lam[0]))
-
-
-def singular_derivative_operator(
-    u: GridFunction, system: SingularSystem, mode: int, k: int
-) -> np.ndarray:
-    """Transfer the mode derivative of u onto one left singular vector.
-
-    Evaluates (1/lambda_k) M(d_mode u) W_c M(u)^T W_r psi_k. The inner
-    factor M(u)^T W_r psi_k equals sigma_k phi_k for an exact singular
-    triple, so the product is computed as (1/sigma_k) M(d_mode u) W_c
-    phi_k; the literal quadruple product amplifies rounding by 1/lambda_k
-    and is useless for small sigma_k.
-
-    Raises DegenerateModeError when sigma_k is zero.
-    """
-    mode = check_mode(mode, u.ndim)
-    if system.mode != mode:
-        raise ModeError(f"system decomposes mode {system.mode}, not {mode}")
-    k = int(k)
-    if not 0 <= k < system.k_max:
-        raise ModeError(f"direction {k} out of range, system has {system.k_max}")
-    sigma = float(system.sigmas[k])
-    if sigma <= 0.0:
-        raise DegenerateModeError(f"zero singular value at direction {k}")
-    du = partial_derivative(u, mode)
-    md, _ = matricize(du.values, (mode,))
-    return (md @ (system.col_weights * system.right_vectors[:, k])) / sigma
+    return _count_retained(system.sigmas, retain_rel)
 
 
 def derivative_data(
@@ -141,6 +88,10 @@ def derivative_data(
     retain_rel: float = RETAIN_REL,
 ) -> DerivativeData:
     """Derivative transfer for every retained direction of one mode.
+
+    M(u)^T W_r psi_k equals sigma_k phi_k for an exact singular triple,
+    so gamma_k is computed as (1/sigma_k) M(d_mode u) W_c phi_k; the
+    literal quadruple product amplifies rounding by 1/lambda_k.
 
     Asserts the Cauchy-Schwarz bound on each transferred norm; the chain
     is exact in the discrete algebra, so a violation beyond 1e-10 means a

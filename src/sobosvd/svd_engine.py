@@ -9,8 +9,7 @@ ones.
 
 ``mode_svd`` applies this to one mode of a grid function, with the
 complement modes flattened colexicographically and their weights combined
-into a single column-weight vector. ``hosvd`` collects all mode systems
-and the weighted analysis core.
+into a single column-weight vector.
 """
 from __future__ import annotations
 
@@ -20,8 +19,8 @@ from functools import reduce
 import numpy as np
 
 from .discretization import Axis, GridFunction, check_mode
-from .errors import DegenerateModeError, ModeError, SobosvdError
-from .tensor_core import MatShape, matricize, mode_product
+from .errors import ModeError, SobosvdError
+from .tensor_core import MatShape, matricize
 
 DEFAULT_RANK_TOL = 1e-12
 
@@ -31,6 +30,17 @@ RETAIN_REL = 1e-14
 
 _REFINE_TRIGGER = 1e-3  # smallest retained sigma below this times sigma_1
 _REFINE_MAX_COLS = 64
+
+
+def _count_retained(s: np.ndarray, retain_rel: float = RETAIN_REL) -> int:
+    """Number of leading sigmas with (sigma_k / sigma_1)^2 > retain_rel.
+
+    The ratio is squared, not sigma_k itself, so the count does not
+    depend on the scale of the input; a zero spectrum retains nothing.
+    """
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero((s / s[0]) ** 2 > retain_rel))
 
 
 def _refine_small_triplets(scaled, u, s, v):
@@ -48,8 +58,7 @@ def _refine_small_triplets(scaled, u, s, v):
     cluster, but the returned partner and singular value are rebuilt
     from that same vector, and only their mutual consistency matters.
     """
-    lam = s**2
-    retained = int(np.count_nonzero(lam > RETAIN_REL * lam[0]))
+    retained = _count_retained(s)
     if retained == 0 or retained > _REFINE_MAX_COLS:
         return u, s, v
     if s[retained - 1] >= _REFINE_TRIGGER * s[0]:
@@ -278,51 +287,3 @@ def numerical_rank(system: SingularSystem, tol_rel: float = DEFAULT_RANK_TOL) ->
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > tol_rel * s[0]))
-
-
-@dataclass(frozen=True, eq=False)
-class HOSVDSystem:
-    """All mode systems of a grid function plus the analysis core.
-
-    ``core`` holds the weighted analysis coefficients of ``u`` against
-    the retained left vectors of every mode; its shape is ``ranks``.
-    """
-
-    systems: tuple[SingularSystem, ...]
-    ranks: tuple[int, ...]
-    core: np.ndarray
-    axes: tuple[Axis, ...]
-
-    def reconstruct(self) -> GridFunction:
-        vals = self.core
-        for j, sys_j in enumerate(self.systems):
-            vals = mode_product(vals, sys_j.left_vectors[:, : self.ranks[j]], j)
-        return GridFunction(self.axes, vals)
-
-    def core_gram(self, mode: int) -> np.ndarray:
-        """Gram matrix of the core unfolding at one mode.
-
-        The retained bases are weighted-orthonormal, so coefficients use
-        plain Euclidean inner products; for an untruncated system this
-        Gram is diag(sigma_k^2).
-        """
-        mode = check_mode(mode, len(self.ranks))
-        mat, _ = matricize(self.core, (mode,))
-        return mat @ mat.T
-
-
-def hosvd(u: GridFunction, tol_rel: float = DEFAULT_RANK_TOL) -> HOSVDSystem:
-    """Mode SVDs of every mode plus the truncated analysis core.
-
-    Each mode keeps its numerical rank at tol_rel. The core is ``u``
-    contracted on every mode with (retained left vectors)^T diag(w).
-    """
-    if u.ndim < 2:
-        raise ModeError("hosvd needs at least two axes")
-    systems = tuple(mode_svd(u, j) for j in range(u.ndim))
-    ranks = tuple(numerical_rank(s, tol_rel) for s in systems)
-    core = u.values
-    for j, sys_j in enumerate(systems):
-        analysis = (sys_j.left_vectors[:, : ranks[j]] * sys_j.row_weights[:, None]).T
-        core = mode_product(core, analysis, j)
-    return HOSVDSystem(systems=systems, ranks=ranks, core=core, axes=u.axes)

@@ -15,15 +15,19 @@ import numpy as np
 from .errors import ModeError
 
 
+def check_mode(mode: int, ndim: int) -> int:
+    mode = int(mode)
+    if not 0 <= mode < ndim:
+        raise ModeError(f"mode {mode} out of range for {ndim} axes")
+    return mode
+
+
 def _validate_modes(modes: Sequence[int], ndim: int) -> tuple[int, ...]:
-    out = tuple(int(m) for m in modes)
+    out = tuple(check_mode(m, ndim) for m in modes)
     if len(out) == 0:
         raise ModeError("mode subset must not be empty")
     if len(set(out)) != len(out):
         raise ModeError(f"duplicate modes in {out}")
-    for m in out:
-        if not 0 <= m < ndim:
-            raise ModeError(f"mode {m} out of range for {ndim}-way tensor")
     return tuple(sorted(out))
 
 
@@ -98,10 +102,7 @@ def mode_product(values: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
     their order and sizes.
     """
     values = np.asarray(values)
-    d = values.ndim
-    mode = int(mode)
-    if not 0 <= mode < d:
-        raise ModeError(f"mode {mode} out of range for {d}-way tensor")
+    mode = check_mode(mode, values.ndim)
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[1] != values.shape[mode]:
         raise ModeError(

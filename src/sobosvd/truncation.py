@@ -40,12 +40,9 @@ from .svd_engine import SingularSystem, _fix_signs, mode_svd
 from .tensor_core import dematricize, matricize, mode_product
 
 
-class H1Identity(NamedTuple):
-    norm_sq: float
-    error_sq: float
+class SeriesSplit(NamedTuple):
+    """A Sobolev series split at rank r: kept terms and tail."""
 
-
-class EkIdentity(NamedTuple):
     norm_sq: float
     error_sq: float
 
@@ -57,17 +54,24 @@ class BoundCheck(NamedTuple):
     holds: bool
 
 
-def _padded_dpsi(system: SingularSystem, deriv: DerivativeData | None) -> np.ndarray:
-    """dpsi norms padded with zeros for unresolved directions.
+def series_split(
+    system: SingularSystem, r: int, *derivs: DerivativeData
+) -> SeriesSplit:
+    """sum_k sigma_k^2 (1 + sum_i |dpsi_k|^2 over derivs) split at rank r.
 
-    Directions dropped by the retain threshold carry spectral weight
-    below noise; they enter the series with their L2 mass only.
+    One ``DerivativeData`` gives the one-direction series, two (both
+    modes of a bivariate function) the full Sobolev series, none the
+    plain squared spectrum. Directions dropped by the retain threshold
+    carry spectral weight below noise; they enter with their L2 mass only.
     """
-    out = np.zeros(system.k_max)
-    if deriv is not None and deriv.count:
+    factor = 1.0
+    for deriv in derivs:
+        dpsi = np.zeros(system.k_max)
         m = min(deriv.count, system.k_max)
-        out[:m] = deriv.dpsi_norms[:m]
-    return out
+        dpsi[:m] = deriv.dpsi_norms[:m]
+        factor = factor + dpsi**2
+    terms = system.sigmas**2 * factor
+    return SeriesSplit(float(np.sum(terms[:r])), float(np.sum(terms[r:])))
 
 
 def _check_rank(r: int, k_max: int) -> int:
@@ -98,7 +102,7 @@ def h1_identity(
     deriv_left: DerivativeData,
     deriv_right: DerivativeData,
     r: int,
-) -> H1Identity:
+) -> SeriesSplit:
     """Exact Sobolev series for a rank-r truncation and its error.
 
     ``deriv_left`` belongs to the decomposed mode of ``system``;
@@ -106,12 +110,7 @@ def h1_identity(
     function, whose left vectors are the phi_k here. Both series match
     the measured norms to roundoff while every direction is retained.
     """
-    r = _check_rank(r, system.k_max)
-    sig_sq = system.sigmas**2
-    dl = _padded_dpsi(system, deriv_left)
-    dr = _padded_dpsi(system, deriv_right)
-    terms = sig_sq * (1.0 + dl**2 + dr**2)
-    return H1Identity(float(np.sum(terms[:r])), float(np.sum(terms[r:])))
+    return series_split(system, _check_rank(r, system.k_max), deriv_left, deriv_right)
 
 
 def ek_identity(
@@ -121,7 +120,7 @@ def ek_identity(
     *,
     system: SingularSystem | None = None,
     deriv: DerivativeData | None = None,
-) -> EkIdentity:
+) -> SeriesSplit:
     """One-direction Sobolev series for a single-mode projection.
 
     Value and tail of sum_k sigma_k^2 (1 + |dpsi_k|^2) split at rank r.
@@ -132,9 +131,7 @@ def ek_identity(
         system = mode_svd(u, mode)
     if deriv is None:
         deriv = derivative_data(u, system, mode)
-    r = _check_rank(r, system.k_max)
-    terms = system.sigmas**2 * (1.0 + _padded_dpsi(system, deriv) ** 2)
-    return EkIdentity(float(np.sum(terms[:r])), float(np.sum(terms[r:])))
+    return series_split(system, _check_rank(r, system.k_max), deriv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +149,15 @@ def _analysis_map(u: GridFunction, q: np.ndarray, mode: int) -> np.ndarray:
     return (q * u.axes[mode].quad_weights[:, None]).T
 
 
+def single_mode_projection(
+    u: GridFunction, system: SingularSystem, r: int
+) -> GridFunction:
+    """Project one mode of ``u`` onto the first r left vectors of its system."""
+    q = system.left_vectors[:, :r]
+    p = q @ _analysis_map(u, q, system.mode)
+    return GridFunction(u.axes, mode_product(u.values, p, system.mode))
+
+
 def _apply_projection(
     u: GridFunction, factors: list[np.ndarray]
 ) -> GridFunction:
@@ -165,7 +171,10 @@ def _apply_projection(
     return GridFunction(u.axes, vals)
 
 
-def _checked_ranks(u: GridFunction, ranks) -> tuple[int, ...]:
+def _ranks_and_systems(u: GridFunction, ranks, systems):
+    """Validated rank vector, and the mode systems of ``u`` unless given."""
+    if u.ndim < 2:
+        raise ModeError(f"a rank vector needs at least two axes, got {u.ndim}")
     rv = tuple(int(r) for r in ranks)
     if len(rv) != u.ndim:
         raise ModeError(f"rank vector length {len(rv)} != {u.ndim} axes")
@@ -174,7 +183,9 @@ def _checked_ranks(u: GridFunction, ranks) -> tuple[int, ...]:
             raise ModeError(f"negative rank {r} at mode {j}")
         if r > u.shape[j]:
             raise ModeError(f"rank {r} exceeds mode {j} size {u.shape[j]}")
-    return rv
+    if systems is None:
+        systems = tuple(mode_svd(u, j) for j in range(u.ndim))
+    return rv, systems
 
 
 def hosvd_project(
@@ -189,11 +200,7 @@ def hosvd_project(
     projections commute, and the L2 error of the composition is bounded
     by the sum of per-mode discarded spectral weight.
     """
-    if u.ndim < 2:
-        raise ModeError("projection needs at least two axes")
-    rv = _checked_ranks(u, ranks)
-    if systems is None:
-        systems = tuple(mode_svd(u, j) for j in range(u.ndim))
+    rv, systems = _ranks_and_systems(u, ranks, systems)
     factors = []
     for j, r in enumerate(rv):
         r_eff = min(r, systems[j].k_max)
@@ -225,14 +232,10 @@ def hooi(
     read from it instead of decomposing each mode again. Without it the
     decompositions are computed here, with the same result.
     """
-    if u.ndim < 2:
-        raise ModeError("refinement needs at least two axes")
-    rv = _checked_ranks(u, ranks)
     if max_iters < 1:
         raise SobosvdError(f"max_iters must be >= 1, got {max_iters}")
+    rv, systems = _ranks_and_systems(u, ranks, systems)
     d = u.ndim
-    if systems is None:
-        systems = tuple(mode_svd(u, j) for j in range(d))
     factors = [systems[j].left_vectors[:, : min(rv[j], systems[j].k_max)] for j in range(d)]
     analyses = [_analysis_map(u, factors[j], j) for j in range(d)]
 
@@ -407,12 +410,8 @@ def h1_sandwich(
     decompositions across a rank sweep; ``systems`` also seeds the
     refinement, so no mode is decomposed again for the reference.
     """
-    if u.ndim < 2:
-        raise ModeError("need at least two axes")
+    rv, systems = _ranks_and_systems(u, ranks, systems)
     d = u.ndim
-    rv = _checked_ranks(u, ranks)
-    if systems is None:
-        systems = tuple(mode_svd(u, j) for j in range(d))
     if derivs is None:
         derivs = tuple(derivative_data(u, systems[j], j) for j in range(d))
 
@@ -423,25 +422,14 @@ def h1_sandwich(
     residual_ek = tuple(norm_ek(resid, j) for j in range(d))
     approx_h1_sq = norm_h1(approx.projected) ** 2
 
-    kept_w = []  # per mode: sum_{k<=r} sigma^2 (1 + dpsi^2)
-    tail_w = []
-    kept_sq = []  # plain sigma^2 partial sums
-    tail_sq = []
-    for j in range(d):
-        sig_sq = systems[j].sigmas ** 2
-        terms = sig_sq * (1.0 + _padded_dpsi(systems[j], derivs[j]) ** 2)
-        r = min(rv[j], systems[j].k_max)
-        kept_w.append(float(np.sum(terms[:r])))
-        tail_w.append(float(np.sum(terms[r:])))
-        kept_sq.append(float(np.sum(sig_sq[:r])))
-        tail_sq.append(float(np.sum(sig_sq[r:])))
+    # per mode, kept and tail: sum sigma^2 (1 + dpsi^2), and plain sigma^2
+    cut = [min(r, s.k_max) for r, s in zip(rv, systems)]
+    kept_w, tail_w = zip(*(series_split(s, r, dv) for s, r, dv in zip(systems, cut, derivs)))
+    kept_sq, tail_sq = zip(*(series_split(s, r) for s, r in zip(systems, cut)))
 
+    h1_series = SeriesSplit(None, None)  # the two-sided series needs d = 2
     if d == 2:
-        r_eff = min(rv)
-        ident = h1_identity(systems[0], derivs[0], derivs[1], min(r_eff, systems[0].k_max))
-        h1_norm_sq_series, h1_error_sq_series = ident.norm_sq, ident.error_sq
-    else:
-        h1_norm_sq_series = h1_error_sq_series = None
+        h1_series = h1_identity(systems[0], derivs[0], derivs[1], min(*rv, systems[0].k_max))
 
     gammas = []
     for j in range(d):
@@ -467,10 +455,10 @@ def h1_sandwich(
         residual_h1=residual_h1,
         residual_ek=residual_ek,
         approx_h1_sq=approx_h1_sq,
-        h1_norm_sq_series=h1_norm_sq_series,
-        h1_error_sq_series=h1_error_sq_series,
-        ek_norm_sq_series=tuple(kept_w),
-        ek_error_sq_series=tuple(tail_w),
+        h1_norm_sq_series=h1_series.norm_sq,
+        h1_error_sq_series=h1_series.error_sq,
+        ek_norm_sq_series=kept_w,
+        ek_error_sq_series=tail_w,
         l2_tail_sq_sum=float(np.sum(tail_sq)),
         quasi_opt_reference=quasi_ref,
         h1_lower=float(np.max(tail_w)),

@@ -273,6 +273,8 @@ def test_run_experiment_from_sample_file(tmp_path):
 def test_run_experiment_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="grid sizes"):
         run_experiment(ExperimentConfig.from_dict({"function": {"case": "SEP1"}}))
+    with pytest.raises(ConfigError, match="unknown checks"):
+        ExperimentConfig(case_name="SEP1", grid_sizes=(9,), checks=("edge_cases",))
     with pytest.raises(ConfigError, match="dimensions"):
         run_experiment(
             ExperimentConfig.from_dict(
@@ -487,10 +489,15 @@ def test_check_with_nan_defect_fails(check, field):
     good = [sv.h1_sandwich(u, (r, r), hooi_reference=True) for r in (1, 2)]
     # the NaN comes second: a plain running max(worst, nan) would keep worst
     reports = [good[0], dataclasses.replace(good[1], **{field: float("nan")})]
-    status, worst, detail = getattr(experiment, f"_check_{check}")(u, reports, 1e-9)
+
+    def run_check(reps):
+        run = experiment._Run(u, (), (), (), reps, sv.norm_l2(u), sv.norm_h1(u))
+        return experiment._CHECKS[check](run, 1e-9)
+
+    status, worst, detail = run_check(reports)
     assert status == "fail"
     assert worst is None
     assert "non-finite" in detail
-    status, worst, _ = getattr(experiment, f"_check_{check}")(u, good, 1e-9)
+    status, worst, _ = run_check(good)
     assert status == "pass"
     assert worst is not None

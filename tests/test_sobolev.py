@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sobosvd as sv
-from sobosvd.errors import DegenerateModeError, ModeError
+from sobosvd.errors import ModeError
 
 from conftest import weighted_norm
 
@@ -28,22 +28,6 @@ def test_norm_ek_and_h1_relation():
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
-def test_norm_mix_separable():
-    # for sin(pi x) sin(pi y) every derivative subset factorizes:
-    # mix^2 = (1/2 + pi^2/2)^2 restricted to ... = (a + b)(a + b) with
-    # a = ||sin||^2 = 1/2, b = ||pi cos||^2 = pi^2/2
-    u = sv.sample_case(sv.get_case("SEP1"), (401, 401))
-    exact = (0.5 + 0.5 * np.pi**2)
-    assert sv.norm_mix(u) ** 2 == pytest.approx(exact**2, rel=1e-3)
-
-
-def test_norm_mix_dimension_cap():
-    axes = tuple(sv.make_axis(3) for _ in range(5))
-    u = sv.sample(lambda *xs: sum(xs), axes)
-    with pytest.raises(ModeError):
-        sv.norm_mix(u)
-
-
 def test_norm_ek_checks_mode():
     u = sv.sample_case(sv.get_case("SEP1"), (17, 17))
     with pytest.raises(ModeError):
@@ -58,12 +42,22 @@ def test_retained_count_boundary():
     assert sv.retained_count(zero) == 0
 
 
+@pytest.mark.parametrize("name", ["BROWNIAN", "EXPXY"])
+def test_retained_count_scale_invariant(name):
+    # the threshold compares (sigma_k / sigma_1)^2, so the count survives
+    # scales whose squared sigmas overflow or underflow
+    u = sv.sample_case(sv.get_case(name), (65, 65))
+    count = sv.retained_count(sv.mode_svd(u, 0))
+    for c in (1e-160, 1e160):
+        assert sv.retained_count(sv.mode_svd(c * u, 0)) == count, c
+
+
 def test_transfer_matches_analytic_derivative():
     # SEP1 left vector is sqrt(2) sin(pi x) up to the O(h^2) of the grid,
     # so the transferred derivative approaches sqrt(2) pi cos(pi x)
     u = sv.sample_case(sv.get_case("SEP1"), (257, 257))
     s = sv.mode_svd(u, 0)
-    gamma = sv.singular_derivative_operator(u, s, 0, 0)
+    gamma = sv.derivative_data(u, s, 0).gammas[:, 0]
     x = u.axes[0].nodes
     w = u.axes[0].quad_weights
     exact = np.sqrt(2.0) * np.pi * np.cos(np.pi * x)
@@ -134,7 +128,7 @@ def test_transfer_stable_form_agrees_with_literal_product():
     k = 1
     lam = s.sigmas[k] ** 2
     literal = md @ (s.col_weights * (mu.T @ (s.row_weights * s.left_vectors[:, k]))) / lam
-    stable = sv.singular_derivative_operator(u, s, 0, k)
+    stable = sv.derivative_data(u, s, 0).gammas[:, k]
     w = u.axes[0].quad_weights
     assert weighted_norm(w, literal - stable) / weighted_norm(w, stable) < 1e-10
 
@@ -143,13 +137,7 @@ def test_singular_derivative_operator_errors():
     u = sv.sample_case(sv.get_case("SEP1"), (17, 17))
     s = sv.mode_svd(u, 0)
     with pytest.raises(ModeError):
-        sv.singular_derivative_operator(u, s, 1, 0)
-    with pytest.raises(ModeError):
-        sv.singular_derivative_operator(u, s, 0, 99)
-    zero = sv.sample(lambda x, y: 0.0, u.axes)
-    sz = sv.mode_svd(zero, 0)
-    with pytest.raises(DegenerateModeError):
-        sv.singular_derivative_operator(zero, sz, 0, 0)
+        sv.derivative_data(u, s, 1)
 
 
 def test_derivative_data_retention(catalog):

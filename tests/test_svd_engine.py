@@ -190,28 +190,17 @@ def test_mode_svd_3d_column_weights():
 
 def test_hosvd_core_and_reconstruction():
     u = sv.sample_case(sv.get_case("SUM3D"), (17, 17, 17))
-    h = sv.hosvd(u)
-    assert h.ranks == (2, 2, 2)
-    assert h.core.shape == (2, 2, 2)
-    rec = h.reconstruct()
-    err = sv.norm_l2(u - rec) / sv.norm_l2(u)
+    systems = tuple(sv.mode_svd(u, j) for j in range(3))
+    ranks = tuple(sv.numerical_rank(s) for s in systems)
+    assert ranks == (2, 2, 2)
+    approx = sv.hosvd_project(u, ranks, systems=systems)
+    assert [f.shape[1] for f in approx.factors] == [2, 2, 2]
+    err = sv.norm_l2(u - approx.projected) / sv.norm_l2(u)
     assert err < 1e-12
-
-
-def test_hosvd_core_gram_diagonal():
-    # untruncated mode: Gram of the core unfolding is diag(sigma^2)
-    u = sv.sample_case(sv.get_case("SINSUM"), (17, 17))
-    h = sv.hosvd(u)
-    for mode in range(2):
-        g = h.core_gram(mode)
-        lam = h.systems[mode].sigmas[: h.ranks[mode]] ** 2
-        np.testing.assert_allclose(g, np.diag(lam), atol=1e-14)
 
 
 def test_hosvd_rejects_1d():
     u = sv.sample(lambda x: x, (sv.make_axis(5),))
-    with pytest.raises(ModeError):
-        sv.hosvd(u)
     with pytest.raises(ModeError):
         sv.mode_svd(u, 0)
 
