@@ -23,7 +23,8 @@ def main():
     print("direction  sigma        transfer defect   |psi_k'|     bound")
     for k in range(deriv.count):
         via_transfer = deriv.gammas[:, k]
-        direct = axis.diff_matrix @ system.left_vectors[:, k]
+        psi = sv.GridFunction((axis,), system.left_vectors[:, k])
+        direct = sv.partial_derivative(psi, 0).values
         gap = direct - via_transfer
         defect = np.sqrt(gap @ (w * gap)) / max(deriv.dpsi_norms[k], 1.0)
         print(

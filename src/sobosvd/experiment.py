@@ -411,7 +411,7 @@ def _check_ek_identity(run, tol):
     for j, system in enumerate(run.systems):
         scale = max(norm_ek(run.u, j) ** 2, _TINY)
         for rv, rep in zip(run.rvs, run.reports):
-            proj = single_mode_projection(run.u, system, min(rv[j], system.k_max))
+            proj = single_mode_projection(run.u, system, rv[j])
             kept, tail = rep.ek_norm_sq_series[j], rep.ek_error_sq_series[j]
             defects.append(abs(norm_ek(proj, j) ** 2 - kept) / scale)
             defects.append(abs(norm_ek(run.u - proj, j) ** 2 - tail) / scale)

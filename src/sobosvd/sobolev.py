@@ -2,8 +2,8 @@
 
 Norms
 -----
-With D_j the axis differentiation matrices and all inner products
-quadrature-weighted:
+With D_j the second-order three-point stencil along axis j
+(``partial_derivative``) and all inner products quadrature-weighted:
 
 * ``norm_l2``:    plain weighted L2 norm.
 * ``norm_ek``:    one-direction Sobolev norm, sqrt(|v|^2 + |D_k v|^2).

@@ -149,26 +149,29 @@ def _analysis_map(u: GridFunction, q: np.ndarray, mode: int) -> np.ndarray:
     return (q * u.axes[mode].quad_weights[:, None]).T
 
 
+def _leading_bases(systems, ranks) -> dict[int, np.ndarray]:
+    """Mode -> the first min(r, k_max) left vectors of that mode's system."""
+    return {s.mode: s.left_vectors[:, : min(r, s.k_max)] for s, r in zip(systems, ranks)}
+
+
+def _apply_projection(u: GridFunction, bases: dict[int, np.ndarray]) -> GridFunction:
+    """Analysis then synthesis against weighted-orthonormal mode bases.
+
+    ``bases`` maps a mode to its basis; modes it does not name are kept.
+    """
+    vals = u.values
+    for j, q in bases.items():
+        vals = mode_product(vals, _analysis_map(u, q, j), j)
+    for j, q in bases.items():
+        vals = mode_product(vals, q, j)
+    return GridFunction(u.axes, vals)
+
+
 def single_mode_projection(
     u: GridFunction, system: SingularSystem, r: int
 ) -> GridFunction:
     """Project one mode of ``u`` onto the first r left vectors of its system."""
-    q = system.left_vectors[:, :r]
-    p = q @ _analysis_map(u, q, system.mode)
-    return GridFunction(u.axes, mode_product(u.values, p, system.mode))
-
-
-def _apply_projection(
-    u: GridFunction, factors: list[np.ndarray]
-) -> GridFunction:
-    """Analysis then synthesis against weighted-orthonormal mode bases."""
-    coeff = u.values
-    for j, q in enumerate(factors):
-        coeff = mode_product(coeff, _analysis_map(u, q, j), j)
-    vals = coeff
-    for j, q in enumerate(factors):
-        vals = mode_product(vals, q, j)
-    return GridFunction(u.axes, vals)
+    return _apply_projection(u, _leading_bases((system,), (r,)))
 
 
 def _ranks_and_systems(u: GridFunction, ranks, systems):
@@ -201,12 +204,8 @@ def hosvd_project(
     by the sum of per-mode discarded spectral weight.
     """
     rv, systems = _ranks_and_systems(u, ranks, systems)
-    factors = []
-    for j, r in enumerate(rv):
-        r_eff = min(r, systems[j].k_max)
-        factors.append(systems[j].left_vectors[:, :r_eff])
-    projected = _apply_projection(u, factors)
-    return TuckerApprox(rv, tuple(factors), projected)
+    bases = _leading_bases(systems, rv)
+    return TuckerApprox(rv, tuple(bases.values()), _apply_projection(u, bases))
 
 
 def hooi(
@@ -236,8 +235,8 @@ def hooi(
         raise SobosvdError(f"max_iters must be >= 1, got {max_iters}")
     rv, systems = _ranks_and_systems(u, ranks, systems)
     d = u.ndim
-    factors = [systems[j].left_vectors[:, : min(rv[j], systems[j].k_max)] for j in range(d)]
-    analyses = [_analysis_map(u, factors[j], j) for j in range(d)]
+    factors = _leading_bases(systems, rv)
+    analyses = {j: _analysis_map(u, q, j) for j, q in factors.items()}
 
     def current_error(fs) -> float:
         return norm_l2(u - _apply_projection(u, fs))
@@ -246,7 +245,7 @@ def hooi(
     err = current_error(factors)
     history = [err]
     best_err = err
-    best = [f.copy() for f in factors]
+    best = {j: q.copy() for j, q in factors.items()}
 
     for _ in range(max_iters):
         for j in range(d):
@@ -268,12 +267,12 @@ def hooi(
         history.append(err)
         if err < best_err:
             best_err = err
-            best = [f.copy() for f in factors]
+            best = {j: q.copy() for j, q in factors.items()}
         if improvement <= tol * u_norm:
             break
 
     projected = _apply_projection(u, best)
-    return TuckerApprox(rv, tuple(best), projected, tuple(history))
+    return TuckerApprox(rv, tuple(best.values()), projected, tuple(history))
 
 
 def bernstein_constant(
@@ -307,6 +306,10 @@ class ErrorReport:
     the bounds fields are the two-sided estimates. ``bound_checks``
     evaluates every lower <= value <= upper triple with the stored
     slack.
+
+    ``norm_lower`` is |u|_0^2 minus the per-mode L2 tail sum, floored at
+    zero: for the orthogonal projection P, |P u|_1^2 >= |P u|_0^2 =
+    |u|_0^2 - |u - P u|_0^2, at every rank vector.
     """
 
     rank_vector: tuple[int, ...]
@@ -401,8 +404,9 @@ def h1_sandwich(
     """Measure a rank-vector truncation and evaluate all its bounds.
 
     Builds the truncation, measures residual norms on the grid, then
-    evaluates the spectral series, the two-sided Sobolev estimates and
-    the per-mode norm-ratio constants. ``hooi_reference`` additionally
+    evaluates the spectral series, the two-sided Sobolev estimates that
+    ``ErrorReport`` describes and the per-mode norm-ratio constants.
+    ``hooi_reference`` additionally
     runs the alternating refinement and reports d times its squared L2
     error as the quasi-optimality reference.
 
@@ -426,6 +430,7 @@ def h1_sandwich(
     cut = [min(r, s.k_max) for r, s in zip(rv, systems)]
     kept_w, tail_w = zip(*(series_split(s, r, dv) for s, r, dv in zip(systems, cut, derivs)))
     kept_sq, tail_sq = zip(*(series_split(s, r) for s, r in zip(systems, cut)))
+    l2_tail_sq_sum = float(np.sum(tail_sq))
 
     h1_series = SeriesSplit(None, None)  # the two-sided series needs d = 2
     if d == 2:
@@ -459,11 +464,11 @@ def h1_sandwich(
         h1_error_sq_series=h1_series.error_sq,
         ek_norm_sq_series=kept_w,
         ek_error_sq_series=tail_w,
-        l2_tail_sq_sum=float(np.sum(tail_sq)),
+        l2_tail_sq_sum=l2_tail_sq_sum,
         quasi_opt_reference=quasi_ref,
         h1_lower=float(np.max(tail_w)),
-        h1_upper=float(np.sum(tail_w) + np.sum(tail_sq)),
-        norm_lower=float(np.sum(kept_sq)) / d,
+        h1_upper=float(np.sum(tail_w) + l2_tail_sq_sum),
+        norm_lower=max(0.0, kept_sq[0] + tail_sq[0] - l2_tail_sq_sum),
         norm_upper=float(np.sum(kept_w)),
         bernstein=tuple(float(g) for g in gammas),
         h1_budget=float(h1_budget),

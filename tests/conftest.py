@@ -40,3 +40,19 @@ def expxy_fine():
 
 def weighted_norm(weights, vec):
     return float(np.sqrt(np.sum(weights * np.asarray(vec) ** 2)))
+
+
+def fd2_matrix(axis):
+    """Dense second-order differentiation matrix of one axis.
+
+    Central stencils at interior nodes, three-point one-sided stencils at
+    the endpoints: the independent reference for ``partial_derivative``.
+    """
+    n, h = axis.n, axis.spacing
+    d = np.zeros((n, n))
+    idx = np.arange(1, n - 1)
+    d[idx, idx - 1] = -1.0 / (2.0 * h)
+    d[idx, idx + 1] = 1.0 / (2.0 * h)
+    d[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
+    d[-1, n - 3 :] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
+    return d

@@ -14,6 +14,8 @@ import pytest
 import sobosvd as sv
 from sobosvd.diagnostics import CONVERGED, h1_convergence_flag, rate_fit
 
+from conftest import fd2_matrix
+
 ACC_GRIDS = {
     "SEP1": (129, 129),
     "SINSUM": (129, 129),
@@ -66,7 +68,7 @@ def test_criterion_2_derivative_transfer():
     for name, sizes in ACC_GRIDS.items():
         u, systems, derivs = build(name, sizes)
         for j in range(u.ndim):
-            diff = u.axes[j].diff_matrix
+            diff = fd2_matrix(u.axes[j])
             w = u.axes[j].quad_weights
             for k in range(derivs[j].count):
                 direct = diff @ systems[j].left_vectors[:, k]

@@ -6,6 +6,8 @@ from sobosvd import Axis, GridFunction
 from sobosvd.errors import AxisMismatchError, InvalidAxisError, ModeError, SamplingError
 from sobosvd.discretization import check_mode, require_same_axes
 
+from conftest import fd2_matrix
+
 
 def test_make_axis_basic():
     ax = sv.make_axis(5)
@@ -41,24 +43,35 @@ def test_axis_arrays_immutable():
     with pytest.raises(ValueError):
         ax.nodes[0] = 7.0
     with pytest.raises(ValueError):
-        ax.diff_matrix[0, 0] = 7.0
+        ax.quad_weights[0] = 7.0
 
 
-def test_diff_matrix_exact_on_quadratics():
+def test_axis_storage_is_linear_in_n():
+    # a dense n x n differentiation matrix would take 134 MB at n = 4097
+    ax = sv.make_axis(4097)
+    total = sum(v.nbytes for v in vars(ax).values() if isinstance(v, np.ndarray))
+    assert total < 1_000_000
+
+
+def _derivative_1d(ax, values):
+    return sv.partial_derivative(GridFunction((ax,), values), 0).values
+
+
+def test_partial_derivative_exact_on_quadratics():
     # central interior stencil and one-sided boundary stencils are all
     # second order, so p(x) = a + b x + c x^2 differentiates exactly
     ax = sv.make_axis(11, 0.0, 2.0)
     for a, b, c in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (2.0, -3.0, 0.5)]:
         p = a + b * ax.nodes + c * ax.nodes**2
         dp = b + 2.0 * c * ax.nodes
-        np.testing.assert_allclose(ax.diff_matrix @ p, dp, atol=1e-12)
+        np.testing.assert_allclose(_derivative_1d(ax, p), dp, atol=1e-12)
 
 
-def test_diff_matrix_second_order_on_sine():
+def test_partial_derivative_second_order_on_sine():
     errs = []
     for n in (33, 65, 129):
         ax = sv.make_axis(n)
-        d = ax.diff_matrix @ np.sin(np.pi * ax.nodes)
+        d = _derivative_1d(ax, np.sin(np.pi * ax.nodes))
         errs.append(np.max(np.abs(d - np.pi * np.cos(np.pi * ax.nodes))))
     assert errs[0] / errs[1] > 3.5
     assert errs[1] / errs[2] > 3.5
@@ -166,3 +179,15 @@ def test_partial_derivative_modes():
     np.testing.assert_allclose(dy.values, 3.0, atol=1e-11)
     with pytest.raises(ModeError):
         sv.partial_derivative(u, 2)
+
+
+def test_partial_derivative_matches_fd2_matrix():
+    # the stencil and the dense matrix differ only in rounding, so the gap
+    # is measured against the largest derivative entry of each mode
+    rng = np.random.default_rng(20)
+    axes = (sv.make_axis(7, -1.0, 2.0), sv.make_axis(9, 0.5, 0.75), sv.make_axis(12, -3.0, 4.5))
+    u = GridFunction(axes, rng.standard_normal((7, 9, 12)))
+    for j, ax in enumerate(axes):
+        got = sv.partial_derivative(u, j).values
+        ref = sv.mode_product(u.values, fd2_matrix(ax), j)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), j

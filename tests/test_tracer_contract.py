@@ -1,0 +1,33 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps package functions
+by name and reads some of their arguments by name. A renamed function or
+argument would otherwise only show in a traced benchmark run."""
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+import sobosvd as sv  # noqa: E402
+from perfbench.tracer import Tracer, summarize  # noqa: E402
+
+LAYERS = (
+    "discretization.partial_derivative",
+    "tensor_core.mode_product",
+    "svd_engine.mode_svd",
+    "truncation.h1_sandwich",
+    "truncation.hosvd_project",
+    "truncation.hooi",
+)
+
+
+def test_tracer_sees_every_verify_layer(tmp_path):
+    config = sv.ExperimentConfig.from_dict(
+        {"function": {"case": "SEP1"}, "grid": {"n": [17, 17]}}
+    )
+    with Tracer() as tracer:
+        result = sv.run_experiment(config, out_dir=tmp_path)
+    assert result.passed
+    counts = summarize(tracer.spans)
+    assert {name: counts[f"{name}.calls"] > 0 for name in LAYERS} == dict.fromkeys(LAYERS, True)
+    assert counts["discretization.partial_derivative.elements"] > 0

@@ -191,6 +191,32 @@ def test_sandwich_unbalanced_upper_can_fail(catalog):
     assert not rep.bounds_hold
 
 
+@pytest.mark.parametrize(
+    "name,shape",
+    [
+        ("BROWNIAN", (33, 33)),
+        ("EXPXY", (33, 33)),
+        ("SINSUM", (33, 33)),
+        ("SUM3D", (17, 17, 17)),
+        ("SEP3D", (17, 17, 17)),
+    ],
+)
+def test_sandwich_approx_lower_bound_every_rank_vector(name, shape):
+    # |P u|_1^2 >= |u|^2 - sum of L2 tails for every rank vector, zero
+    # entries and unequal ranks included
+    u = sv.sample_case(sv.get_case(name), shape)
+    systems = tuple(sv.mode_svd(u, j) for j in range(u.ndim))
+    derivs = tuple(sv.derivative_data(u, s, j) for j, s in enumerate(systems))
+    failing = [
+        rv
+        for rv in itertools.product(range(6), repeat=u.ndim)
+        if not sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
+        .bound_checks()["approx_h1"]
+        .holds
+    ]
+    assert failing == []
+
+
 def test_sandwich_slack_is_plumbed(catalog):
     u, systems, derivs = catalog["SINSUM"]
     rep = sv.h1_sandwich(u, (1, 3), systems=systems, derivs=derivs, slack=1e9)
