@@ -24,7 +24,7 @@ def main():
     for r in range(5):
         ur = sv.truncate_svd(systems[0], r)
         measured = sv.norm_h1(u - ur) ** 2
-        ident = sv.h1_identity(systems[0], derivs[0], derivs[1], r)
+        ident = sv.series_split(systems[0], r, *derivs)
         tail = float(sum(systems[0].sigmas[r:] ** 2))
         print(f"{r:>4}  {measured:18.12f}  {ident.error_sq:18.12f}  {tail:18.12f}")
 

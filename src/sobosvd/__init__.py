@@ -56,11 +56,10 @@ _EXPORTS = {
         "SeriesSplit",
         "TuckerApprox",
         "bernstein_constant",
-        "ek_identity",
-        "h1_identity",
         "h1_sandwich",
         "hooi",
         "hosvd_project",
+        "series_split",
         "truncate_svd",
     ),
     "diagnostics": (

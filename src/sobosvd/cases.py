@@ -296,16 +296,18 @@ def list_cases() -> list[tuple[str, str]]:
     return out
 
 
-def case_axes(case: AnalyticCase, sizes: Sequence[int]) -> tuple[Axis, ...]:
+def _grid_sizes(sizes: Sequence[int], dim: int) -> tuple[int, ...]:
+    """Per-axis grid sizes for ``dim`` axes; one size serves every axis."""
     sizes = tuple(int(n) for n in sizes)
     if len(sizes) == 1:
-        sizes = sizes * case.dim
-    if len(sizes) != case.dim:
-        raise ConfigError(
-            f"grid lists {len(sizes)} sizes but case {case.name} has "
-            f"{case.dim} dimensions"
-        )
-    return tuple(make_axis(n, 0.0, 1.0) for n in sizes)
+        sizes = sizes * dim
+    if len(sizes) != dim:
+        raise ConfigError(f"grid lists {len(sizes)} sizes for {dim} dimensions")
+    return sizes
+
+
+def case_axes(case: AnalyticCase, sizes: Sequence[int]) -> tuple[Axis, ...]:
+    return tuple(make_axis(n, 0.0, 1.0) for n in _grid_sizes(sizes, case.dim))
 
 
 def sample_case(case: AnalyticCase, sizes: Sequence[int]) -> GridFunction:

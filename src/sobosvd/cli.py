@@ -84,16 +84,11 @@ def _message(exc: BaseException) -> str:
 
 def _parse_sizes(text: str):
     try:
-        sizes = tuple(int(part) for part in text.split(","))
+        return [int(part) for part in text.split(",")]
     except ValueError:
         from .errors import ConfigError
 
         raise ConfigError(f"--n expects comma-separated integers, got {text!r}") from None
-    if not sizes or any(n < 3 for n in sizes):
-        from .errors import ConfigError
-
-        raise ConfigError(f"--n entries must be at least 3, got {text!r}")
-    return sizes
 
 
 def _cmd_run(args) -> int:
@@ -111,7 +106,7 @@ def _cmd_verify(args) -> int:
     sizes = _parse_sizes(args.n)
     from .experiment import ExperimentConfig, run_experiment
 
-    config = ExperimentConfig(case_name=args.case, grid_sizes=sizes)
+    config = ExperimentConfig.from_dict({"function": {"case": args.case}, "grid": {"n": sizes}})
     result = run_experiment(config, out_dir=args.out, edge_cases=True, log=print)
     if result.report_path is not None:
         print(f"report: {result.report_path}")

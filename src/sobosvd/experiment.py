@@ -20,13 +20,14 @@ from typing import Callable
 import jsonschema
 import numpy as np
 
-from .cases import get_case, sample_case
+from .cases import _grid_sizes, get_case, sample_case
 from .diagnostics import h1_convergence_flag, rate_fit
 from .discretization import GridFunction, make_axis
-from .errors import ConfigError, DegenerateDataError, SampleFileError
+from .errors import ConfigError, DegenerateDataError, ModeError, SampleFileError
 from .sobolev import derivative_data, norm_ek, norm_h1, norm_l2, retained_count
 from .svd_engine import mode_svd, numerical_rank
 from .truncation import (
+    _check_rank_vector,
     h1_sandwich,
     hosvd_project,
     series_split,
@@ -185,11 +186,10 @@ def save_samples(u: GridFunction, path: Path | str) -> Path:
     return p
 
 
-def load_samples(path: Path | str, shape=None) -> GridFunction:
+def load_samples(path: Path | str) -> GridFunction:
     """Read a raw sample file written by :func:`save_samples`.
 
-    ``shape`` cross-checks the sidecar when given. The byte content of a
-    save/load round trip is preserved exactly.
+    The byte content of a save/load round trip is preserved exactly.
     """
     p = Path(path)
     meta_p = Path(str(p) + ".meta.json")
@@ -208,10 +208,6 @@ def load_samples(path: Path | str, shape=None) -> GridFunction:
     axes_meta = meta.get("axes", ())
     if len(file_shape) != len(axes_meta) or not file_shape:
         raise SampleFileError(f"{meta_p}: shape and axes entries disagree")
-    if shape is not None and tuple(shape) != file_shape:
-        raise SampleFileError(
-            f"{p}: expected shape {tuple(shape)}, sidecar says {file_shape}"
-        )
 
     try:
         raw = p.read_bytes()
@@ -267,21 +263,16 @@ def _build_function(config: ExperimentConfig):
         u = sample_case(case, config.grid_sizes)
         desc = {
             "case": case.name,
-            "params": _jsonable(case.params),
+            "params": case.params,
             "summary": case.summary,
         }
         return u, desc
 
     u = load_samples(config.sample_file)
-    if config.grid_sizes is not None:
-        sizes = config.grid_sizes
-        if len(sizes) == 1:
-            sizes = sizes * u.ndim
-        if tuple(sizes) != u.shape:
-            raise ConfigError(
-                f"config grid {tuple(sizes)} does not match sample file "
-                f"shape {u.shape}"
-            )
+    if config.grid_sizes is not None and _grid_sizes(config.grid_sizes, u.ndim) != u.shape:
+        raise ConfigError(
+            f"config grid {config.grid_sizes} does not match sample file shape {u.shape}"
+        )
     return u, {"file": str(config.sample_file)}
 
 
@@ -314,31 +305,10 @@ def _resolve_ranks(config: ExperimentConfig, u: GridFunction):
         top = min(8, min(u.shape))
         vectors = tuple((r,) * d for r in range(1, top + 1))
 
-    for rv in vectors:
-        if len(rv) != d:
-            raise ConfigError(f"rank vector {list(rv)} has {len(rv)} entries, grid has {d}")
-        for j, r in enumerate(rv):
-            if r < 0:
-                raise ConfigError(f"rank vector {list(rv)}: negative rank in mode {j + 1}")
-            if r > u.shape[j]:
-                raise ConfigError(
-                    f"rank {r} exceeds the {u.shape[j]} grid points of mode {j + 1}"
-                )
-    return vectors
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
+    try:
+        return tuple(_check_rank_vector(rv, u.shape) for rv in vectors)
+    except ModeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +544,6 @@ def run_experiment(
     in ``passed``.
     """
     u, fdesc = _build_function(config)
-    if u.ndim < 2:
-        raise ConfigError("the decomposition needs at least two axes")
     rvs = _resolve_ranks(config, u)
 
     d = u.ndim
@@ -596,7 +564,7 @@ def run_experiment(
         )
 
     h1 = norm_h1(u)
-    sandwich_slack = config.tolerance("sandwich") * max(1.0, h1**2)
+    sandwich_slack = config.tolerance("sandwich") * h1**2
     reports = [
         h1_sandwich(
             u,
@@ -640,7 +608,7 @@ def run_experiment(
         "threads": int(threads) if threads and threads.isdigit() else None,
         "ranks": [list(rv) for rv in rvs],
         "spectra": spectra,
-        "reports": [_jsonable(rep.to_dict()) for rep in reports],
+        "reports": [rep.to_dict() for rep in reports],
         "checks": checks,
         "diagnostics": run.diagnostics,
         "passed": passed,

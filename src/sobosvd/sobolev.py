@@ -29,7 +29,7 @@ import numpy as np
 
 from .discretization import GridFunction, check_mode, inner_l2, partial_derivative
 from .errors import ModeError, SobosvdError
-from .svd_engine import RETAIN_REL, SingularSystem, _count_retained
+from .svd_engine import SingularSystem, _count_retained
 from .tensor_core import matricize
 
 
@@ -76,16 +76,15 @@ class DerivativeData:
         return int(self.indices.size)
 
 
-def retained_count(system: SingularSystem, retain_rel: float = RETAIN_REL) -> int:
-    """Number of leading directions with lambda_k > retain_rel * lambda_1."""
-    return _count_retained(system.sigmas, retain_rel)
+def retained_count(system: SingularSystem) -> int:
+    """Number of leading directions with lambda_k > RETAIN_REL * lambda_1."""
+    return _count_retained(system.sigmas)
 
 
 def derivative_data(
     u: GridFunction,
     system: SingularSystem,
     mode: int,
-    retain_rel: float = RETAIN_REL,
 ) -> DerivativeData:
     """Derivative transfer for every retained direction of one mode.
 
@@ -100,7 +99,7 @@ def derivative_data(
     mode = check_mode(mode, u.ndim)
     if system.mode != mode:
         raise ModeError(f"system decomposes mode {system.mode}, not {mode}")
-    m = retained_count(system, retain_rel)
+    m = retained_count(system)
     w = u.axes[mode].quad_weights
 
     du = partial_derivative(u, mode)

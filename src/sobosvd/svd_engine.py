@@ -28,6 +28,7 @@ DEFAULT_RANK_TOL = 1e-12
 # stay numerically meaningful for operations that divide by lambda_k.
 RETAIN_REL = 1e-14
 
+_VALIDATE_TOL = 1e-12  # SingularSystem.validate, orthonormality and reconstruction
 _REFINE_TRIGGER = 1e-3  # smallest retained sigma below this times sigma_1
 _REFINE_MAX_COLS = 64
 
@@ -164,23 +165,19 @@ class SingularSystem:
         """Reconstruct the decomposed matrix from all triples."""
         return (self.left_vectors * self.sigmas) @ self.right_vectors.T
 
-    def validate(
-        self,
-        orth_tol: float = 1e-12,
-        rec_tol: float = 1e-12,
-        matrix: np.ndarray | None = None,
-    ) -> None:
+    def validate(self, matrix: np.ndarray | None = None) -> None:
         """Check weighted orthonormality, and reconstruction if given the source.
 
         Orthonormality is entrywise absolute; reconstruction is relative
-        in the weighted Frobenius norm. Raises SobosvdError on violation.
+        in the weighted Frobenius norm; both to 1e-12. Raises
+        SobosvdError on violation.
         """
         gl = self.left_vectors.T @ (self.row_weights[:, None] * self.left_vectors)
         gr = self.right_vectors.T @ (self.col_weights[:, None] * self.right_vectors)
         eye = np.eye(self.k_max)
         err_l = np.max(np.abs(gl - eye)) if self.k_max else 0.0
         err_r = np.max(np.abs(gr - eye)) if self.k_max else 0.0
-        if max(err_l, err_r) > orth_tol:
+        if max(err_l, err_r) > _VALIDATE_TOL:
             raise SobosvdError(
                 f"weighted orthonormality violated: left {err_l:.3e}, right {err_r:.3e}"
             )
@@ -188,7 +185,7 @@ class SingularSystem:
             diff = self.matrix() - np.asarray(matrix, dtype=float)
             wf_err = _weighted_fro(diff, self.row_weights, self.col_weights)
             scale = _weighted_fro(matrix, self.row_weights, self.col_weights)
-            if wf_err > rec_tol * max(scale, np.finfo(float).tiny):
+            if wf_err > _VALIDATE_TOL * max(scale, np.finfo(float).tiny):
                 raise SobosvdError(
                     f"reconstruction off by {wf_err:.3e} (scale {scale:.3e})"
                 )
@@ -276,14 +273,9 @@ def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
     return weighted_svd(mat, wr, wc, mat_shape=ms, axes=u.axes)
 
 
-def numerical_rank(system: SingularSystem, tol_rel: float = DEFAULT_RANK_TOL) -> int:
-    """Number of singular values above tol_rel times the largest.
+def numerical_rank(system: SingularSystem) -> int:
+    """Number of singular values above DEFAULT_RANK_TOL times the largest.
 
-    Zero input (largest singular value zero) has rank zero.
+    Counted by the retain rule on (sigma_k / sigma_1)^2; zero input has rank zero.
     """
-    if not 0.0 < tol_rel < 1.0:
-        raise SobosvdError(f"tol_rel must be in (0, 1), got {tol_rel!r}")
-    s = system.sigmas
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol_rel * s[0]))
+    return _count_retained(system.sigmas, DEFAULT_RANK_TOL**2)

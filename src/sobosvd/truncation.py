@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretization import GridFunction, check_mode
+from .discretization import GridFunction
 from .errors import InsufficientRankError, ModeError, SobosvdError
 from .sobolev import (
     DerivativeData,
@@ -38,6 +38,8 @@ from .sobolev import (
 )
 from .svd_engine import SingularSystem, _fix_signs, mode_svd
 from .tensor_core import dematricize, matricize, mode_product
+
+_HOOI_TOL = 1e-12  # hooi's stop rule, relative to the L2 norm of u
 
 
 class SeriesSplit(NamedTuple):
@@ -59,11 +61,15 @@ def series_split(
 ) -> SeriesSplit:
     """sum_k sigma_k^2 (1 + sum_i |dpsi_k|^2 over derivs) split at rank r.
 
-    One ``DerivativeData`` gives the one-direction series, two (both
-    modes of a bivariate function) the full Sobolev series, none the
+    One ``DerivativeData`` (of the decomposed mode) gives the
+    one-direction series of a single-mode projection; two, the second
+    from the complementary mode of a bivariate function, give the full
+    Sobolev series of the rank-r truncation and its error; none, the
     plain squared spectrum. Directions dropped by the retain threshold
     carry spectral weight below noise; they enter with their L2 mass only.
+    Raises ModeError unless 0 <= r <= k_max.
     """
+    r = _check_rank(r, system.k_max)
     factor = 1.0
     for deriv in derivs:
         dpsi = np.zeros(system.k_max)
@@ -95,43 +101,6 @@ def truncate_svd(system: SingularSystem, r: int) -> GridFunction:
     rec = (system.left_vectors[:, :r] * system.sigmas[:r]) @ system.right_vectors[:, :r].T
     vals = dematricize(rec, system.mat_shape)
     return GridFunction(system.axes, vals)
-
-
-def h1_identity(
-    system: SingularSystem,
-    deriv_left: DerivativeData,
-    deriv_right: DerivativeData,
-    r: int,
-) -> SeriesSplit:
-    """Exact Sobolev series for a rank-r truncation and its error.
-
-    ``deriv_left`` belongs to the decomposed mode of ``system``;
-    ``deriv_right`` comes from the complementary mode of the same
-    function, whose left vectors are the phi_k here. Both series match
-    the measured norms to roundoff while every direction is retained.
-    """
-    return series_split(system, _check_rank(r, system.k_max), deriv_left, deriv_right)
-
-
-def ek_identity(
-    u: GridFunction,
-    mode: int,
-    r: int,
-    *,
-    system: SingularSystem | None = None,
-    deriv: DerivativeData | None = None,
-) -> SeriesSplit:
-    """One-direction Sobolev series for a single-mode projection.
-
-    Value and tail of sum_k sigma_k^2 (1 + |dpsi_k|^2) split at rank r.
-    Matches the measured e_mode norms of the projection and its error.
-    """
-    mode = check_mode(mode, u.ndim)
-    if system is None:
-        system = mode_svd(u, mode)
-    if deriv is None:
-        deriv = derivative_data(u, system, mode)
-    return series_split(system, _check_rank(r, system.k_max), deriv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,18 +143,28 @@ def single_mode_projection(
     return _apply_projection(u, _leading_bases((system,), (r,)))
 
 
-def _ranks_and_systems(u: GridFunction, ranks, systems):
-    """Validated rank vector, and the mode systems of ``u`` unless given."""
-    if u.ndim < 2:
-        raise ModeError(f"a rank vector needs at least two axes, got {u.ndim}")
+def _check_rank_vector(ranks, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """A rank vector for a grid of ``shape``, as a tuple of ints.
+
+    Raises ModeError unless the grid has at least two axes and the
+    vector holds one rank per axis with 0 <= r_j <= n_j.
+    """
+    if len(shape) < 2:
+        raise ModeError(f"a rank vector needs at least two axes, got {len(shape)}")
     rv = tuple(int(r) for r in ranks)
-    if len(rv) != u.ndim:
-        raise ModeError(f"rank vector length {len(rv)} != {u.ndim} axes")
-    for j, r in enumerate(rv):
+    if len(rv) != len(shape):
+        raise ModeError(f"rank vector {list(rv)} has {len(rv)} entries for {len(shape)} axes")
+    for j, (r, n) in enumerate(zip(rv, shape)):
         if r < 0:
             raise ModeError(f"negative rank {r} at mode {j}")
-        if r > u.shape[j]:
-            raise ModeError(f"rank {r} exceeds mode {j} size {u.shape[j]}")
+        if r > n:
+            raise ModeError(f"rank {r} exceeds the {n} grid points of mode {j}")
+    return rv
+
+
+def _ranks_and_systems(u: GridFunction, ranks, systems):
+    """Validated rank vector, and the mode systems of ``u`` unless given."""
+    rv = _check_rank_vector(ranks, u.shape)
     if systems is None:
         systems = tuple(mode_svd(u, j) for j in range(u.ndim))
     return rv, systems
@@ -212,7 +191,6 @@ def hooi(
     u: GridFunction,
     ranks,
     max_iters: int = 50,
-    tol: float = 1e-12,
     *,
     systems: tuple[SingularSystem, ...] | None = None,
 ) -> TuckerApprox:
@@ -221,7 +199,7 @@ def hooi(
     Starts from the spectral projection bases. Each mode update keeps the
     dominant weighted left subspace of the tensor contracted with every
     other analysis map, which cannot increase the L2 error. Stops when an
-    entire sweep improves the L2 error by at most tol times the L2 norm
+    entire sweep improves the L2 error by at most 1e-12 times the L2 norm
     of ``u`` (a rule that does not depend on the scale of ``u``; an
     all-zero input stops after one sweep), or at max_iters sweeps.
     Returns the best subspaces seen, with the error history.
@@ -268,7 +246,7 @@ def hooi(
         if err < best_err:
             best_err = err
             best = {j: q.copy() for j, q in factors.items()}
-        if improvement <= tol * u_norm:
+        if improvement <= _HOOI_TOL * u_norm:
             break
 
     projected = _apply_projection(u, best)
@@ -434,7 +412,7 @@ def h1_sandwich(
 
     h1_series = SeriesSplit(None, None)  # the two-sided series needs d = 2
     if d == 2:
-        h1_series = h1_identity(systems[0], derivs[0], derivs[1], min(*rv, systems[0].k_max))
+        h1_series = series_split(systems[0], min(*rv, systems[0].k_max), *derivs)
 
     gammas = []
     for j in range(d):

@@ -50,7 +50,7 @@ def test_criterion_1_h1_identity_series():
         scale = sv.norm_h1(u) ** 2
         top = min(sv.numerical_rank(systems[0]), 16)
         for r in range(top + 1):
-            ident = sv.h1_identity(systems[0], derivs[0], derivs[1], r)
+            ident = sv.series_split(systems[0], r, derivs[0], derivs[1])
             ur = sv.truncate_svd(systems[0], r)
             worst = max(worst, abs(sv.norm_h1(ur) ** 2 - ident.norm_sq) / scale)
             worst = max(
@@ -182,7 +182,7 @@ def test_criterion_8_decay_rates():
     ranks = list(range(1, 33))
     l2_errs, h1_errs, sums = [], [], []
     for r in ranks:
-        ident = sv.h1_identity(systems[0], derivs[0], derivs[1], r)
+        ident = sv.series_split(systems[0], r, derivs[0], derivs[1])
         ur = sv.truncate_svd(systems[0], r)
         l2_errs.append(sv.norm_l2(u - ur) / l2_scale)
         h1_errs.append(sv.norm_h1(u - ur) / h1_scale)

@@ -132,13 +132,6 @@ def test_samples_round_trip_is_exact(tmp_path):
     assert meta["shape"] == [9, 7]
 
 
-def test_load_samples_shape_crosscheck(tmp_path):
-    p = save_samples(sample_grid(), tmp_path / "u.raw")
-    load_samples(p, shape=(9, 7))
-    with pytest.raises(SampleFileError):
-        load_samples(p, shape=(7, 9))
-
-
 def test_load_samples_failure_modes(tmp_path):
     u = sample_grid()
     p = save_samples(u, tmp_path / "u.raw")
@@ -201,6 +194,8 @@ def test_run_experiment_catalog_case(tmp_path):
     assert result.report_path is not None and result.report_path.exists()
     on_disk = json.loads(result.report_path.read_text("utf-8"))
     assert on_disk["passed"] is True
+    flags = [c["holds"] for rep in on_disk["reports"] for c in rep["checks"].values()]
+    assert flags and all(type(f) is bool for f in flags), flags
     assert not list((tmp_path / "out").glob("*.tmp"))
 
 
@@ -268,6 +263,29 @@ def test_run_experiment_from_sample_file(tmp_path):
     result = run_experiment(ExperimentConfig.from_file(p))
     assert result.passed
     assert result.report["function"]["file"].endswith("u.raw")
+
+
+def test_report_holds_flags_scale_invariant(tmp_path):
+    # EXPXY (1, 2) violates the residual H1 bracket at every scale; the
+    # per-report flags must say so as the sandwich check does
+    u = sv.sample_case(sv.get_case("EXPXY"), (33, 33))
+    seen = {}
+    for c in (1e-6, 1.0, 1e6):
+        save_samples(sv.GridFunction(u.axes, c * u.values), tmp_path / f"{c}.raw")
+        cfg = ExperimentConfig.from_dict(
+            {
+                "function": {"file": f"{c}.raw"},
+                "ranks": {"explicit": [[1, 2]]},
+                "checks": ["sandwich"],
+            },
+            base_dir=tmp_path,
+        )
+        report = run_experiment(cfg).report
+        seen[c] = (
+            [{k: ch["holds"] for k, ch in rep["checks"].items()} for rep in report["reports"]],
+            [ch["status"] for ch in report["checks"]],
+        )
+    assert seen[1e-6] == seen[1.0] == seen[1e6], seen
 
 
 def test_run_experiment_config_errors(tmp_path):

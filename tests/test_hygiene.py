@@ -45,6 +45,8 @@ def test_public_names_resolve():
         "H1Identity",
         "HOSVDSystem",
         "dense_reference_sigmas",
+        "ek_identity",
+        "h1_identity",
         "hosvd",
         "norm_mix",
         "singular_derivative_operator",

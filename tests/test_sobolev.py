@@ -147,8 +147,6 @@ def test_derivative_data_retention(catalog):
     assert dv.count < systems[0].k_max
     np.testing.assert_array_equal(dv.indices, np.arange(dv.count))
     assert dv.gammas.shape == (u.shape[0], dv.count)
-    wider = sv.derivative_data(u, systems[0], 0, retain_rel=1e-6)
-    assert wider.count < dv.count
 
 
 def test_bernstein_constant_on_sine_frame():

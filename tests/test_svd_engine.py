@@ -104,12 +104,6 @@ def test_numerical_rank_threshold():
     # spectrum 1, 1e-4, ..., 1e-20; the cutoff is strict, so a sigma
     # sitting exactly on the threshold is dropped: 1e-12 keeps three
     assert sv.numerical_rank(s) == 3
-    assert sv.numerical_rank(s, 1e-5) == 2
-    assert sv.numerical_rank(s, 1e-9) == 3
-    with pytest.raises(SobosvdError):
-        sv.numerical_rank(s, 0.0)
-    with pytest.raises(SobosvdError):
-        sv.numerical_rank(s, 1.0)
 
 
 def test_deep_spectrum_triplet_consistency():

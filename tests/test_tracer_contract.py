@@ -12,6 +12,7 @@ import sobosvd as sv  # noqa: E402
 from perfbench.tracer import Tracer, summarize  # noqa: E402
 
 LAYERS = (
+    "experiment.load_samples",
     "discretization.partial_derivative",
     "tensor_core.mode_product",
     "svd_engine.mode_svd",
@@ -22,12 +23,16 @@ LAYERS = (
 
 
 def test_tracer_sees_every_verify_layer(tmp_path):
+    # the benchmark's runs read a raw sample file, as this one does
+    u = sv.sample_case(sv.get_case("SEP1"), (17, 17))
+    sv.save_samples(u, tmp_path / "samples.raw")
     config = sv.ExperimentConfig.from_dict(
-        {"function": {"case": "SEP1"}, "grid": {"n": [17, 17]}}
+        {"function": {"file": "samples.raw"}, "output": "out"}, base_dir=tmp_path
     )
     with Tracer() as tracer:
-        result = sv.run_experiment(config, out_dir=tmp_path)
+        result = sv.run_experiment(config)
     assert result.passed
     counts = summarize(tracer.spans)
     assert {name: counts[f"{name}.calls"] > 0 for name in LAYERS} == dict.fromkeys(LAYERS, True)
     assert counts["discretization.partial_derivative.elements"] > 0
+    assert counts["experiment.load_samples.bytes"] > 0

@@ -52,7 +52,7 @@ def test_h1_identity_matches_measured(catalog):
         u, systems, derivs = catalog[name]
         scale = sv.norm_h1(u) ** 2
         for r in range(0, min(6, systems[0].k_max) + 1):
-            ident = sv.h1_identity(systems[0], derivs[0], derivs[1], r)
+            ident = sv.series_split(systems[0], r, derivs[0], derivs[1])
             ur = sv.truncate_svd(systems[0], r)
             assert abs(sv.norm_h1(ur) ** 2 - ident.norm_sq) / scale < 1e-12, name
             assert abs(sv.norm_h1(u - ur) ** 2 - ident.error_sq) / scale < 1e-12, name
@@ -64,14 +64,14 @@ def test_h1_identity_with_unretained_tail(expxy_fine):
     u, systems, derivs = expxy_fine
     scale = sv.norm_h1(u) ** 2
     for r in (1, 3, 5):
-        ident = sv.h1_identity(systems[0], derivs[0], derivs[1], r)
+        ident = sv.series_split(systems[0], r, derivs[0], derivs[1])
         ur = sv.truncate_svd(systems[0], r)
         assert abs(sv.norm_h1(u - ur) ** 2 - ident.error_sq) / scale < 1e-9
 
 
 def test_h1_identity_rank_zero(catalog):
     u, systems, derivs = catalog["SINSUM"]
-    ident = sv.h1_identity(systems[0], derivs[0], derivs[1], 0)
+    ident = sv.series_split(systems[0], 0, derivs[0], derivs[1])
     assert ident.norm_sq == 0.0
     assert ident.error_sq == pytest.approx(sv.norm_h1(u) ** 2, rel=1e-12)
 
@@ -81,7 +81,7 @@ def test_ek_identity_matches_measured(catalog):
     for mode in (0, 1):
         scale = sv.norm_ek(u, mode) ** 2
         for r in (1, 2, 3):
-            ident = sv.ek_identity(u, mode, r, system=systems[mode], deriv=derivs[mode])
+            ident = sv.series_split(systems[mode], r, derivs[mode])
             rv = [u.shape[0], u.shape[1]]
             rv[mode] = r
             rv[1 - mode] = systems[1 - mode].k_max
@@ -92,12 +92,16 @@ def test_ek_identity_matches_measured(catalog):
             )
 
 
-def test_ek_identity_builds_own_decomposition():
-    u = sv.sample_case(sv.get_case("SEP1"), (21, 21))
-    a = sv.ek_identity(u, 0, 1)
-    s = sv.mode_svd(u, 0)
-    b = sv.ek_identity(u, 0, 1, system=s, deriv=sv.derivative_data(u, s, 0))
-    assert a.norm_sq == pytest.approx(b.norm_sq, rel=1e-14)
+def test_series_split_rank_range(catalog):
+    # 0 <= r <= k_max: all in the tail at 0, all kept at k_max; else ModeError
+    _, systems, derivs = catalog["SINSUM"]
+    s = systems[0]
+    none, full = sv.series_split(s, 0, *derivs), sv.series_split(s, s.k_max, *derivs)
+    assert none.norm_sq == 0.0 and full.error_sq == 0.0
+    assert full.norm_sq == pytest.approx(none.error_sq, rel=1e-14)
+    for r in (-1, s.k_max + 1):
+        with pytest.raises(ModeError):
+            sv.series_split(s, r, *derivs)
 
 
 def test_hosvd_project_caps_rank():
