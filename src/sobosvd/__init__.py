@@ -1,6 +1,6 @@
 """Quadrature-weighted SVD and Tucker truncation of sampled functions,
 with exact Sobolev-norm error identities, two-sided bounds and
-multiscale diagnostics.
+rate-fit diagnostics.
 
 Submodules load lazily so that the command line can pin BLAS thread
 counts before anything imports numpy.
@@ -49,6 +49,7 @@ _EXPORTS = {
         "norm_h1",
         "norm_l2",
         "retained_count",
+        "sobolev_sq",
     ),
     "truncation": (
         "BoundCheck",
@@ -67,9 +68,7 @@ _EXPORTS = {
         "DIVERGING",
         "UNDECIDED",
         "RateFit",
-        "bernstein_exponent",
         "h1_convergence_flag",
-        "jackson_exponent",
         "rate_fit",
     ),
     "cases": (

@@ -1,17 +1,14 @@
-"""Multiscale diagnostics: rate fits over dyadic spans and a convergence
-classifier for Sobolev series.
+"""Rate fits and a convergence classifier for Sobolev series.
 
-The dyadic spans of a mode decomposition are S_l = span of the first 2^l
-left vectors. Two exponents characterize a system:
+``rate_fit`` fits a power law in log2-log2 coordinates. The
+``diagnostics`` check of a run uses it for the decay of the L2 and H1
+residuals over a rank sweep, and for the growth of the per-mode
+norm-ratio constant Gamma_j(r) (the Bernstein, or inverse, estimate
+through which the paper bounds the H1 error of the L2 SVD).
+``h1_convergence_flag`` classifies a sequence of Sobolev partial sums.
 
-* inverse estimate (``bernstein_exponent``): growth of the norm-ratio
-  constant over S_l, fitted as log2 Gamma(2^l) against l;
-* direct estimate (``jackson_exponent``): decay of the worst relative
-  projection error of probe functions onto S_l, fitted as log2 e_l
-  against l.
-
-All fits run in log2-log2 coordinates and ignore values at or below the
-floor of 1e-13, where double precision has nothing left to say.
+Fits ignore values at or below the floor of 1e-13, where double
+precision has nothing left to say.
 """
 from __future__ import annotations
 
@@ -19,11 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import GridFunction
-from .errors import DegenerateDataError, InsufficientRankError, ModeError
-from .sobolev import DerivativeData, norm_h1
-from .svd_engine import SingularSystem, numerical_rank
-from .truncation import bernstein_constant
+from .errors import DegenerateDataError
 
 FIT_FLOOR = 1e-13
 
@@ -53,8 +46,8 @@ def _line_fit(x: np.ndarray, y: np.ndarray):
 class RateFit:
     """A straight-line fit in log2-log2 coordinates.
 
-    ``xs`` and ``ys`` are the raw points handed in (ranks or levels, and
-    errors or constants); slope and intercept describe the fitted line in
+    ``xs`` and ``ys`` are the raw points handed in (ranks, and errors or
+    constants); slope and intercept describe the fitted line in
     the transformed coordinates, r2 its goodness. Points with y at or
     below FIT_FLOOR are excluded from the fit but kept in ``ys``.
     """
@@ -84,92 +77,6 @@ def rate_fit(ranks, errors) -> RateFit:
         )
     slope, intercept, r2 = _line_fit(np.log2(xs[usable]), np.log2(ys[usable]))
     return RateFit(tuple(xs), tuple(ys), slope, intercept, r2)
-
-
-def bernstein_exponent(
-    system: SingularSystem, deriv: DerivativeData, max_level: int
-) -> RateFit:
-    """Growth exponent of the norm-ratio constant over dyadic spans.
-
-    Computes Gamma(2^l) for l = 0..max_level and fits log2 Gamma against
-    l. The numerical rank must reach 2^max_level.
-    """
-    max_level = int(max_level)
-    if max_level < 1:
-        raise DegenerateDataError(f"need max_level >= 1, got {max_level}")
-    need = 2**max_level
-    if numerical_rank(system) < need:
-        raise InsufficientRankError(
-            f"numerical rank {numerical_rank(system)} below 2^{max_level} = {need}"
-        )
-    levels = np.arange(max_level + 1, dtype=float)
-    gammas = np.array(
-        [bernstein_constant(system, deriv, 2**l) for l in range(max_level + 1)]
-    )
-    slope, intercept, r2 = _line_fit(levels, np.log2(gammas))
-    return RateFit(tuple(levels), tuple(gammas), slope, intercept, r2)
-
-
-def jackson_exponent(
-    system: SingularSystem, probes, max_level: int
-) -> RateFit:
-    """Decay exponent of worst-probe projection error over dyadic spans.
-
-    For each level the error is the weighted L2 distance of a probe to
-    its projection onto S_l, divided by the probe's full Sobolev norm,
-    maximized over the probes. Fits log2 e_l against l; with fewer than
-    two levels above the floor the fitted slope is reported as zero with
-    r2 zero (nothing decays that is not already at roundoff).
-    """
-    max_level = int(max_level)
-    if max_level < 0:
-        raise DegenerateDataError(f"need max_level >= 0, got {max_level}")
-    need = 2**max_level
-    if numerical_rank(system) < need:
-        raise InsufficientRankError(
-            f"numerical rank {numerical_rank(system)} below 2^{max_level} = {need}"
-        )
-    probes = list(probes)
-    if not probes:
-        raise DegenerateDataError("need at least one probe")
-    n_row = system.left_vectors.shape[0]
-    w = system.row_weights
-    vectors = []
-    h1_norms = []
-    for p in probes:
-        if not isinstance(p, GridFunction) or p.ndim != 1:
-            raise ModeError("probes must be one-axis grid functions")
-        if p.axes[0].n != n_row:
-            raise ModeError(
-                f"probe has {p.axes[0].n} nodes, decomposition rows have {n_row}"
-            )
-        if system.axes is not None and not p.axes[0].is_compatible(
-            system.axes[system.mode]
-        ):
-            raise ModeError("probe axis does not match the decomposed axis")
-        h1 = norm_h1(p)
-        if h1 <= 0.0:
-            raise DegenerateDataError("probe with zero Sobolev norm")
-        vectors.append(p.values)
-        h1_norms.append(h1)
-
-    errs = np.empty(max_level + 1)
-    for l in range(max_level + 1):
-        span = system.left_vectors[:, : 2**l]
-        worst = 0.0
-        for vec, h1 in zip(vectors, h1_norms):
-            coeff = span.T @ (w * vec)
-            resid = vec - span @ coeff
-            err = float(np.sqrt(max(resid @ (w * resid), 0.0))) / h1
-            worst = max(worst, err)
-        errs[l] = worst
-
-    levels = np.arange(max_level + 1, dtype=float)
-    usable = errs > FIT_FLOOR
-    if np.count_nonzero(usable) < 2:
-        return RateFit(tuple(levels), tuple(errs), 0.0, 0.0, 0.0)
-    slope, intercept, r2 = _line_fit(levels[usable], np.log2(errs[usable]))
-    return RateFit(tuple(levels), tuple(errs), slope, intercept, r2)
 
 
 def h1_convergence_flag(partial_sums) -> str:

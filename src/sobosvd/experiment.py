@@ -13,6 +13,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable
@@ -32,7 +33,6 @@ from .truncation import (
     hosvd_project,
     series_split,
     single_mode_projection,
-    truncate_svd,
 )
 
 CHECK_NAMES = (
@@ -305,6 +305,8 @@ def _resolve_ranks(config: ExperimentConfig, u: GridFunction):
         top = min(8, min(u.shape))
         vectors = tuple((r,) * d for r in range(1, top + 1))
 
+    if not vectors:
+        raise ConfigError("no rank vectors to sweep")
     try:
         return tuple(_check_rank_vector(rv, u.shape) for rv in vectors)
     except ModeError as exc:
@@ -332,6 +334,24 @@ class _Run:
     h1: float
     diagnostics: dict | None = None
 
+    @cached_property
+    def single_mode(self) -> dict:
+        """(j, r) -> |u - P u|^2, |P u|_ej^2 and |u - P u|_ej^2, with P the
+        projection of mode j onto its first r left vectors (r clamped to
+        k_max); built on first use, one projection per pair the ranks name.
+        """
+        out = {}
+        for rv in self.rvs:
+            for j, system in enumerate(self.systems):
+                key = (j, min(rv[j], system.k_max))
+                if key not in out:
+                    proj = single_mode_projection(self.u, system, key[1])
+                    resid = self.u - proj
+                    out[key] = tuple(
+                        n**2 for n in (norm_l2(resid), norm_ek(proj, j), norm_ek(resid, j))
+                    )
+        return out
+
 
 def _verdict(defects, tol, detail):
     """Status, worst defect and detail of a check.
@@ -348,13 +368,10 @@ def _verdict(defects, tol, detail):
 
 def _check_eckart_young(run, tol):
     scale = max(run.l2**2, _TINY)
-    defects = []
-    for rv in run.rvs:
-        for j, system in enumerate(run.systems):
-            r = min(rv[j], system.k_max)
-            proj = single_mode_projection(run.u, system, r)
-            measured = norm_l2(run.u - proj) ** 2
-            defects.append(abs(measured - series_split(system, r).error_sq) / scale)
+    defects = [
+        abs(measured - series_split(run.systems[j], r).error_sq) / scale
+        for (j, r), (measured, _, _) in run.single_mode.items()
+    ]
     detail = (
         "worst relative gap {worst:.3e} between measured single-mode "
         "truncation error and the spectral tail"
@@ -365,26 +382,25 @@ def _check_eckart_young(run, tol):
 def _check_h1_identity(run, tol):
     if run.u.ndim != 2:
         return "skipped", None, "two-sided series needs d = 2"
+    # in 2D the Tucker projection at (r0, r1) is the rank-min(r0, r1)
+    # truncation, whose norms the two-sided series give
     scale = max(run.h1**2, _TINY)
-    system = run.systems[0]
     defects = []
-    for rv, rep in zip(run.rvs, run.reports):
-        ur = truncate_svd(system, min(*rv, system.k_max))
-        defects.append(abs(norm_h1(ur) ** 2 - rep.h1_norm_sq_series) / scale)
-        defects.append(abs(norm_h1(run.u - ur) ** 2 - rep.h1_error_sq_series) / scale)
+    for rep in run.reports:
+        defects.append(abs(rep.approx_h1_sq - rep.h1_norm_sq_series) / scale)
+        defects.append(abs(rep.residual_h1**2 - rep.h1_error_sq_series) / scale)
     detail = "worst relative defect {worst:.3e} in the two-sided Sobolev series"
     return _verdict(defects, tol, detail)
 
 
 def _check_ek_identity(run, tol):
+    scales = [max(norm_ek(run.u, j) ** 2, _TINY) for j in range(run.u.ndim)]
     defects = []
-    for j, system in enumerate(run.systems):
-        scale = max(norm_ek(run.u, j) ** 2, _TINY)
-        for rv, rep in zip(run.rvs, run.reports):
-            proj = single_mode_projection(run.u, system, rv[j])
-            kept, tail = rep.ek_norm_sq_series[j], rep.ek_error_sq_series[j]
-            defects.append(abs(norm_ek(proj, j) ** 2 - kept) / scale)
-            defects.append(abs(norm_ek(run.u - proj, j) ** 2 - tail) / scale)
+    for rv, rep in zip(run.rvs, run.reports):
+        for j, system in enumerate(run.systems):
+            _, kept, tail = run.single_mode[j, min(rv[j], system.k_max)]
+            defects.append(abs(kept - rep.ek_norm_sq_series[j]) / scales[j])
+            defects.append(abs(tail - rep.ek_error_sq_series[j]) / scales[j])
     detail = "worst relative defect {worst:.3e} in the one-direction series"
     return _verdict(defects, tol, detail)
 
@@ -446,6 +462,17 @@ def _check_diagnostics(run, tol):
             continue
         block[f"{key}_slope"], block[f"{key}_r2"] = fit.slope, fit.r2
         parts.append(f"{key} slope {fit.slope:.3f}")
+
+    block["bernstein_slope"] = []
+    for j, deriv in enumerate(run.derivs):
+        # past the retained count Gamma_j is flat and would bend the fit
+        keep = [i for i, rv in enumerate(run.rvs) if 1 <= rv[j] <= deriv.count]
+        ranks = [run.rvs[i][j] for i in keep]
+        try:
+            fit = rate_fit(ranks, [run.reports[i].bernstein[j] for i in keep])
+        except DegenerateDataError:
+            fit = None
+        block["bernstein_slope"].append(None if fit is None else fit.slope)
 
     if run.u.ndim == 2:
         sums = [rep.h1_norm_sq_series for rep in run.reports]

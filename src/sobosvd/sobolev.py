@@ -9,6 +9,11 @@ With D_j the second-order three-point stencil along axis j
 * ``norm_ek``:    one-direction Sobolev norm, sqrt(|v|^2 + |D_k v|^2).
 * ``norm_h1``:    sqrt(|v|^2 + sum_j |D_j v|^2).
 
+``sobolev_sq``, the kernel behind ``norm_h1``, returns |v|^2 and every
+|D_j v|^2, differentiating once per direction: all three norms of one
+function (a residual in ``h1_sandwich``) then cost d derivatives, not
+2d. Every norm sums its squares left to right in the order above.
+
 Derivative transfer
 -------------------
 For a mode SVD of u with triple (sigma_k, psi_k, phi_k), the singular
@@ -33,25 +38,35 @@ from .svd_engine import SingularSystem, _count_retained
 from .tensor_core import matricize
 
 
+def _root_sum(terms) -> float:
+    """Square root of the terms summed left to right, clipped at zero."""
+    acc = 0.0
+    for t in terms:
+        acc += t
+    return float(np.sqrt(max(acc, 0.0)))
+
+
 def norm_l2(f: GridFunction) -> float:
     """Quadrature-weighted L2 norm."""
-    return float(np.sqrt(max(inner_l2(f, f), 0.0)))
+    return _root_sum((inner_l2(f, f),))
 
 
 def norm_ek(f: GridFunction, mode: int) -> float:
     """Sobolev norm in one direction: L2 of the value and of d/dx_mode."""
     mode = check_mode(mode, f.ndim)
     df = partial_derivative(f, mode)
-    return float(np.sqrt(max(inner_l2(f, f) + inner_l2(df, df), 0.0)))
+    return _root_sum((inner_l2(f, f), inner_l2(df, df)))
+
+
+def sobolev_sq(f: GridFunction) -> tuple[float, ...]:
+    """(|f|^2, |D_0 f|^2, ..., |D_{d-1} f|^2), each derivative taken once."""
+    derivatives = (partial_derivative(f, j) for j in range(f.ndim))
+    return (inner_l2(f, f), *(inner_l2(df, df) for df in derivatives))
 
 
 def norm_h1(f: GridFunction) -> float:
     """First-order Sobolev norm: value plus every first derivative."""
-    acc = inner_l2(f, f)
-    for j in range(f.ndim):
-        df = partial_derivative(f, j)
-        acc += inner_l2(df, df)
-    return float(np.sqrt(max(acc, 0.0)))
+    return _root_sum(sobolev_sq(f))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,34 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sobosvd as sv
 from sobosvd.diagnostics import (
     CONVERGED,
     DIVERGING,
     UNDECIDED,
-    bernstein_exponent,
     h1_convergence_flag,
-    jackson_exponent,
     rate_fit,
 )
-from sobosvd.errors import DegenerateDataError, InsufficientRankError, ModeError
-
-
-@pytest.fixture(scope="module")
-def sine_system():
-    # twenty sine terms with slowly shrinking coefficients, deep enough
-    # for dyadic levels up to 16 on a 257-point axis
-    case = sv.get_case("SINSUM", coeffs=sv.geometric_coeffs(20, ratio=0.8))
-    u = sv.sample_case(case, (257, 257))
-    s = sv.mode_svd(u, 0)
-    return u, s, sv.derivative_data(u, s, 0)
-
-
-def staircase_slope(gammas):
-    levels = np.arange(len(gammas), dtype=float)
-    a = np.vstack([levels, np.ones_like(levels)]).T
-    coef, *_ = np.linalg.lstsq(a, np.log2(gammas), rcond=None)
-    return float(coef[0])
+from sobosvd.errors import DegenerateDataError
 
 
 def test_rate_fit_recovers_exact_power_law():
@@ -58,93 +38,6 @@ def test_rate_fit_degenerate_inputs():
         rate_fit([1, 2, 4], [1e-14, 1e-15, 0.0])
     with pytest.raises(DegenerateDataError):
         rate_fit([1, 2], [1.0, 0.5])
-
-
-def test_bernstein_exponent_sine_family(sine_system):
-    _, s, d = sine_system
-    fit = bernstein_exponent(s, d, 4)
-    # the sine family has Gamma(r)^2 = 1 + r^2 pi^2 exactly; the same
-    # staircase fit on those values is the discretization-free answer
-    exact = staircase_slope(
-        [np.sqrt(1.0 + (2.0**l * np.pi) ** 2) for l in range(5)]
-    )
-    assert fit.slope == pytest.approx(exact, abs=5e-3)
-    assert fit.slope == pytest.approx(0.9824, abs=1e-3)
-    assert all(b > a for a, b in zip(fit.ys, fit.ys[1:]))
-    assert fit.ys[0] == pytest.approx(np.sqrt(1.0 + np.pi**2), rel=1e-3)
-
-
-def test_bernstein_exponent_brownian(catalog):
-    _, systems, derivs = catalog["BROWNIAN"]
-    fit = bernstein_exponent(systems[0], derivs[0], 4)
-    exact = staircase_slope(
-        [np.sqrt(1.0 + ((2.0**l - 0.5) * np.pi) ** 2) for l in range(5)]
-    )
-    # the 16th direction is only ~2% resolved on 129 nodes, which costs
-    # the fitted slope just under 1e-2 against the exact staircase
-    assert fit.slope == pytest.approx(exact, abs=1e-2)
-    assert fit.slope == pytest.approx(1.16338, abs=1e-3)
-
-
-def test_bernstein_exponent_needs_rank(catalog):
-    _, systems, derivs = catalog["SEP1"]
-    with pytest.raises(InsufficientRankError):
-        bernstein_exponent(systems[0], derivs[0], 1)
-    with pytest.raises(DegenerateDataError):
-        bernstein_exponent(systems[0], derivs[0], 0)
-
-
-def test_jackson_in_span_probe_hits_roundoff(sine_system):
-    u, s, _ = sine_system
-    axis = u.axes[0]
-    probe = sv.sample(lambda x: np.sin(np.pi * x), (axis,))
-    fit = jackson_exponent(s, [probe], 4)
-    assert max(fit.ys) < 1e-13
-    assert fit.slope == 0.0
-    assert fit.r2 == 0.0
-
-
-def test_jackson_smooth_and_rough_probes(sine_system):
-    u, s, _ = sine_system
-    axis = u.axes[0]
-    poly = sv.sample(lambda x: x * (1.0 - x), (axis,))
-    hat = sv.sample(lambda x: np.minimum(x, 1.0 - x), (axis,))
-
-    fit_poly = jackson_exponent(s, [poly], 4)
-    fit_hat = jackson_exponent(s, [hat], 4)
-    # both probes are even about 1/2, so the second sine adds nothing
-    # and the first two levels tie exactly
-    assert fit_poly.ys[0] == pytest.approx(fit_poly.ys[1], rel=1e-12)
-    assert fit_hat.ys[0] == pytest.approx(fit_hat.ys[1], rel=1e-12)
-    assert fit_poly.slope == pytest.approx(-1.8415, abs=5e-3)
-    assert fit_hat.slope == pytest.approx(-1.1245, abs=5e-3)
-    # the smoother probe must decay faster
-    assert fit_poly.slope < fit_hat.slope
-    # worst-of-both equals the pointwise max of the separate curves
-    fit_both = jackson_exponent(s, [poly, hat], 4)
-    assert fit_both.ys == tuple(
-        max(a, b) for a, b in zip(fit_poly.ys, fit_hat.ys)
-    )
-
-
-def test_jackson_probe_validation(sine_system):
-    u, s, _ = sine_system
-    axis = u.axes[0]
-    good = sv.sample(lambda x: x, (axis,))
-    with pytest.raises(DegenerateDataError):
-        jackson_exponent(s, [], 2)
-    with pytest.raises(DegenerateDataError):
-        jackson_exponent(s, [sv.sample(lambda x: 0.0 * x, (axis,))], 2)
-    with pytest.raises(ModeError):
-        jackson_exponent(s, [u], 2)
-    short = sv.sample(lambda x: x, (sv.make_axis(65),))
-    with pytest.raises(ModeError):
-        jackson_exponent(s, [short], 2)
-    shifted = sv.sample(lambda x: x, (sv.make_axis(257, 0.0, 2.0),))
-    with pytest.raises(ModeError):
-        jackson_exponent(s, [shifted], 2)
-    with pytest.raises(InsufficientRankError):
-        jackson_exponent(s, [good], 12)
 
 
 def test_flag_stalled_series():

@@ -340,6 +340,9 @@ def test_run_experiment_config_errors(tmp_path):
             )
         )
 
+    with pytest.raises(ConfigError, match="no rank vectors"):
+        run_experiment(ExperimentConfig(case_name="SEP1", grid_sizes=(9,), rank_vectors=()))
+
     one_d = sv.sample(lambda x: x, (sv.make_axis(9),))
     save_samples(one_d, tmp_path / "line.raw")
     with pytest.raises(ConfigError, match="two axes"):
@@ -490,9 +493,59 @@ def test_run_experiment_decomposes_each_mode_once(monkeypatch):
     assert len(calls) == 2 + 1
 
 
+def test_run_experiment_differentiates_each_projection_once(monkeypatch):
+    import sobosvd.discretization as discretization
+    import sobosvd.sobolev as sobolev
+
+    calls = []
+    real = discretization.partial_derivative
+
+    def counting(f, mode):
+        calls.append(mode)
+        return real(f, mode)
+
+    for module in (discretization, sobolev):
+        monkeypatch.setattr(module, "partial_derivative", counting)
+    cfg = ExperimentConfig.from_dict(
+        {
+            "function": {"case": "BROWNIAN"},
+            "grid": {"n": [33, 33]},
+            "ranks": {"sweep": {"from": 1, "to": 4}},
+        }
+    )
+    result = run_experiment(cfg, edge_cases=True)
+    assert result.passed
+    # per mode: the derivative transfer, the H1 and the e_j norm of u;
+    # per rank vector and mode: the Tucker residual and truncation, and
+    # the single-mode projection and its residual
+    d, n_ranks = 2, 4
+    assert len(calls) <= 3 * d + 4 * d * n_ranks
+
+
+def test_diagnostics_bernstein_slope_brownian():
+    # Gamma_j(r) grows like r pi for the Brownian covariance, whose
+    # singular vectors are sines; the fit stops at the retained count
+    cfg = ExperimentConfig.from_dict(
+        {"function": {"case": "BROWNIAN"}, "grid": {"n": [65, 65]}}
+    )
+    block = run_experiment(cfg).report["diagnostics"]
+    assert len(block["bernstein_slope"]) == 2
+    for slope in block["bernstein_slope"]:
+        assert 1.1 <= slope <= 1.3, block
+
+
+def test_diagnostics_bernstein_slope_needs_three_retained_ranks():
+    # SEP1 retains one direction per mode, so one point is left to fit
+    cfg = ExperimentConfig.from_dict({"function": {"case": "SEP1"}, "grid": {"n": [17, 17]}})
+    result = run_experiment(cfg)
+    assert result.report["diagnostics"]["bernstein_slope"] == [None, None]
+    assert result.passed
+
+
 @pytest.mark.parametrize(
     "check, field",
     [
+        ("h1_identity", "residual_h1"),
         ("hosvd_bound", "residual_l2"),
         ("quasi_opt", "residual_l2"),
         ("sandwich", "residual_h1"),

@@ -44,10 +44,12 @@ def test_public_names_resolve():
         "EkIdentity",
         "H1Identity",
         "HOSVDSystem",
+        "bernstein_exponent",
         "dense_reference_sigmas",
         "ek_identity",
         "h1_identity",
         "hosvd",
+        "jackson_exponent",
         "norm_mix",
         "singular_derivative_operator",
     ],

@@ -228,6 +228,30 @@ def test_sandwich_slack_is_plumbed(catalog):
     assert rep.bounds_hold
 
 
+def test_sandwich_default_slack_is_scale_invariant():
+    # EXPXY (1, 2) breaks the residual H1 bracket by a margin an absolute
+    # slack of 1e-9 hides at small scales; the default slack is relative
+    u = sv.sample_case(sv.get_case("EXPXY"), (33, 33))
+    holds = {}
+    for c in (1e-6, 1.0, 1e6):
+        rep = sv.h1_sandwich(sv.GridFunction(u.axes, c * u.values), (1, 2))
+        holds[c] = {k: b.holds for k, b in rep.bound_checks().items()}
+    assert holds[1e-6] == holds[1.0] == holds[1e6], holds
+
+
+def test_hosvd_project_2d_is_the_svd_truncation(catalog):
+    # in 2D the Tucker projection at (a, b) keeps the rank-min(a, b)
+    # truncation, which the h1_identity check relies on
+    for name, (u, systems, _) in catalog.items():
+        if u.ndim != 2:
+            continue
+        scale = sv.norm_l2(u)
+        for rv in itertools.product(range(6), repeat=2):
+            tucker = sv.hosvd_project(u, rv, systems=systems).projected
+            svd = sv.truncate_svd(systems[0], min(rv))
+            assert sv.norm_l2(tucker - svd) <= 1e-13 * scale, (name, rv)
+
+
 def test_sandwich_quasi_opt_reference(catalog):
     u, systems, derivs = catalog["SUM3D"]
     plain = sv.h1_sandwich(u, (1, 1, 1), systems=systems, derivs=derivs)
@@ -263,7 +287,6 @@ def test_report_to_dict_round_trips_checks(catalog):
         "series",
         "bounds",
         "bernstein",
-        "h1_budget",
         "slack",
         "checks",
     }
