@@ -12,7 +12,7 @@ import sobosvd as sv
 def main():
     u = sv.sample_case(sv.get_case("SINSUM", coeffs=(1.0, 0.5, 0.25, 0.125)), (129, 129))
     systems = tuple(sv.mode_svd(u, j) for j in range(2))
-    derivs = tuple(sv.derivative_data(u, systems[j], j) for j in range(2))
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
 
     print(f"|u|_0^2 = {sv.norm_l2(u) ** 2:.8f}")
     print(f"|u|_1^2 = {sv.norm_h1(u) ** 2:.8f}")

@@ -16,7 +16,7 @@ import sobosvd as sv
 def main():
     u = sv.sample_case(sv.get_case("EXPXY"), (257, 257))
     system = sv.mode_svd(u, 0)
-    deriv = sv.derivative_data(u, system, 0)
+    deriv = sv.derivative_data(u, system)
     axis = u.axes[0]
     w = axis.quad_weights
 

@@ -18,7 +18,7 @@ def main():
     u = base + noise
 
     systems = tuple(sv.mode_svd(u, j) for j in range(3))
-    derivs = tuple(sv.derivative_data(u, systems[j], j) for j in range(3))
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
 
     print("rank   spectral err   refined err    tail bound")
     for r in (1, 2, 3, 4):

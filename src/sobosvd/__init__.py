@@ -32,7 +32,7 @@ _EXPORTS = {
         "partial_derivative",
         "sample",
     ),
-    "tensor_core": ("MatShape", "dematricize", "matricize", "mode_product"),
+    "tensor_core": ("matricize", "mode_product"),
     "svd_engine": (
         "DEFAULT_RANK_TOL",
         "RETAIN_REL",

@@ -18,7 +18,7 @@ class AxisMismatchError(SobosvdError, ValueError):
 
 
 class ModeError(SobosvdError, IndexError):
-    """Mode index out of range, duplicated, or an invalid mode subset."""
+    """Mode index missing or out of range, or too few axes to unfold."""
 
 
 class InsufficientRankError(SobosvdError, ValueError):

@@ -25,7 +25,7 @@ from .cases import _grid_sizes, get_case, sample_case
 from .diagnostics import h1_convergence_flag, rate_fit
 from .discretization import GridFunction, make_axis
 from .errors import ConfigError, DegenerateDataError, ModeError, SampleFileError
-from .sobolev import derivative_data, norm_ek, norm_h1, norm_l2, retained_count
+from .sobolev import _root_sum, derivative_data, norm_ek, norm_l2, retained_count, sobolev_sq
 from .svd_engine import mode_svd, numerical_rank
 from .truncation import (
     _check_rank_vector,
@@ -92,6 +92,11 @@ class ExperimentConfig:
         unknown = sorted(set(self.checks) - set(CHECK_NAMES))
         if unknown:
             raise ConfigError(f"unknown checks {unknown}; valid: {list(CHECK_NAMES)}")
+        unknown = sorted(set(self.tolerances or ()) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ConfigError(
+                f"unknown tolerance keys {unknown}; valid: {sorted(DEFAULT_TOLERANCES)}"
+            )
 
     def tolerance(self, name: str) -> float:
         merged = dict(DEFAULT_TOLERANCES)
@@ -111,13 +116,6 @@ class ExperimentConfig:
 
         fn = data["function"]
         tolerances = data.get("tolerances")
-        if tolerances:
-            unknown = sorted(set(tolerances) - set(DEFAULT_TOLERANCES))
-            if unknown:
-                raise ConfigError(
-                    f"unknown tolerance keys {unknown}; valid: "
-                    f"{sorted(DEFAULT_TOLERANCES)}"
-                )
 
         checks = data.get("checks")
         if checks is None:
@@ -321,8 +319,8 @@ def _resolve_ranks(config: ExperimentConfig, u: GridFunction):
 class _Run:
     """What the checks read: the function, its mode systems and
     derivative data, the rank vectors, one report per rank vector, and
-    the L2 and H1 norms of ``u`` that several checks scale by. The
-    diagnostics check stores its block in ``diagnostics``.
+    ``sq``, the ``sobolev_sq`` of ``u`` that the checks' norm scales come
+    from. The diagnostics check stores its block in ``diagnostics``.
     """
 
     u: GridFunction
@@ -330,9 +328,16 @@ class _Run:
     derivs: tuple
     rvs: tuple
     reports: list
-    l2: float
-    h1: float
+    sq: tuple
     diagnostics: dict | None = None
+
+    @property
+    def l2(self) -> float:
+        return _root_sum(self.sq[:1])
+
+    @property
+    def h1(self) -> float:
+        return _root_sum(self.sq)
 
     @cached_property
     def single_mode(self) -> dict:
@@ -394,7 +399,7 @@ def _check_h1_identity(run, tol):
 
 
 def _check_ek_identity(run, tol):
-    scales = [max(norm_ek(run.u, j) ** 2, _TINY) for j in range(run.u.ndim)]
+    scales = [max(_root_sum((run.sq[0], dsq)) ** 2, _TINY) for dsq in run.sq[1:]]
     defects = []
     for rv, rep in zip(run.rvs, run.reports):
         for j, system in enumerate(run.systems):
@@ -503,8 +508,9 @@ def _check_edge_cases(run, tol):
     if abs(norm_l2(u - zero_rank) - run.l2) > 1e-12 * scale:
         problems.append("rank-zero residual differs from the function norm")
 
-    z = GridFunction(u.axes, np.zeros(u.shape))
-    zs = mode_svd(z, 0)
+    # the zero path does not depend on the grid size: 3 nodes per axis will do
+    tiny = tuple(make_axis(3, ax.lower, ax.upper) for ax in u.axes)
+    zs = mode_svd(GridFunction(tiny, np.zeros((3,) * u.ndim)), 0)
     if numerical_rank(zs) != 0 or retained_count(zs) != 0:
         problems.append("all-zero input reports nonzero rank")
 
@@ -573,12 +579,11 @@ def run_experiment(
     u, fdesc = _build_function(config)
     rvs = _resolve_ranks(config, u)
 
-    d = u.ndim
-    systems = tuple(mode_svd(u, j) for j in range(d))
-    derivs = tuple(derivative_data(u, systems[j], j) for j in range(d))
+    systems = tuple(mode_svd(u, j) for j in range(u.ndim))
+    derivs = tuple(derivative_data(u, s) for s in systems)
 
     spectra = []
-    for j in range(d):
+    for j in range(u.ndim):
         spectra.append(
             {
                 "mode": j,
@@ -590,8 +595,8 @@ def run_experiment(
             }
         )
 
-    h1 = norm_h1(u)
-    sandwich_slack = config.tolerance("sandwich") * h1**2
+    u_sq = sobolev_sq(u)
+    sandwich_slack = config.tolerance("sandwich") * _root_sum(u_sq) ** 2
     reports = [
         h1_sandwich(
             u,
@@ -603,7 +608,7 @@ def run_experiment(
         )
         for rv in rvs
     ]
-    run = _Run(u, systems, derivs, rvs, reports, norm_l2(u), h1)
+    run = _Run(u, systems, derivs, rvs, reports, u_sq)
 
     checks = []
     for name in [*config.checks, *(["edge_cases"] if edge_cases else [])]:

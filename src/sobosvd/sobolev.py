@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretization import GridFunction, check_mode, inner_l2, partial_derivative
-from .errors import ModeError, SobosvdError
+from .errors import SobosvdError
 from .svd_engine import SingularSystem, _count_retained
 from .tensor_core import matricize
 
@@ -74,21 +74,20 @@ class DerivativeData:
     """Derivative transfer data for the retained part of one mode system.
 
     Column k of ``gammas`` is the transferred derivative of left vector
-    ``indices[k]``; ``dpsi_norms`` its weighted L2 norm on the axis and
-    ``bound_values`` the Cauchy-Schwarz bound (1/lambda_k) |u| |d_j u|.
-    Only directions with lambda_k above RETAIN_REL times lambda_1 are
-    kept.
+    k of the system of mode ``mode``; ``dpsi_norms`` its weighted L2 norm
+    on the axis and ``bound_values`` the Cauchy-Schwarz bound
+    (1/lambda_k) |u| |d_j u|. Only the leading directions with lambda_k
+    above RETAIN_REL times lambda_1 are kept; ``count`` says how many.
     """
 
     mode: int
-    indices: np.ndarray
     gammas: np.ndarray
     dpsi_norms: np.ndarray
     bound_values: np.ndarray
 
     @property
     def count(self) -> int:
-        return int(self.indices.size)
+        return int(self.gammas.shape[1])
 
 
 def retained_count(system: SingularSystem) -> int:
@@ -96,12 +95,11 @@ def retained_count(system: SingularSystem) -> int:
     return _count_retained(system.sigmas)
 
 
-def derivative_data(
-    u: GridFunction,
-    system: SingularSystem,
-    mode: int,
-) -> DerivativeData:
-    """Derivative transfer for every retained direction of one mode.
+def derivative_data(u: GridFunction, system: SingularSystem) -> DerivativeData:
+    """Derivative transfer for every retained direction of a mode system.
+
+    ``system`` is a ``mode_svd`` of ``u``; the derivative is taken along
+    its mode. Raises ModeError for a system that records no mode.
 
     M(u)^T W_r psi_k equals sigma_k phi_k for an exact singular triple,
     so gamma_k is computed as (1/sigma_k) M(d_mode u) W_c phi_k; the
@@ -111,14 +109,12 @@ def derivative_data(
     is exact in the discrete algebra, so a violation beyond 1e-10 means a
     broken decomposition and raises.
     """
-    mode = check_mode(mode, u.ndim)
-    if system.mode != mode:
-        raise ModeError(f"system decomposes mode {system.mode}, not {mode}")
+    mode = check_mode(system.mode, u.ndim)
     m = retained_count(system)
     w = u.axes[mode].quad_weights
 
     du = partial_derivative(u, mode)
-    md, _ = matricize(du.values, (mode,))
+    md = matricize(du.values, mode)
     gammas = (
         md @ (system.col_weights[:, None] * system.right_vectors[:, :m])
     ) / system.sigmas[:m][None, :]
@@ -138,7 +134,6 @@ def derivative_data(
         )
     return DerivativeData(
         mode=mode,
-        indices=np.arange(m),
         gammas=gammas,
         dpsi_norms=dpsi,
         bound_values=bounds,

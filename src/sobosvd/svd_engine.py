@@ -7,9 +7,9 @@ unscale the vectors. The unscaled columns are then orthonormal in the
 weighted inner products and the singular values are the function-space
 ones.
 
-``mode_svd`` applies this to one mode of a grid function, with the
-complement modes flattened colexicographically and their weights combined
-into a single column-weight vector.
+``mode_svd`` applies this to the mode-j unfolding of a grid function:
+the other modes are flattened colexicographically and their weights
+combined into a single column-weight vector.
 """
 from __future__ import annotations
 
@@ -18,9 +18,9 @@ from functools import reduce
 
 import numpy as np
 
-from .discretization import Axis, GridFunction, check_mode
+from .discretization import Axis, GridFunction
 from .errors import ModeError, SobosvdError
-from .tensor_core import MatShape, matricize
+from .tensor_core import matricize
 
 DEFAULT_RANK_TOL = 1e-12
 
@@ -137,9 +137,9 @@ class SingularSystem:
     largest-magnitude entry of each left vector is positive, ties broken
     by lowest index.
 
-    ``mat_shape`` and ``axes`` record where the matrix came from when the
-    system was built from a grid function, so rank-r truncations can be
-    folded back onto the grid.
+    ``mode`` and ``axes`` record, for a system built by ``mode_svd``, the
+    unfolded mode and the grid, so rank-r truncations can be folded back
+    onto the grid; both are None for a bare matrix.
     """
 
     sigmas: np.ndarray
@@ -147,15 +147,8 @@ class SingularSystem:
     right_vectors: np.ndarray
     row_weights: np.ndarray
     col_weights: np.ndarray
-    mat_shape: MatShape | None = None
+    mode: int | None = None
     axes: tuple[Axis, ...] | None = None
-
-    @property
-    def mode(self) -> int:
-        """Row mode index when this is a single-mode system."""
-        if self.mat_shape is None or len(self.mat_shape.row_modes) != 1:
-            raise ModeError("not a single-mode system")
-        return self.mat_shape.row_modes[0]
 
     @property
     def k_max(self) -> int:
@@ -209,7 +202,7 @@ def weighted_svd(
     row_weights: np.ndarray,
     col_weights: np.ndarray,
     *,
-    mat_shape: MatShape | None = None,
+    mode: int | None = None,
     axes: tuple[Axis, ...] | None = None,
 ) -> SingularSystem:
     """Thin SVD of a matrix under weighted inner products.
@@ -253,7 +246,7 @@ def weighted_svd(
         right_vectors=right,
         row_weights=wr.copy(),
         col_weights=wc.copy(),
-        mat_shape=mat_shape,
+        mode=mode,
         axes=axes,
     )
 
@@ -262,15 +255,14 @@ def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
     """Weighted SVD of one mode of a grid function.
 
     Rows carry the quadrature weights of the chosen axis; columns carry
-    the combined weights of all other axes in matricization order.
+    the combined weights of all other axes in unfolding order. Raises
+    ModeError for a bad mode or a one-axis function.
     """
-    mode = check_mode(mode, u.ndim)
-    if u.ndim < 2:
-        raise ModeError("mode SVD needs at least two axes")
-    mat, ms = matricize(u.values, (mode,))
+    mat = matricize(u.values, mode)
+    mode = int(mode)
     wr = u.axes[mode].quad_weights
-    wc = combined_weights([u.axes[j].quad_weights for j in ms.col_modes])
-    return weighted_svd(mat, wr, wc, mat_shape=ms, axes=u.axes)
+    wc = combined_weights([ax.quad_weights for j, ax in enumerate(u.axes) if j != mode])
+    return weighted_svd(mat, wr, wc, mode=mode, axes=u.axes)
 
 
 def numerical_rank(system: SingularSystem) -> int:

@@ -38,7 +38,7 @@ from .sobolev import (
     sobolev_sq,
 )
 from .svd_engine import SingularSystem, _fix_signs, mode_svd
-from .tensor_core import dematricize, matricize, mode_product
+from .tensor_core import check_mode, matricize, mode_product
 
 _HOOI_TOL = 1e-12  # hooi's stop rule, relative to the L2 norm of u
 
@@ -91,17 +91,17 @@ def _check_rank(r: int, k_max: int) -> int:
 def truncate_svd(system: SingularSystem, r: int) -> GridFunction:
     """Rank-r truncation of a bivariate mode decomposition, on the grid.
 
-    The system must come from ``mode_svd`` of a two-axis grid function.
+    The system must come from ``mode_svd`` of a two-axis grid function;
+    its mode-1 unfolding is the transpose of the grid values.
     ``r = 0`` returns the zero function.
     """
-    if system.axes is None or system.mat_shape is None:
+    if system.axes is None or system.mode is None:
         raise ModeError("system carries no grid, cannot fold back")
     if len(system.axes) != 2:
         raise ModeError("grid truncation is for two-axis functions")
     r = _check_rank(r, system.k_max)
     rec = (system.left_vectors[:, :r] * system.sigmas[:r]) @ system.right_vectors[:, :r].T
-    vals = dematricize(rec, system.mat_shape)
-    return GridFunction(system.axes, vals)
+    return GridFunction(system.axes, rec.T if system.mode else rec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,9 +114,9 @@ class TuckerApprox:
     error_history: tuple[float, ...] | None = None
 
 
-def _analysis_map(u: GridFunction, q: np.ndarray, mode: int) -> np.ndarray:
+def _analysis_map(u: GridFunction, q: np.ndarray, mode: int | None) -> np.ndarray:
     """Weighted transpose of a mode basis: coefficients of the projection."""
-    return (q * u.axes[mode].quad_weights[:, None]).T
+    return (q * u.axes[check_mode(mode, u.ndim)].quad_weights[:, None]).T
 
 
 def _leading_bases(systems, ranks) -> dict[int, np.ndarray]:
@@ -232,7 +232,7 @@ def hooi(
             for i in range(d):
                 if i != j:
                     b = mode_product(b, analyses[i], i)
-            mat, _ = matricize(b, (j,))
+            mat = matricize(b, j)
             w = u.axes[j].quad_weights
             scaled = mat * np.sqrt(w)[:, None]
             q, _, _ = np.linalg.svd(scaled, full_matrices=False)
@@ -398,7 +398,7 @@ def h1_sandwich(
     rv, systems = _ranks_and_systems(u, ranks, systems)
     d = u.ndim
     if derivs is None:
-        derivs = tuple(derivative_data(u, systems[j], j) for j in range(d))
+        derivs = tuple(derivative_data(u, s) for s in systems)
     if slack is None:
         slack = 1e-9 * norm_h1(u) ** 2
 

@@ -24,7 +24,7 @@ def catalog():
     for name, shape in _GRIDS.items():
         u = sv.sample_case(sv.get_case(name), shape)
         systems = tuple(sv.mode_svd(u, j) for j in range(u.values.ndim))
-        derivs = tuple(sv.derivative_data(u, systems[j], j) for j in range(u.values.ndim))
+        derivs = tuple(sv.derivative_data(u, s) for s in systems)
         out[name] = (u, systems, derivs)
     return out
 
@@ -34,7 +34,7 @@ def expxy_fine():
     """EXPXY on the acceptance grid; the expensive decomposition, built once."""
     u = sv.sample_case(sv.get_case("EXPXY"), (257, 257))
     systems = tuple(sv.mode_svd(u, j) for j in range(2))
-    derivs = tuple(sv.derivative_data(u, systems[j], j) for j in range(2))
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
     return u, systems, derivs
 
 

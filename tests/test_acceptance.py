@@ -29,7 +29,7 @@ ACC_GRIDS = {
 def build(name, sizes):
     u = sv.sample_case(sv.get_case(name), sizes)
     systems = tuple(sv.mode_svd(u, j) for j in range(u.ndim))
-    derivs = tuple(sv.derivative_data(u, systems[j], j) for j in range(u.ndim))
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
     return u, systems, derivs
 
 
@@ -141,7 +141,7 @@ def test_criterion_6_norm_ratio_constants(acc):
     case = sv.get_case("SINSUM", coeffs=sv.geometric_coeffs(8))
     u = sv.sample_case(case, (1025, 1025))
     s = sv.mode_svd(u, 0)
-    d = sv.derivative_data(u, s, 0)
+    d = sv.derivative_data(u, s)
     worst = 0.0
     for r in range(1, 9):
         got = sv.bernstein_constant(s, d, r) ** 2

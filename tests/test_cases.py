@@ -58,7 +58,7 @@ def test_sep1_discrete_agreement():
     u = sv.sample_case(sv.get_case("SEP1"), (129, 129))
     s = sv.mode_svd(u, 0)
     assert s.sigmas[0] == pytest.approx(0.5, rel=1e-4)
-    d = sv.derivative_data(u, s, 0)
+    d = sv.derivative_data(u, s)
     assert d.dpsi_norms[0] == pytest.approx(np.pi, rel=1e-3)
 
 

@@ -83,6 +83,9 @@ def test_config_unknown_tolerance_key():
         ExperimentConfig.from_dict(
             {"function": {"case": "SEP1"}, "tolerances": {"typo": 1e-9}}
         )
+    # a config built directly is checked too, not run with the default
+    with pytest.raises(ConfigError, match="unknown tolerance"):
+        ExperimentConfig(case_name="SEP1", grid_sizes=(9,), tolerances={"sandwhich": 1e-3})
 
 
 def test_config_from_file_errors(tmp_path):
@@ -474,7 +477,7 @@ def test_run_experiment_decomposes_each_mode_once(monkeypatch):
     real = svd_engine.mode_svd
 
     def counting(u, mode):
-        calls.append(mode)
+        calls.append(u.shape)
         return real(u, mode)
 
     for module in (experiment, svd_engine, truncation):
@@ -489,8 +492,9 @@ def test_run_experiment_decomposes_each_mode_once(monkeypatch):
     assert "quasi_opt" in cfg.checks
     result = run_experiment(cfg, edge_cases=True)
     assert result.passed
-    # one decomposition per mode, plus the zero-input edge check
-    assert len(calls) == 2 + 1
+    # one decomposition per mode, plus the zero-input edge check on a
+    # 3-node grid
+    assert calls == [(33, 33), (33, 33), (3, 3)]
 
 
 def test_run_experiment_differentiates_each_projection_once(monkeypatch):
@@ -515,11 +519,11 @@ def test_run_experiment_differentiates_each_projection_once(monkeypatch):
     )
     result = run_experiment(cfg, edge_cases=True)
     assert result.passed
-    # per mode: the derivative transfer, the H1 and the e_j norm of u;
+    # per mode: the derivative transfer and the Sobolev norms of u;
     # per rank vector and mode: the Tucker residual and truncation, and
     # the single-mode projection and its residual
     d, n_ranks = 2, 4
-    assert len(calls) <= 3 * d + 4 * d * n_ranks
+    assert len(calls) <= 2 * d + 4 * d * n_ranks
 
 
 def test_diagnostics_bernstein_slope_brownian():
@@ -562,7 +566,7 @@ def test_check_with_nan_defect_fails(check, field):
     reports = [good[0], dataclasses.replace(good[1], **{field: float("nan")})]
 
     def run_check(reps):
-        run = experiment._Run(u, (), (), (), reps, sv.norm_l2(u), sv.norm_h1(u))
+        run = experiment._Run(u, (), (), (), reps, sv.sobolev_sq(u))
         return experiment._CHECKS[check](run, 1e-9)
 
     status, worst, detail = run_check(reports)

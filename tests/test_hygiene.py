@@ -44,7 +44,9 @@ def test_public_names_resolve():
         "EkIdentity",
         "H1Identity",
         "HOSVDSystem",
+        "MatShape",
         "bernstein_exponent",
+        "dematricize",
         "dense_reference_sigmas",
         "ek_identity",
         "h1_identity",
@@ -57,3 +59,34 @@ def test_public_names_resolve():
 def test_removed_names_absent(name):
     assert name not in sv.__all__
     assert not hasattr(sv, name)
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level ``_name`` functions, classes and assignments (no dunders)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_no_dead_private_helpers():
+    # a private helper nothing refers to is left over from a removal
+    trees = {p.name: ast.parse(p.read_text("utf-8")) for p in sorted(SRC.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = [
+        f"{name}: {helper}"
+        for name, tree in trees.items()
+        for helper in _private_definitions(tree)
+        if helper not in used
+    ]
+    assert dead == []

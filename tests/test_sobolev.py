@@ -57,7 +57,7 @@ def test_transfer_matches_analytic_derivative():
     # so the transferred derivative approaches sqrt(2) pi cos(pi x)
     u = sv.sample_case(sv.get_case("SEP1"), (257, 257))
     s = sv.mode_svd(u, 0)
-    gamma = sv.derivative_data(u, s, 0).gammas[:, 0]
+    gamma = sv.derivative_data(u, s).gammas[:, 0]
     x = u.axes[0].nodes
     w = u.axes[0].quad_weights
     exact = np.sqrt(2.0) * np.pi * np.cos(np.pi * x)
@@ -123,29 +123,31 @@ def test_transfer_stable_form_agrees_with_literal_product():
     du = sv.partial_derivative(u, 0)
     from sobosvd.tensor_core import matricize
 
-    md, _ = matricize(du.values, (0,))
-    mu, _ = matricize(u.values, (0,))
+    md = matricize(du.values, 0)
+    mu = matricize(u.values, 0)
     k = 1
     lam = s.sigmas[k] ** 2
     literal = md @ (s.col_weights * (mu.T @ (s.row_weights * s.left_vectors[:, k]))) / lam
-    stable = sv.derivative_data(u, s, 0).gammas[:, k]
+    stable = sv.derivative_data(u, s).gammas[:, k]
     w = u.axes[0].quad_weights
     assert weighted_norm(w, literal - stable) / weighted_norm(w, stable) < 1e-10
 
 
 def test_singular_derivative_operator_errors():
+    # a bare matrix decomposition records no mode to differentiate along
     u = sv.sample_case(sv.get_case("SEP1"), (17, 17))
-    s = sv.mode_svd(u, 0)
+    w0, w1 = (ax.quad_weights for ax in u.axes)
+    bare = sv.weighted_svd(u.values, w0, w1)
+    assert bare.mode is None
     with pytest.raises(ModeError):
-        sv.derivative_data(u, s, 1)
+        sv.derivative_data(u, bare)
 
 
 def test_derivative_data_retention(catalog):
     u, systems, _ = catalog["EXPXY"]
-    dv = sv.derivative_data(u, systems[0], 0)
+    dv = sv.derivative_data(u, systems[0])
     assert dv.count == sv.retained_count(systems[0])
     assert dv.count < systems[0].k_max
-    np.testing.assert_array_equal(dv.indices, np.arange(dv.count))
     assert dv.gammas.shape == (u.shape[0], dv.count)
 
 
@@ -154,7 +156,7 @@ def test_bernstein_constant_on_sine_frame():
         sv.get_case("SINSUM", coeffs=sv.geometric_coeffs(8)), (513, 513)
     )
     s = sv.mode_svd(u, 0)
-    dv = sv.derivative_data(u, s, 0)
+    dv = sv.derivative_data(u, s)
     for r in (1, 2, 4, 8):
         exact = np.sqrt(1.0 + (r * np.pi) ** 2)
         assert sv.bernstein_constant(s, dv, r) == pytest.approx(exact, rel=1e-3)

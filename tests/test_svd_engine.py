@@ -168,7 +168,7 @@ def test_mode_svd_reconstructs_matricization():
 
     for mode in (0, 1):
         s = sv.mode_svd(u, mode)
-        mat, _ = matricize(u.values, (mode,))
+        mat = matricize(u.values, mode)
         s.validate(matrix=mat)
 
 

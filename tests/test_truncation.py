@@ -8,12 +8,14 @@ from sobosvd.errors import InsufficientRankError, ModeError, SobosvdError
 
 
 def test_truncate_svd_rank_zero_and_full():
-    u = sv.sample_case(sv.get_case("SINSUM"), (33, 33))
-    s = sv.mode_svd(u, 0)
-    z = sv.truncate_svd(s, 0)
-    assert sv.norm_l2(z) == 0.0
-    full = sv.truncate_svd(s, s.k_max)
-    assert sv.norm_l2(u - full) / sv.norm_l2(u) < 1e-13
+    # a non-square grid, so folding mode 1 back onto it must transpose
+    u = sv.sample_case(sv.get_case("SINSUM"), (33, 17))
+    for mode in (0, 1):
+        s = sv.mode_svd(u, mode)
+        z = sv.truncate_svd(s, 0)
+        assert sv.norm_l2(z) == 0.0
+        full = sv.truncate_svd(s, s.k_max)
+        assert sv.norm_l2(u - full) / sv.norm_l2(u) < 1e-13
 
 
 def test_truncate_svd_error_decreases():
@@ -210,7 +212,7 @@ def test_sandwich_approx_lower_bound_every_rank_vector(name, shape):
     # entries and unequal ranks included
     u = sv.sample_case(sv.get_case(name), shape)
     systems = tuple(sv.mode_svd(u, j) for j in range(u.ndim))
-    derivs = tuple(sv.derivative_data(u, s, j) for j, s in enumerate(systems))
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
     failing = [
         rv
         for rv in itertools.product(range(6), repeat=u.ndim)
