@@ -169,13 +169,41 @@ def sample(f: Callable, axes: Sequence[Axis]) -> GridFunction:
     return GridFunction(axes, vals)
 
 
+def _weighted_sum(values: np.ndarray, axes: Sequence[Axis]) -> float:
+    """Quadrature-weighted sum of a grid array, last axis contracted first."""
+    t = values
+    for ax in reversed(axes):
+        t = t @ ax.quad_weights
+    return float(t)
+
+
 def inner_l2(f: GridFunction, g: GridFunction) -> float:
     """Quadrature-weighted L2 inner product of two grid functions."""
     require_same_axes(f, g)
-    t = f.values * g.values
-    for ax in reversed(f.axes):
-        t = t @ ax.quad_weights
-    return float(t)
+    return _weighted_sum(f.values * g.values, f.axes)
+
+
+def _fd2(values: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray:
+    """The FD2 stencil of ``values`` along ``axis`` at spacing h, into ``out``.
+
+    The same operations in the same order as
+    ``np.gradient(values, h, axis=axis, edge_order=2)``, so the result is
+    bit for bit the same; unlike it, this writes into a caller's buffer.
+    """
+
+    def at(index):
+        idx = [slice(None)] * values.ndim
+        idx[axis] = index
+        return tuple(idx)
+
+    interior = out[at(slice(1, -1))]
+    np.subtract(values[at(slice(2, None))], values[at(slice(None, -2))], out=interior)
+    np.divide(interior, 2.0 * h, out=interior)
+    a, b, c = -1.5 / h, 2.0 / h, -0.5 / h
+    out[at(0)] = a * values[at(0)] + b * values[at(1)] + c * values[at(2)]
+    a, b, c = 0.5 / h, -2.0 / h, 1.5 / h
+    out[at(-1)] = a * values[at(-3)] + b * values[at(-2)] + c * values[at(-1)]
+    return out
 
 
 def partial_derivative(f: GridFunction, mode: int) -> GridFunction:
@@ -186,5 +214,5 @@ def partial_derivative(f: GridFunction, mode: int) -> GridFunction:
     exactly.
     """
     mode = check_mode(mode, f.ndim)
-    vals = np.gradient(f.values, f.axes[mode].spacing, axis=mode, edge_order=2)
+    vals = _fd2(f.values, f.axes[mode].spacing, mode, np.empty(f.shape))
     return GridFunction(f.axes, vals)

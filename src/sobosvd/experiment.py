@@ -23,9 +23,9 @@ import numpy as np
 
 from .cases import _grid_sizes, get_case, sample_case
 from .diagnostics import h1_convergence_flag, rate_fit
-from .discretization import GridFunction, make_axis
+from .discretization import GridFunction, inner_l2, make_axis
 from .errors import ConfigError, DegenerateDataError, ModeError, SampleFileError
-from .sobolev import _root_sum, derivative_data, norm_ek, norm_l2, retained_count, sobolev_sq
+from .sobolev import _root_sum, derivative_data, norm_l2, retained_count, split_sq
 from .svd_engine import mode_svd, numerical_rank
 from .truncation import (
     _check_rank_vector,
@@ -319,7 +319,7 @@ def _resolve_ranks(config: ExperimentConfig, u: GridFunction):
 class _Run:
     """What the checks read: the function, its mode systems and
     derivative data, the rank vectors, one report per rank vector, and
-    ``sq``, the ``sobolev_sq`` of ``u`` that the checks' norm scales come
+    ``sq``, (|u|^2, |D_0 u|^2, ...), that the checks' norm scales come
     from. The diagnostics check stores its block in ``diagnostics``.
     """
 
@@ -343,7 +343,9 @@ class _Run:
     def single_mode(self) -> dict:
         """(j, r) -> |u - P u|^2, |P u|_ej^2 and |u - P u|_ej^2, with P the
         projection of mode j onto its first r left vectors (r clamped to
-        k_max); built on first use, one projection per pair the ranks name.
+        k_max); built on first use, one projection per pair the ranks name,
+        measured by ``split_sq`` in direction j only (one derivative, of
+        the residual, per pair).
         """
         out = {}
         for rv in self.rvs:
@@ -351,10 +353,8 @@ class _Run:
                 key = (j, min(rv[j], system.k_max))
                 if key not in out:
                     proj = single_mode_projection(self.u, system, key[1])
-                    resid = self.u - proj
-                    out[key] = tuple(
-                        n**2 for n in (norm_l2(resid), norm_ek(proj, j), norm_ek(resid, j))
-                    )
+                    kept, tail = split_sq(self.u, {j: self.derivs[j].du}, proj.values)
+                    out[key] = tuple(_root_sum(t) ** 2 for t in (tail[:1], kept, tail))
         return out
 
 
@@ -595,7 +595,7 @@ def run_experiment(
             }
         )
 
-    u_sq = sobolev_sq(u)
+    u_sq = (inner_l2(u, u), *(dv.du_sq for dv in derivs))
     sandwich_slack = config.tolerance("sandwich") * _root_sum(u_sq) ** 2
     reports = [
         h1_sandwich(

@@ -9,10 +9,20 @@ With D_j the second-order three-point stencil along axis j
 * ``norm_ek``:    one-direction Sobolev norm, sqrt(|v|^2 + |D_k v|^2).
 * ``norm_h1``:    sqrt(|v|^2 + sum_j |D_j v|^2).
 
-``sobolev_sq``, the kernel behind ``norm_h1``, returns |v|^2 and every
-|D_j v|^2, differentiating once per direction: all three norms of one
-function (a residual in ``h1_sandwich``) then cost d derivatives, not
-2d. Every norm sums its squares left to right in the order above.
+``sobolev_sq``, behind ``norm_h1``, returns |v|^2 and every |D_j v|^2,
+differentiating once per direction. Every norm sums its squares left to
+right in the order above.
+
+Measuring a projection
+----------------------
+``split_sq`` is the one kernel that measures a projection Pu of u: it
+returns the squared terms above for Pu and for the residual u - Pu, in
+the directions it is given D_j u for. It differentiates only the
+residual, into one buffer reused for every direction, and takes
+D_j(Pu) = D_j u - D_j(u - Pu), which holds exactly because the stencil
+is linear. D_j u comes from ``derivative_data``, which computes it
+anyway, so a run differentiates u once per direction and each
+projection once per direction measured.
 
 Derivative transfer
 -------------------
@@ -32,7 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import GridFunction, check_mode, inner_l2, partial_derivative
+from .discretization import (
+    GridFunction,
+    _fd2,
+    _weighted_sum,
+    check_mode,
+    inner_l2,
+    partial_derivative,
+)
 from .errors import SobosvdError
 from .svd_engine import SingularSystem, _count_retained
 from .tensor_core import matricize
@@ -69,6 +86,34 @@ def norm_h1(f: GridFunction) -> float:
     return _root_sum(sobolev_sq(f))
 
 
+def split_sq(
+    u: GridFunction, du: dict[int, np.ndarray], projected: np.ndarray
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Squared Sobolev terms of a projection of ``u`` and of its residual.
+
+    ``projected`` holds Pu on the grid of ``u``; ``du`` maps each mode j
+    to measure to the array D_j u. Returns (|Pu|^2, |D_j Pu|^2, ...) and
+    (|u - Pu|^2, |D_j (u - Pu)|^2, ...), the derivative terms in the
+    order of ``du``. The residual is differentiated into one buffer that
+    every direction reuses and squared into a second, and D_j Pu is
+    D_j u - D_j (u - Pu); each term is the weighted sum ``inner_l2``
+    takes, so the residual terms equal those of ``sobolev_sq``.
+    """
+    resid = u.values - projected
+    deriv = np.empty_like(resid)
+    square = np.empty_like(resid)
+
+    def weighted_sq(v) -> float:
+        return _weighted_sum(np.multiply(v, v, out=square), u.axes)
+
+    kept, tail = [weighted_sq(projected)], [weighted_sq(resid)]
+    for j, du_j in du.items():
+        _fd2(resid, u.axes[j].spacing, j, deriv)
+        tail.append(weighted_sq(deriv))
+        kept.append(weighted_sq(np.subtract(du_j, deriv, out=deriv)))
+    return tuple(kept), tuple(tail)
+
+
 @dataclass(frozen=True, eq=False)
 class DerivativeData:
     """Derivative transfer data for the retained part of one mode system.
@@ -78,12 +123,19 @@ class DerivativeData:
     on the axis and ``bound_values`` the Cauchy-Schwarz bound
     (1/lambda_k) |u| |d_j u|. Only the leading directions with lambda_k
     above RETAIN_REL times lambda_1 are kept; ``count`` says how many.
+
+    ``du`` is the array D_mode u the transfer differentiates, and
+    ``du_sq`` its squared weighted norm |D_mode u|^2; ``split_sq`` and
+    the norm scales of a run read them instead of differentiating u
+    again.
     """
 
     mode: int
     gammas: np.ndarray
     dpsi_norms: np.ndarray
     bound_values: np.ndarray
+    du: np.ndarray
+    du_sq: float
 
     @property
     def count(self) -> int:
@@ -121,7 +173,8 @@ def derivative_data(u: GridFunction, system: SingularSystem) -> DerivativeData:
 
     dpsi = np.sqrt(np.maximum(np.einsum("ik,i,ik->k", gammas, w, gammas), 0.0))
     u_norm = norm_l2(u)
-    du_norm = float(np.sqrt(max(inner_l2(du, du), 0.0)))
+    du_sq = inner_l2(du, du)
+    du_norm = float(np.sqrt(max(du_sq, 0.0)))
     lam = system.sigmas[:m] ** 2
     bounds = u_norm * du_norm / lam
 
@@ -137,4 +190,6 @@ def derivative_data(u: GridFunction, system: SingularSystem) -> DerivativeData:
         gammas=gammas,
         dpsi_norms=dpsi,
         bound_values=bounds,
+        du=du.values,
+        du_sq=du_sq,
     )

@@ -27,16 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretization import GridFunction
+from .discretization import GridFunction, inner_l2
 from .errors import InsufficientRankError, ModeError, SobosvdError
-from .sobolev import (
-    DerivativeData,
-    _root_sum,
-    derivative_data,
-    norm_h1,
-    norm_l2,
-    sobolev_sq,
-)
+from .sobolev import DerivativeData, _root_sum, derivative_data, norm_l2, split_sq
 from .svd_engine import SingularSystem, _fix_signs, mode_svd
 from .tensor_core import check_mode, matricize, mode_product
 
@@ -163,12 +156,21 @@ def _check_rank_vector(ranks, shape: tuple[int, ...]) -> tuple[int, ...]:
     return rv
 
 
+def _per_mode(items, d: int, what: str):
+    """``items`` (mode systems or derivative data), checked to be of
+    modes 0, ..., d-1 in that order; ModeError otherwise."""
+    modes = [item.mode for item in items]
+    if modes != list(range(d)):
+        raise ModeError(f"{what} of modes {modes}; need modes 0..{d - 1} in order")
+    return items
+
+
 def _ranks_and_systems(u: GridFunction, ranks, systems):
     """Validated rank vector, and the mode systems of ``u`` unless given."""
     rv = _check_rank_vector(ranks, u.shape)
     if systems is None:
-        systems = tuple(mode_svd(u, j) for j in range(u.ndim))
-    return rv, systems
+        return rv, tuple(mode_svd(u, j) for j in range(u.ndim))
+    return rv, _per_mode(systems, u.ndim, "systems")
 
 
 def hosvd_project(
@@ -381,30 +383,36 @@ def h1_sandwich(
     """Measure a rank-vector truncation and evaluate all its bounds.
 
     Builds the truncation and measures its Sobolev norm and the norms of
-    its residual on the grid, differentiating each of the two once per
-    direction. Then evaluates the spectral series, the two-sided Sobolev
-    estimates that ``ErrorReport`` describes and the per-mode norm-ratio
-    constants. ``hooi_reference`` additionally runs the alternating
-    refinement and reports d times its squared L2 error as the
-    quasi-optimality reference.
+    its residual on the grid with one ``split_sq``: the residual is
+    differentiated once per direction, and the derivatives of the
+    truncation follow from the D_j u that ``derivs`` hold. Then
+    evaluates the spectral series, the two-sided Sobolev estimates that
+    ``ErrorReport`` describes and the per-mode norm-ratio constants.
+    ``hooi_reference`` additionally runs the alternating refinement and
+    reports d times its squared L2 error as the quasi-optimality
+    reference.
 
-    Precomputed ``systems``/``derivs`` (one per mode) avoid repeated
-    decompositions across a rank sweep; ``systems`` also seeds the
-    refinement, so no mode is decomposed again for the reference.
+    Precomputed ``systems``/``derivs`` (one per mode, modes 0..d-1 in
+    order, else ModeError) avoid repeated decompositions across a rank
+    sweep; ``systems`` also seeds the refinement, so no mode is
+    decomposed again for the reference.
 
     ``slack`` widens every bracket of ``bound_checks``; the default is
     1e-9 times |u|_1^2, so the verdicts do not depend on the scale of u.
+    |u|_1^2 is summed from |u|^2 and the |D_j u|^2 in ``derivs``.
     """
     rv, systems = _ranks_and_systems(u, ranks, systems)
     d = u.ndim
     if derivs is None:
         derivs = tuple(derivative_data(u, s) for s in systems)
+    derivs = _per_mode(derivs, d, "derivs")
     if slack is None:
-        slack = 1e-9 * norm_h1(u) ** 2
+        slack = 1e-9 * _root_sum((inner_l2(u, u), *(dv.du_sq for dv in derivs))) ** 2
 
     approx = hosvd_project(u, rv, systems=systems)
-    resid_sq = sobolev_sq(u - approx.projected)
-    approx_h1_sq = norm_h1(approx.projected) ** 2
+    du = {dv.mode: dv.du for dv in derivs}
+    approx_sq, resid_sq = split_sq(u, du, approx.projected.values)
+    approx_h1_sq = _root_sum(approx_sq) ** 2
 
     # per mode, kept and tail: sum sigma^2 (1 + dpsi^2), and plain sigma^2
     cut = [min(r, s.k_max) for r, s in zip(rv, systems)]

@@ -4,7 +4,7 @@ import pytest
 import sobosvd as sv
 from sobosvd import Axis, GridFunction
 from sobosvd.errors import AxisMismatchError, InvalidAxisError, ModeError, SamplingError
-from sobosvd.discretization import check_mode, require_same_axes
+from sobosvd.discretization import _fd2, check_mode, require_same_axes
 
 from conftest import fd2_matrix
 
@@ -191,3 +191,17 @@ def test_partial_derivative_matches_fd2_matrix():
         got = sv.partial_derivative(u, j).values
         ref = sv.mode_product(u.values, fd2_matrix(ax), j)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), j
+
+
+@pytest.mark.parametrize("shape", [(3,), (8,), (5, 3), (7, 9, 12)])
+def test_fd2_stencil_is_np_gradient_bit_for_bit(shape):
+    # the stencil that partial_derivative and the measurement kernel share
+    # writes into a buffer; its result must be np.gradient's, bit for bit
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+    for j in range(len(shape)):
+        h = rng.uniform(0.01, 2.0)
+        want = np.gradient(v, h, axis=j, edge_order=2)
+        out = np.full(shape, np.nan)
+        assert _fd2(v, h, j, out) is out
+        assert np.array_equal(out, want), j

@@ -502,14 +502,14 @@ def test_run_experiment_differentiates_each_projection_once(monkeypatch):
     import sobosvd.sobolev as sobolev
 
     calls = []
-    real = discretization.partial_derivative
+    real = discretization._fd2
 
-    def counting(f, mode):
-        calls.append(mode)
-        return real(f, mode)
+    def counting(values, h, axis, out):
+        calls.append(axis)
+        return real(values, h, axis, out)
 
     for module in (discretization, sobolev):
-        monkeypatch.setattr(module, "partial_derivative", counting)
+        monkeypatch.setattr(module, "_fd2", counting)
     cfg = ExperimentConfig.from_dict(
         {
             "function": {"case": "BROWNIAN"},
@@ -519,11 +519,39 @@ def test_run_experiment_differentiates_each_projection_once(monkeypatch):
     )
     result = run_experiment(cfg, edge_cases=True)
     assert result.passed
-    # per mode: the derivative transfer and the Sobolev norms of u;
-    # per rank vector and mode: the Tucker residual and truncation, and
-    # the single-mode projection and its residual
+    # per mode: u, in the derivative transfer; per rank vector and mode:
+    # the Tucker residual and the single-mode residual (the derivatives
+    # of both projections follow from those of u)
     d, n_ranks = 2, 4
-    assert len(calls) <= 2 * d + 4 * d * n_ranks
+    assert len(calls) <= d + 2 * d * n_ranks
+
+
+@pytest.mark.parametrize(
+    "c, passed, statuses",
+    [
+        (1e-300, False, "ppppppfpp"),
+        (1e-160, False, "ppppppfpp"),
+        (1.0, True, "ppppppppp"),
+        (1e160, False, "fffffffpp"),
+        (1e300, False, "fffffffpp"),
+    ],
+)
+def test_run_experiment_statuses_across_scales(tmp_path, c, passed, statuses):
+    # the statuses of the default checks and the edge checks on BROWNIAN
+    # 65^2 scaled by c, as measured before the projections were measured
+    # through D_j u: a NaN or inf from an overflowing scale still fails a
+    # check through its verdict (the vacuous passes at tiny scales are
+    # ROADMAP item 2)
+    u = sv.sample_case(sv.get_case("BROWNIAN"), (65, 65))
+    sv.save_samples(sv.GridFunction(u.axes, c * u.values), tmp_path / "s.raw")
+    cfg = ExperimentConfig.from_dict(
+        {"function": {"file": "s.raw"}, "ranks": {"sweep": {"from": 1, "to": 4}}},
+        base_dir=tmp_path,
+    )
+    result = run_experiment(cfg, edge_cases=True)
+    assert result.passed is passed
+    got = "".join(ch["status"][0] for ch in result.report["checks"])
+    assert got == statuses
 
 
 def test_diagnostics_bernstein_slope_brownian():

@@ -1,5 +1,6 @@
 """Package hygiene: no unused imports, and a public surface that resolves."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -90,3 +91,19 @@ def test_no_dead_private_helpers():
         if helper not in used
     ]
     assert dead == []
+
+
+def test_fd2_stencil_lives_in_discretization_only():
+    # one FD2 code path: np.gradient and the one-sided edge coefficients
+    # (-1.5/h, 1.5/h) appear in discretization.py and in no other module
+    patterns = (re.compile(r"\bgradient\("), re.compile(r"\b1\.5\s*/"))
+    home = "discretization.py"
+    assert patterns[1].search((SRC / home).read_text("utf-8"))
+    found = [
+        f"{path.name}: {pat.pattern}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != home
+        for pat in patterns
+        if pat.search(path.read_text("utf-8"))
+    ]
+    assert found == []

@@ -130,6 +130,28 @@ def test_hosvd_project_l2_bound(catalog):
         assert err_sq <= tails + 1e-10
 
 
+def test_given_systems_must_cover_every_mode_in_order():
+    # two systems of one mode used to drop a mode silently: hosvd_project
+    # returned two factors for a three-way rank vector
+    rng = np.random.default_rng(3)
+    axes = tuple(sv.make_axis(n) for n in (9, 11, 13))
+    u = sv.GridFunction(axes, rng.standard_normal((9, 11, 13)))
+    s0, s1, s2 = (sv.mode_svd(u, j) for j in range(3))
+    for systems in ((s0, s0, s2), (s1, s0, s2), (s0, s1)):
+        with pytest.raises(ModeError):
+            sv.hosvd_project(u, (1, 1, 1), systems=systems)
+        with pytest.raises(ModeError):
+            sv.hooi(u, (1, 1, 1), systems=systems)
+        with pytest.raises(ModeError):
+            sv.h1_sandwich(u, (1, 1, 1), systems=systems)
+    assert len(sv.hosvd_project(u, (1, 1, 1), systems=(s0, s1, s2)).factors) == 3
+    # derivative data likewise: a repeated mode would drop a direction
+    # from the measured residual
+    d0, d1, d2 = (sv.derivative_data(u, s) for s in (s0, s1, s2))
+    with pytest.raises(ModeError):
+        sv.h1_sandwich(u, (1, 1, 1), systems=(s0, s1, s2), derivs=(d0, d0, d2))
+
+
 def test_hooi_never_worse_than_spectral_start():
     rng = np.random.default_rng(13)
     axes = tuple(sv.make_axis(10) for _ in range(3))
