@@ -11,7 +11,7 @@ import sobosvd as sv
 
 def main():
     u = sv.sample_case(sv.get_case("SINSUM", coeffs=(1.0, 0.5, 0.25, 0.125)), (129, 129))
-    systems = tuple(sv.mode_svd(u, j) for j in range(2))
+    systems = sv.mode_svds(u)
     derivs = tuple(sv.derivative_data(u, s) for s in systems)
 
     print(f"|u|_0^2 = {sv.norm_l2(u) ** 2:.8f}")

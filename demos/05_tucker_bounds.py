@@ -17,7 +17,7 @@ def main():
     noise = sv.GridFunction(base.axes, 0.02 * rng.standard_normal(base.shape))
     u = base + noise
 
-    systems = tuple(sv.mode_svd(u, j) for j in range(3))
+    systems = sv.mode_svds(u)
     derivs = tuple(sv.derivative_data(u, s) for s in systems)
 
     print("rank   spectral err   refined err    tail bound")

@@ -39,6 +39,7 @@ _EXPORTS = {
         "SingularSystem",
         "combined_weights",
         "mode_svd",
+        "mode_svds",
         "numerical_rank",
         "weighted_svd",
     ),

@@ -26,13 +26,14 @@ from .diagnostics import h1_convergence_flag, rate_fit
 from .discretization import GridFunction, inner_l2, make_axis
 from .errors import ConfigError, DegenerateDataError, ModeError, SampleFileError
 from .sobolev import _root_sum, derivative_data, norm_l2, retained_count, split_sq
-from .svd_engine import mode_svd, numerical_rank
+from .svd_engine import mode_svd, mode_svds, numerical_rank
 from .truncation import (
+    _apply_projection,
     _check_rank_vector,
+    _leading_bases,
     h1_sandwich,
     hosvd_project,
     series_split,
-    single_mode_projection,
 )
 
 CHECK_NAMES = (
@@ -352,8 +353,8 @@ class _Run:
             for j, system in enumerate(self.systems):
                 key = (j, min(rv[j], system.k_max))
                 if key not in out:
-                    proj = single_mode_projection(self.u, system, key[1])
-                    kept, tail = split_sq(self.u, {j: self.derivs[j].du}, proj.values)
+                    proj = _apply_projection(self.u, _leading_bases((system,), (key[1],)))
+                    kept, tail = split_sq(self.u, {j: self.derivs[j].du}, proj)
                     out[key] = tuple(_root_sum(t) ** 2 for t in (tail[:1], kept, tail))
         return out
 
@@ -579,7 +580,7 @@ def run_experiment(
     u, fdesc = _build_function(config)
     rvs = _resolve_ranks(config, u)
 
-    systems = tuple(mode_svd(u, j) for j in range(u.ndim))
+    systems = mode_svds(u)
     derivs = tuple(derivative_data(u, s) for s in systems)
 
     spectra = []

@@ -10,6 +10,12 @@ ones.
 ``mode_svd`` applies this to the mode-j unfolding of a grid function:
 the other modes are flattened colexicographically and their weights
 combined into a single column-weight vector.
+
+``mode_svds`` decomposes every mode. In two variables the mode-1
+unfolding is the transpose of the mode-0 one, with the row and column
+weights exchanged: it is the adjoint of the same operator, which has
+the same singular values with the left and right vectors swapped. So
+mode 1 is read off mode 0, and one SVD serves both.
 """
 from __future__ import annotations
 
@@ -140,6 +146,10 @@ class SingularSystem:
     ``mode`` and ``axes`` record, for a system built by ``mode_svd``, the
     unfolded mode and the grid, so rank-r truncations can be folded back
     onto the grid; both are None for a bare matrix.
+
+    The system of the adjoint (the transposed matrix, weights exchanged)
+    has the same sigmas with left and right vectors swapped; this is how
+    ``mode_svds`` builds mode 1 of a bivariate function from mode 0.
     """
 
     sigmas: np.ndarray
@@ -263,6 +273,33 @@ def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
     wr = u.axes[mode].quad_weights
     wc = combined_weights([ax.quad_weights for j, ax in enumerate(u.axes) if j != mode])
     return weighted_svd(mat, wr, wc, mode=mode, axes=u.axes)
+
+
+def mode_svds(u: GridFunction) -> tuple[SingularSystem, ...]:
+    """The ``mode_svd`` of every mode of ``u``, modes 0, ..., d-1 in order.
+
+    With two axes, mode 1 is the adjoint of mode 0: the same sigmas, the
+    left and right vectors swapped (copied, then signs fixed by the one
+    convention) and the weights exchanged. Only mode 0 is decomposed.
+    """
+    if u.ndim != 2:
+        return tuple(mode_svd(u, j) for j in range(u.ndim))
+    first = mode_svd(u, 0)
+    left = first.right_vectors.copy()
+    right = first.left_vectors.copy()
+    _fix_signs(left, right)
+    for a in (left, right):
+        a.flags.writeable = False
+    adjoint = SingularSystem(
+        sigmas=first.sigmas,
+        left_vectors=left,
+        right_vectors=right,
+        row_weights=first.col_weights.copy(),
+        col_weights=first.row_weights.copy(),
+        mode=1,
+        axes=first.axes,
+    )
+    return first, adjoint
 
 
 def numerical_rank(system: SingularSystem) -> int:

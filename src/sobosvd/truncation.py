@@ -27,10 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretization import GridFunction, inner_l2
+from .discretization import GridFunction, _weighted_sum, inner_l2
 from .errors import InsufficientRankError, ModeError, SobosvdError
-from .sobolev import DerivativeData, _root_sum, derivative_data, norm_l2, split_sq
-from .svd_engine import SingularSystem, _fix_signs, mode_svd
+from .sobolev import DerivativeData, _root_sum, derivative_data, split_sq
+from .svd_engine import SingularSystem, _fix_signs, mode_svds
 from .tensor_core import check_mode, matricize, mode_product
 
 _HOOI_TOL = 1e-12  # hooi's stop rule, relative to the L2 norm of u
@@ -117,24 +117,18 @@ def _leading_bases(systems, ranks) -> dict[int, np.ndarray]:
     return {s.mode: s.left_vectors[:, : min(r, s.k_max)] for s, r in zip(systems, ranks)}
 
 
-def _apply_projection(u: GridFunction, bases: dict[int, np.ndarray]) -> GridFunction:
+def _apply_projection(u: GridFunction, bases: dict[int, np.ndarray]) -> np.ndarray:
     """Analysis then synthesis against weighted-orthonormal mode bases.
 
     ``bases`` maps a mode to its basis; modes it does not name are kept.
+    Returns the projected values as a raw array on the grid of ``u``.
     """
     vals = u.values
     for j, q in bases.items():
         vals = mode_product(vals, _analysis_map(u, q, j), j)
     for j, q in bases.items():
         vals = mode_product(vals, q, j)
-    return GridFunction(u.axes, vals)
-
-
-def single_mode_projection(
-    u: GridFunction, system: SingularSystem, r: int
-) -> GridFunction:
-    """Project one mode of ``u`` onto the first r left vectors of its system."""
-    return _apply_projection(u, _leading_bases((system,), (r,)))
+    return vals
 
 
 def _check_rank_vector(ranks, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -169,7 +163,7 @@ def _ranks_and_systems(u: GridFunction, ranks, systems):
     """Validated rank vector, and the mode systems of ``u`` unless given."""
     rv = _check_rank_vector(ranks, u.shape)
     if systems is None:
-        return rv, tuple(mode_svd(u, j) for j in range(u.ndim))
+        return rv, mode_svds(u)
     return rv, _per_mode(systems, u.ndim, "systems")
 
 
@@ -187,7 +181,8 @@ def hosvd_project(
     """
     rv, systems = _ranks_and_systems(u, ranks, systems)
     bases = _leading_bases(systems, rv)
-    return TuckerApprox(rv, tuple(bases.values()), _apply_projection(u, bases))
+    projected = GridFunction(u.axes, _apply_projection(u, bases))
+    return TuckerApprox(rv, tuple(bases.values()), projected)
 
 
 def hooi(
@@ -210,7 +205,7 @@ def hooi(
     ``systems`` takes the ``mode_svd`` of every mode of ``u``, as
     ``hosvd_project`` and ``h1_sandwich`` do; the starting bases are
     read from it instead of decomposing each mode again. Without it the
-    decompositions are computed here, with the same result.
+    decompositions are computed here by ``mode_svds``.
     """
     if max_iters < 1:
         raise SobosvdError(f"max_iters must be >= 1, got {max_iters}")
@@ -219,10 +214,13 @@ def hooi(
     factors = _leading_bases(systems, rv)
     analyses = {j: _analysis_map(u, q, j) for j, q in factors.items()}
 
-    def current_error(fs) -> float:
-        return norm_l2(u - _apply_projection(u, fs))
+    def l2(values) -> float:  # norm_l2's sum, on a raw array
+        return _root_sum((_weighted_sum(values * values, u.axes),))
 
-    u_norm = norm_l2(u)
+    def current_error(fs) -> float:
+        return l2(u.values - _apply_projection(u, fs))
+
+    u_norm = l2(u.values)
     err = current_error(factors)
     history = [err]
     best_err = err
@@ -252,7 +250,7 @@ def hooi(
         if improvement <= _HOOI_TOL * u_norm:
             break
 
-    projected = _apply_projection(u, best)
+    projected = GridFunction(u.axes, _apply_projection(u, best))
     return TuckerApprox(rv, tuple(best.values()), projected, tuple(history))
 
 
@@ -390,7 +388,8 @@ def h1_sandwich(
     ``ErrorReport`` describes and the per-mode norm-ratio constants.
     ``hooi_reference`` additionally runs the alternating refinement and
     reports d times its squared L2 error as the quasi-optimality
-    reference.
+    reference; that error is the least of its history, which ``hooi``
+    measured on the very projection it returns.
 
     Precomputed ``systems``/``derivs`` (one per mode, modes 0..d-1 in
     order, else ModeError) avoid repeated decompositions across a rank
@@ -434,7 +433,7 @@ def h1_sandwich(
     quasi_ref = None
     if hooi_reference:
         refined = hooi(u, rv, systems=systems)
-        quasi_ref = d * norm_l2(u - refined.projected) ** 2
+        quasi_ref = d * min(refined.error_history) ** 2
 
     return ErrorReport(
         rank_vector=rv,

@@ -471,7 +471,6 @@ def test_cli_console_script():
 def test_run_experiment_decomposes_each_mode_once(monkeypatch):
     import sobosvd.experiment as experiment
     import sobosvd.svd_engine as svd_engine
-    import sobosvd.truncation as truncation
 
     calls = []
     real = svd_engine.mode_svd
@@ -480,7 +479,7 @@ def test_run_experiment_decomposes_each_mode_once(monkeypatch):
         calls.append(u.shape)
         return real(u, mode)
 
-    for module in (experiment, svd_engine, truncation):
+    for module in (experiment, svd_engine):
         monkeypatch.setattr(module, "mode_svd", counting)
     cfg = ExperimentConfig.from_dict(
         {
@@ -492,9 +491,9 @@ def test_run_experiment_decomposes_each_mode_once(monkeypatch):
     assert "quasi_opt" in cfg.checks
     result = run_experiment(cfg, edge_cases=True)
     assert result.passed
-    # one decomposition per mode, plus the zero-input edge check on a
-    # 3-node grid
-    assert calls == [(33, 33), (33, 33), (3, 3)]
+    # one decomposition in 2D (mode 1 is its adjoint), plus the
+    # zero-input edge check on a 3-node grid
+    assert calls == [(33, 33), (3, 3)]
 
 
 def test_run_experiment_differentiates_each_projection_once(monkeypatch):

@@ -107,3 +107,36 @@ def test_fd2_stencil_lives_in_discretization_only():
         if pat.search(path.read_text("utf-8"))
     ]
     assert found == []
+
+
+def _loops_mode_svd_over_modes(tree: ast.AST) -> bool:
+    """Whether a comprehension over ``range(...)`` calls ``mode_svd``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)):
+            continue
+        over_range = any(
+            isinstance(g.iter, ast.Call) and getattr(g.iter.func, "id", None) == "range"
+            for g in node.generators
+        )
+        calls = any(
+            isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == "mode_svd"
+            for n in ast.walk(node)
+        )
+        if over_range and calls:
+            return True
+    return False
+
+
+def test_every_mode_is_decomposed_in_svd_engine_only():
+    # mode_svds is the one place that decomposes each mode of a function
+    # (in 2D it reads mode 1 off mode 0); a loop of mode_svd over the
+    # modes anywhere else would decompose a 2D function twice
+    assert _loops_mode_svd_over_modes(ast.parse("tuple(mode_svd(u, j) for j in range(u.ndim))"))
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "svd_engine.py"
+        and _loops_mode_svd_over_modes(ast.parse(path.read_text("utf-8")))
+    ]
+    assert found == []

@@ -182,6 +182,49 @@ def test_mode_svd_3d_column_weights():
     np.testing.assert_array_equal(s.col_weights, expected)
 
 
+def _skewed_2d():
+    """A non-symmetric function on a non-square grid with unequal intervals."""
+    axes = (sv.make_axis(97, 0.0, 1.0), sv.make_axis(61, -1.0, 2.0))
+    return sv.sample(lambda x, y: np.exp(x * y) + np.sin(3.0 * x + y * y), axes)
+
+
+def test_mode_svds_2d_mode_one_is_the_adjoint():
+    from sobosvd.tensor_core import matricize
+
+    u = _skewed_2d()
+    s0, s1 = sv.mode_svds(u)
+    first = sv.mode_svd(u, 0)
+    for a, b in zip(
+        (s0.sigmas, s0.left_vectors, s0.right_vectors),
+        (first.sigmas, first.left_vectors, first.right_vectors),
+    ):
+        assert np.array_equal(a, b)
+
+    s1.validate(matricize(u.values, 1))
+    assert s1.mode == 1 and s1.axes == u.axes
+    assert s1.left_vectors.shape == (61, 61) and s1.right_vectors.shape == (97, 61)
+    np.testing.assert_array_equal(s1.row_weights, u.axes[1].quad_weights)
+    np.testing.assert_array_equal(s1.col_weights, u.axes[0].quad_weights)
+    # the sign convention: each left vector's largest-magnitude entry,
+    # lowest index on ties, is positive
+    pick = np.argmax(np.abs(s1.left_vectors), axis=0)
+    assert np.all(s1.left_vectors[pick, np.arange(s1.k_max)] > 0)
+    for a in (s1.sigmas, s1.left_vectors, s1.right_vectors):
+        assert not a.flags.writeable
+
+    direct = sv.mode_svd(u, 1)
+    assert np.max(np.abs(s1.sigmas - direct.sigmas)) <= 1e-14 * direct.sigmas[0]
+
+
+def test_mode_svds_3d_is_mode_svd_per_mode():
+    u = sv.sample_case(sv.get_case("SEP3D"), (9, 11, 13))
+    for j, system in enumerate(sv.mode_svds(u)):
+        direct = sv.mode_svd(u, j)
+        assert system.mode == j
+        for name in ("sigmas", "left_vectors", "right_vectors", "row_weights", "col_weights"):
+            assert np.array_equal(getattr(system, name), getattr(direct, name)), (j, name)
+
+
 def test_hosvd_core_and_reconstruction():
     u = sv.sample_case(sv.get_case("SUM3D"), (17, 17, 17))
     systems = tuple(sv.mode_svd(u, j) for j in range(3))

@@ -336,15 +336,16 @@ def _random_cube(seed=7, n=12):
 
 
 def test_hooi_given_systems_is_bit_identical(catalog):
+    # given the decompositions hooi would compute itself (mode_svds, which
+    # in 2D reads mode 1 off mode 0), the refinement is bit-identical
     cases = [
-        (catalog["EXPXY"][0], catalog["EXPXY"][1], (3, 3)),
-        (catalog["SUM3D"][0], catalog["SUM3D"][1], (2, 1, 2)),
+        (catalog["EXPXY"][0], (3, 3)),
+        (catalog["SUM3D"][0], (2, 1, 2)),
+        (_random_cube(), (2, 3, 2)),
     ]
-    u = _random_cube()
-    cases.append((u, tuple(sv.mode_svd(u, j) for j in range(3)), (2, 3, 2)))
-    for u, systems, rv in cases:
+    for u, rv in cases:
         fresh = sv.hooi(u, rv)
-        given = sv.hooi(u, rv, systems=systems)
+        given = sv.hooi(u, rv, systems=sv.mode_svds(u))
         assert len(fresh.factors) == len(given.factors)
         for a, b in zip(fresh.factors, given.factors):
             assert np.array_equal(a, b)
@@ -352,17 +353,23 @@ def test_hooi_given_systems_is_bit_identical(catalog):
         assert fresh.error_history == given.error_history
 
 
-def test_sandwich_hooi_reference_reuses_systems(catalog, monkeypatch):
-    import sobosvd.truncation as truncation
+def _count_mode_svds(monkeypatch) -> list:
+    """Record the mode of every ``mode_svd`` the package makes from now on."""
+    import sobosvd.svd_engine as svd_engine
 
     calls = []
-    real = truncation.mode_svd
+    real = svd_engine.mode_svd
 
     def counting(u, mode):
         calls.append(mode)
         return real(u, mode)
 
-    monkeypatch.setattr(truncation, "mode_svd", counting)
+    monkeypatch.setattr(svd_engine, "mode_svd", counting)
+    return calls
+
+
+def test_sandwich_hooi_reference_reuses_systems(catalog, monkeypatch):
+    calls = _count_mode_svds(monkeypatch)
     for name, rv in (("BROWNIAN", (3, 3)), ("SUM3D", (2, 2, 2))):
         u, systems, derivs = catalog[name]
         rep = sv.h1_sandwich(
@@ -370,6 +377,27 @@ def test_sandwich_hooi_reference_reuses_systems(catalog, monkeypatch):
         )
         assert rep.quasi_opt_reference is not None
     assert calls == []
+
+
+def test_hooi_decomposes_once_in_2d(catalog, monkeypatch):
+    # without systems= the starting bases come from mode_svds: one SVD
+    # in 2D, mode 1 being the adjoint of mode 0
+    calls = _count_mode_svds(monkeypatch)
+    u = catalog["BROWNIAN"][0]
+    sv.hooi(u, (3, 3))
+    assert calls == [0]
+
+
+def test_sandwich_quasi_ref_is_the_refined_error(catalog):
+    # the reference is read off hooi's error history; it is the error of
+    # the projection hooi returns, bit for bit
+    for name, rv in (("EXPXY", (3, 2)), ("SUM3D", (2, 1, 2))):
+        u, systems, derivs = catalog[name]
+        rep = sv.h1_sandwich(
+            u, rv, systems=systems, derivs=derivs, hooi_reference=True
+        )
+        refined = sv.hooi(u, rv, systems=systems)
+        assert rep.quasi_opt_reference == u.ndim * sv.norm_l2(u - refined.projected) ** 2
 
 
 def test_hooi_stop_rule_is_scale_invariant():
