@@ -177,6 +177,15 @@ def _weighted_sum(values: np.ndarray, axes: Sequence[Axis]) -> float:
     return float(t)
 
 
+def _sq_l2(values: np.ndarray, axes: Sequence[Axis], out: np.ndarray | None = None) -> float:
+    """Squared quadrature-weighted L2 norm of a grid array.
+
+    The sum ``inner_l2`` takes of a function with itself; ``out``, if
+    given, receives the squares.
+    """
+    return _weighted_sum(np.multiply(values, values, out=out), axes)
+
+
 def inner_l2(f: GridFunction, g: GridFunction) -> float:
     """Quadrature-weighted L2 inner product of two grid functions."""
     require_same_axes(f, g)

@@ -45,7 +45,7 @@ import numpy as np
 from .discretization import (
     GridFunction,
     _fd2,
-    _weighted_sum,
+    _sq_l2,
     check_mode,
     inner_l2,
     partial_derivative,
@@ -65,7 +65,7 @@ def _root_sum(terms) -> float:
 
 def norm_l2(f: GridFunction) -> float:
     """Quadrature-weighted L2 norm."""
-    return _root_sum((inner_l2(f, f),))
+    return _root_sum((_sq_l2(f.values, f.axes),))
 
 
 def norm_ek(f: GridFunction, mode: int) -> float:
@@ -102,15 +102,13 @@ def split_sq(
     resid = u.values - projected
     deriv = np.empty_like(resid)
     square = np.empty_like(resid)
+    axes = u.axes
 
-    def weighted_sq(v) -> float:
-        return _weighted_sum(np.multiply(v, v, out=square), u.axes)
-
-    kept, tail = [weighted_sq(projected)], [weighted_sq(resid)]
+    kept, tail = [_sq_l2(projected, axes, square)], [_sq_l2(resid, axes, square)]
     for j, du_j in du.items():
-        _fd2(resid, u.axes[j].spacing, j, deriv)
-        tail.append(weighted_sq(deriv))
-        kept.append(weighted_sq(np.subtract(du_j, deriv, out=deriv)))
+        _fd2(resid, axes[j].spacing, j, deriv)
+        tail.append(_sq_l2(deriv, axes, square))
+        kept.append(_sq_l2(np.subtract(du_j, deriv, out=deriv), axes, square))
     return tuple(kept), tuple(tail)
 
 

@@ -15,7 +15,9 @@ combined into a single column-weight vector.
 unfolding is the transpose of the mode-0 one, with the row and column
 weights exchanged: it is the adjoint of the same operator, which has
 the same singular values with the left and right vectors swapped. So
-mode 1 is read off mode 0, and one SVD serves both.
+mode 1 is read off mode 0, and one SVD serves both; where mode 0's
+triplets were refined, the swapped ones are refined again in mode 1's
+own orientation.
 """
 from __future__ import annotations
 
@@ -50,6 +52,13 @@ def _count_retained(s: np.ndarray, retain_rel: float = RETAIN_REL) -> int:
     return int(np.count_nonzero((s / s[0]) ** 2 > retain_rel))
 
 
+def _refines(s: np.ndarray) -> bool:
+    """Whether ``_refine_small_triplets`` polishes a spectrum: at most 64
+    retained sigmas, the smallest of them below 1e-3 times sigma_1."""
+    retained = _count_retained(s)
+    return 0 < retained <= _REFINE_MAX_COLS and s[retained - 1] < _REFINE_TRIGGER * s[0]
+
+
 def _refine_small_triplets(scaled, u, s, v):
     """Tighten triplet consistency for deeply decaying spectra.
 
@@ -65,13 +74,14 @@ def _refine_small_triplets(scaled, u, s, v):
     cluster, but the returned partner and singular value are rebuilt
     from that same vector, and only their mutual consistency matters.
     """
-    retained = _count_retained(s)
-    if retained == 0 or retained > _REFINE_MAX_COLS:
-        return u, s, v
-    if s[retained - 1] >= _REFINE_TRIGGER * s[0]:
+    if not _refines(s):
         return u, s, v
 
+    retained = _count_retained(s)
     big = scaled.astype(np.longdouble)
+    # np.dot sums each product in the order matmul does (the same bits)
+    # in numpy's faster long-double loop; big_t lets it read big.T by rows
+    big_t = np.ascontiguousarray(big.T)
     left = u[:, :retained].astype(np.longdouble)
     right = v[:, :retained].astype(np.longdouble)
     sig = s.copy()
@@ -85,7 +95,7 @@ def _refine_small_triplets(scaled, u, s, v):
             if norm == 0.0:
                 degenerate = True
                 break
-            vec = big.T @ (big @ (vec / norm))
+            vec = np.dot(big_t, np.dot(big, vec / norm))
         if degenerate:
             continue
         if k:
@@ -94,7 +104,7 @@ def _refine_small_triplets(scaled, u, s, v):
         if norm == 0.0:
             continue
         vec /= norm
-        image = big @ vec
+        image = np.dot(big, vec)
         sigma = np.sqrt(image @ image)
         if sigma == 0.0:
             continue
@@ -149,7 +159,8 @@ class SingularSystem:
 
     The system of the adjoint (the transposed matrix, weights exchanged)
     has the same sigmas with left and right vectors swapped; this is how
-    ``mode_svds`` builds mode 1 of a bivariate function from mode 0.
+    ``mode_svds`` builds mode 1 of a bivariate function from mode 0
+    (refining the swapped triplets again where mode 0's were refined).
     """
 
     sigmas: np.ndarray
@@ -207,6 +218,22 @@ def _fix_signs(vectors: np.ndarray, partners: np.ndarray | None = None) -> None:
         partners[:, flip] *= -1.0
 
 
+def _system(left, sigmas, right, row_weights, col_weights, mode, axes) -> SingularSystem:
+    """Unscaled triplets as a read-only ``SingularSystem``, signs fixed."""
+    _fix_signs(left, right)
+    for a in (sigmas, left, right):
+        a.flags.writeable = False
+    return SingularSystem(
+        sigmas=sigmas,
+        left_vectors=left,
+        right_vectors=right,
+        row_weights=row_weights.copy(),
+        col_weights=col_weights.copy(),
+        mode=mode,
+        axes=axes,
+    )
+
+
 def weighted_svd(
     matrix: np.ndarray,
     row_weights: np.ndarray,
@@ -240,25 +267,8 @@ def weighted_svd(
     sc = np.sqrt(wc)
     scaled = m * sr[:, None] * sc[None, :]
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    v = vt.T
-    if s.size and s[0] > 0.0:
-        u, s, v = _refine_small_triplets(scaled, u, s, v)
-    left = u / sr[:, None]
-    right = v / sc[:, None]
-
-    _fix_signs(left, right)
-
-    for a in (s, left, right):
-        a.flags.writeable = False
-    return SingularSystem(
-        sigmas=s,
-        left_vectors=left,
-        right_vectors=right,
-        row_weights=wr.copy(),
-        col_weights=wc.copy(),
-        mode=mode,
-        axes=axes,
-    )
+    u, s, v = _refine_small_triplets(scaled, u, s, vt.T)
+    return _system(u / sr[:, None], s, v / sc[:, None], wr, wc, mode, axes)
 
 
 def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
@@ -276,30 +286,40 @@ def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
 
 
 def mode_svds(u: GridFunction) -> tuple[SingularSystem, ...]:
-    """The ``mode_svd`` of every mode of ``u``, modes 0, ..., d-1 in order.
+    """The weighted SVD of every mode of ``u``, modes 0, ..., d-1 in order.
 
-    With two axes, mode 1 is the adjoint of mode 0: the same sigmas, the
-    left and right vectors swapped (copied, then signs fixed by the one
-    convention) and the weights exchanged. Only mode 0 is decomposed.
+    Each is the ``mode_svd`` of its mode, except that with two axes only
+    mode 0 is decomposed and mode 1 is its adjoint (see ``_adjoint``).
     """
     if u.ndim != 2:
         return tuple(mode_svd(u, j) for j in range(u.ndim))
     first = mode_svd(u, 0)
-    left = first.right_vectors.copy()
-    right = first.left_vectors.copy()
-    _fix_signs(left, right)
-    for a in (left, right):
-        a.flags.writeable = False
-    adjoint = SingularSystem(
-        sigmas=first.sigmas,
-        left_vectors=left,
-        right_vectors=right,
-        row_weights=first.col_weights.copy(),
-        col_weights=first.row_weights.copy(),
-        mode=1,
-        axes=first.axes,
-    )
-    return first, adjoint
+    return first, _adjoint(first, u)
+
+
+def _adjoint(system: SingularSystem, u: GridFunction) -> SingularSystem:
+    """The mode-1 system of a bivariate ``u`` from its mode-0 ``system``.
+
+    The same sigmas, the left and right vectors swapped (copied, then
+    signs fixed by the one convention) and the weights exchanged. Where
+    ``weighted_svd`` refined mode 0, it polished the right vectors and
+    took the left ones as their images; ``derivative_data`` divides by
+    sigma_k through the right vectors of mode 1, which are those images,
+    so the swapped triplets are refined again in mode 1's orientation,
+    with no second SVD.
+    """
+    wr, wc = system.col_weights, system.row_weights
+    left = system.right_vectors.copy()
+    right = system.left_vectors.copy()
+    sigmas = system.sigmas
+    if _refines(sigmas):
+        sr, sc = np.sqrt(wr), np.sqrt(wc)
+        scaled = matricize(u.values, 1) * sr[:, None] * sc[None, :]
+        left, sigmas, right = _refine_small_triplets(
+            scaled, left * sr[:, None], sigmas, right * sc[:, None]
+        )
+        left, right = left / sr[:, None], right / sc[:, None]
+    return _system(left, sigmas, right, wr, wc, 1, system.axes)
 
 
 def numerical_rank(system: SingularSystem) -> int:

@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretization import GridFunction, _weighted_sum, inner_l2
+from .discretization import GridFunction, _sq_l2, inner_l2
 from .errors import InsufficientRankError, ModeError, SobosvdError
-from .sobolev import DerivativeData, _root_sum, derivative_data, split_sq
+from .sobolev import DerivativeData, _root_sum, derivative_data, norm_l2, split_sq
 from .svd_engine import SingularSystem, _fix_signs, mode_svds
 from .tensor_core import check_mode, matricize, mode_product
 
@@ -200,12 +200,16 @@ def hooi(
     entire sweep improves the L2 error by at most 1e-12 times the L2 norm
     of ``u`` (a rule that does not depend on the scale of ``u``; an
     all-zero input stops after one sweep), or at max_iters sweeps.
-    Returns the best subspaces seen, with the error history.
+    Returns the best subspaces seen, the projection onto them and the
+    error history. The projection is built from the very bases whose
+    error the history records, so its error is the least of the history
+    bit for bit.
 
-    ``systems`` takes the ``mode_svd`` of every mode of ``u``, as
+    ``systems`` takes the systems of every mode of ``u``, as
     ``hosvd_project`` and ``h1_sandwich`` do; the starting bases are
     read from it instead of decomposing each mode again. Without it the
-    decompositions are computed here by ``mode_svds``.
+    decompositions are computed here by ``mode_svds``, so given its
+    result the refinement is bit-identical.
     """
     if max_iters < 1:
         raise SobosvdError(f"max_iters must be >= 1, got {max_iters}")
@@ -214,17 +218,13 @@ def hooi(
     factors = _leading_bases(systems, rv)
     analyses = {j: _analysis_map(u, q, j) for j, q in factors.items()}
 
-    def l2(values) -> float:  # norm_l2's sum, on a raw array
-        return _root_sum((_weighted_sum(values * values, u.axes),))
+    def current_error() -> float:
+        return _root_sum((_sq_l2(u.values - _apply_projection(u, factors), u.axes),))
 
-    def current_error(fs) -> float:
-        return l2(u.values - _apply_projection(u, fs))
-
-    u_norm = l2(u.values)
-    err = current_error(factors)
-    history = [err]
-    best_err = err
-    best = {j: q.copy() for j, q in factors.items()}
+    u_norm = norm_l2(u)
+    best_err = current_error()
+    history = [best_err]
+    best = dict(factors)  # the update replaces bases and never writes into one
 
     for _ in range(max_iters):
         for j in range(d):
@@ -241,12 +241,11 @@ def hooi(
             _fix_signs(new)
             factors[j] = new
             analyses[j] = _analysis_map(u, new, j)
-        err = current_error(factors)
+        err = current_error()
         improvement = history[-1] - err
         history.append(err)
         if err < best_err:
-            best_err = err
-            best = {j: q.copy() for j, q in factors.items()}
+            best_err, best = err, dict(factors)
         if improvement <= _HOOI_TOL * u_norm:
             break
 
@@ -388,8 +387,8 @@ def h1_sandwich(
     ``ErrorReport`` describes and the per-mode norm-ratio constants.
     ``hooi_reference`` additionally runs the alternating refinement and
     reports d times its squared L2 error as the quasi-optimality
-    reference; that error is the least of its history, which ``hooi``
-    measured on the very projection it returns.
+    reference: the least error of its history, which ``hooi`` measured
+    on the very projection it returns.
 
     Precomputed ``systems``/``derivs`` (one per mode, modes 0..d-1 in
     order, else ModeError) avoid repeated decompositions across a rank

@@ -23,7 +23,7 @@ def catalog():
     out = {}
     for name, shape in _GRIDS.items():
         u = sv.sample_case(sv.get_case(name), shape)
-        systems = tuple(sv.mode_svd(u, j) for j in range(u.values.ndim))
+        systems = sv.mode_svds(u)
         derivs = tuple(sv.derivative_data(u, s) for s in systems)
         out[name] = (u, systems, derivs)
     return out
@@ -33,7 +33,7 @@ def catalog():
 def expxy_fine():
     """EXPXY on the acceptance grid; the expensive decomposition, built once."""
     u = sv.sample_case(sv.get_case("EXPXY"), (257, 257))
-    systems = tuple(sv.mode_svd(u, j) for j in range(2))
+    systems = sv.mode_svds(u)
     derivs = tuple(sv.derivative_data(u, s) for s in systems)
     return u, systems, derivs
 
