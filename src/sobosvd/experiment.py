@@ -344,11 +344,22 @@ class _Run:
     def single_mode(self) -> dict:
         """(j, r) -> |u - P u|^2, |P u|_ej^2 and |u - P u|_ej^2, with P the
         projection of mode j onto its first r left vectors (r clamped to
-        k_max); built on first use, one projection per pair the ranks name,
-        measured by ``split_sq`` in direction j only (one derivative, of
-        the residual, per pair).
+        k_max); built on first use, one entry per pair the ranks name.
+
+        In 2D the Tucker projection at (r_0, r_1) is the single-mode
+        projection of either mode at m = min(r_0, r_1, k_max), so the
+        pairs (0, m) and (1, m) are read off that rank vector's report.
+        Every other pair (from unequal ranks, or any pair when d >= 3) is
+        projected here and measured by ``split_sq`` in direction j only
+        (one derivative, of the residual, per pair).
         """
         out = {}
+        if self.u.ndim == 2:
+            for rv, rep in zip(self.rvs, self.reports):
+                m = min(*rv, self.systems[0].k_max)
+                for j in range(2):
+                    triple = (rep.residual_l2**2, rep.approx_ek_sq[j], rep.residual_ek[j] ** 2)
+                    out.setdefault((j, m), triple)
         for rv in self.rvs:
             for j, system in enumerate(self.systems):
                 key = (j, min(rv[j], system.k_max))

@@ -288,6 +288,10 @@ class ErrorReport:
     ``norm_lower`` is |u|_0^2 minus the per-mode L2 tail sum, floored at
     zero: for the orthogonal projection P, |P u|_1^2 >= |P u|_0^2 =
     |u|_0^2 - |u - P u|_0^2, at every rank vector.
+
+    ``approx_ek_sq`` holds the measured |P u|_{e_j}^2 per direction j,
+    the kept counterpart of ``residual_ek``. In 2D, where P is the
+    rank-min(r_0, r_1) truncation, the single-mode checks read them.
     """
 
     rank_vector: tuple[int, ...]
@@ -295,6 +299,7 @@ class ErrorReport:
     residual_h1: float
     residual_ek: tuple[float, ...]
     approx_h1_sq: float
+    approx_ek_sq: tuple[float, ...]
     h1_norm_sq_series: float | None
     h1_error_sq_series: float | None
     ek_norm_sq_series: tuple[float, ...]
@@ -339,6 +344,7 @@ class ErrorReport:
                 "h1": self.residual_h1,
                 "ek": list(self.residual_ek),
                 "approx_h1_sq": self.approx_h1_sq,
+                "approx_ek_sq": list(self.approx_ek_sq),
             },
             "series": {
                 "h1_norm_sq": self.h1_norm_sq_series,
@@ -379,10 +385,11 @@ def h1_sandwich(
 ) -> ErrorReport:
     """Measure a rank-vector truncation and evaluate all its bounds.
 
-    Builds the truncation and measures its Sobolev norm and the norms of
-    its residual on the grid with one ``split_sq``: the residual is
-    differentiated once per direction, and the derivatives of the
-    truncation follow from the D_j u that ``derivs`` hold. Then
+    Builds the truncation and measures its Sobolev norms (in full and per
+    direction) and the norms of its residual on the grid with one
+    ``split_sq``: the residual is differentiated once per direction,
+    and the derivatives of the truncation follow from the D_j u that
+    ``derivs`` hold. Then
     evaluates the spectral series, the two-sided Sobolev estimates that
     ``ErrorReport`` describes and the per-mode norm-ratio constants.
     ``hooi_reference`` additionally runs the alternating refinement and
@@ -440,6 +447,7 @@ def h1_sandwich(
         residual_h1=_root_sum(resid_sq),
         residual_ek=tuple(_root_sum((resid_sq[0], dsq)) for dsq in resid_sq[1:]),
         approx_h1_sq=approx_h1_sq,
+        approx_ek_sq=tuple(_root_sum((approx_sq[0], dsq)) ** 2 for dsq in approx_sq[1:]),
         h1_norm_sq_series=h1_series.norm_sq,
         h1_error_sq_series=h1_series.error_sq,
         ek_norm_sq_series=kept_w,

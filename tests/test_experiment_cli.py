@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import shutil
@@ -496,7 +497,8 @@ def test_run_experiment_decomposes_each_mode_once(monkeypatch):
     assert calls == [(33, 33), (3, 3)]
 
 
-def test_run_experiment_differentiates_each_projection_once(monkeypatch):
+def _stencil_calls(monkeypatch, case, n, top):
+    """Stencil applications of a passing run over the ranks 1..top."""
     import sobosvd.discretization as discretization
     import sobosvd.sobolev as sobolev
 
@@ -511,18 +513,104 @@ def test_run_experiment_differentiates_each_projection_once(monkeypatch):
         monkeypatch.setattr(module, "_fd2", counting)
     cfg = ExperimentConfig.from_dict(
         {
+            "function": {"case": case},
+            "grid": {"n": n},
+            "ranks": {"sweep": {"from": 1, "to": top}},
+        }
+    )
+    assert run_experiment(cfg, edge_cases=True).passed
+    return len(calls)
+
+
+def test_run_experiment_differentiates_each_projection_once(monkeypatch):
+    # per mode: u, in the derivative transfer; per rank vector and mode:
+    # the Tucker residual (the derivatives of the projection follow from
+    # those of u). The single-mode checks read the Tucker reports.
+    d, n_ranks = 2, 4
+    assert _stencil_calls(monkeypatch, "BROWNIAN", [33, 33], n_ranks) <= d + d * n_ranks
+
+
+def test_run_experiment_3d_differentiates_each_projection_once(monkeypatch):
+    # in 3D each single-mode residual is differentiated too, in its own
+    # direction only
+    d, n_ranks = 3, 2
+    assert _stencil_calls(monkeypatch, "SUM3D", [9, 9, 9], n_ranks) <= d + 2 * d * n_ranks
+
+
+def test_single_mode_2d_reads_the_tucker_reports():
+    # in 2D the run's single-mode entries (0, m) and (1, m), with
+    # m = min(r_0, r_1, k_max), are read off the Tucker report at
+    # (r_0, r_1); each must equal a fresh single-mode measurement. The
+    # catalog cases are symmetric, so a 33x21 grid tells the modes apart.
+    import sobosvd.experiment as experiment
+    from sobosvd.sobolev import _root_sum, split_sq
+    from sobosvd.truncation import _apply_projection, _leading_bases
+
+    grids = [("BROWNIAN", (33, 33)), ("EXPXY", (33, 33)), ("SINSUM", (33, 33))]
+    for name, shape in [*grids, ("EXPXY", (33, 21))]:
+        u = sv.sample_case(sv.get_case(name), shape)
+        systems = sv.mode_svds(u)
+        derivs = tuple(sv.derivative_data(u, s) for s in systems)
+        sq = (sv.norm_l2(u) ** 2, *(dv.du_sq for dv in derivs))
+        for rv in itertools.product(range(6), repeat=2):
+            rep = sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
+            cached = experiment._Run(u, systems, derivs, (rv,), [rep], sq).single_mode
+            m = min(*rv, systems[0].k_max)
+            for j, system in enumerate(systems):
+                proj = _apply_projection(u, _leading_bases((system,), (m,)))
+                kept, tail = split_sq(u, {j: derivs[j].du}, proj)
+                fresh = [_root_sum(t) ** 2 for t in (tail[:1], kept, tail)]
+                scales = (sq[0], sq[0] + sq[1 + j], sq[0] + sq[1 + j])
+                for got, want, scale in zip(cached[j, m], fresh, scales):
+                    assert abs(got - want) <= 1e-13 * scale, (name, shape, rv, j)
+
+
+def _counting_single_mode_builds(monkeypatch):
+    """Record the mode -> rank of every projection ``experiment`` builds."""
+    import sobosvd.experiment as experiment
+
+    builds = []
+    real = experiment._apply_projection
+
+    def counting(u, bases):
+        builds.append({j: q.shape[1] for j, q in bases.items()})
+        return real(u, bases)
+
+    monkeypatch.setattr(experiment, "_apply_projection", counting)
+    return builds
+
+
+def test_single_mode_builds_only_what_no_report_covers(monkeypatch):
+    builds = _counting_single_mode_builds(monkeypatch)
+    cfg = ExperimentConfig.from_dict(
+        {
+            "function": {"case": "BROWNIAN"},
+            "grid": {"n": [33, 33]},
+            "ranks": {"explicit": [[1, 2], [3, 1], [2, 2], [4, 4]]},
+        }
+    )
+    result = run_experiment(cfg, edge_cases=True)
+    statuses = {c["name"]: c["status"] for c in result.report["checks"]}
+    # sandwich fails on the unequal vectors through the residual_h1
+    # upper bracket (ROADMAP item 7), which no single-mode entry enters
+    assert statuses.pop("sandwich") == "fail"
+    assert set(statuses.values()) == {"pass"}, statuses
+    # the reports cover (0, m) and (1, m) for m = 1, 2, 4; the rank
+    # vector (3, 1) names (0, 3), which no report covers
+    assert builds == [{0: 3}]
+
+
+def test_single_mode_equal_rank_sweep_builds_nothing(monkeypatch):
+    builds = _counting_single_mode_builds(monkeypatch)
+    cfg = ExperimentConfig.from_dict(
+        {
             "function": {"case": "BROWNIAN"},
             "grid": {"n": [33, 33]},
             "ranks": {"sweep": {"from": 1, "to": 4}},
         }
     )
-    result = run_experiment(cfg, edge_cases=True)
-    assert result.passed
-    # per mode: u, in the derivative transfer; per rank vector and mode:
-    # the Tucker residual and the single-mode residual (the derivatives
-    # of both projections follow from those of u)
-    d, n_ranks = 2, 4
-    assert len(calls) <= d + 2 * d * n_ranks
+    assert run_experiment(cfg).passed
+    assert builds == []
 
 
 @pytest.mark.parametrize(

@@ -315,8 +315,23 @@ def test_report_to_dict_round_trips_checks(catalog):
         "checks",
     }
     assert d["rank_vector"] == [1, 1]
+    assert len(d["measured"]["approx_ek_sq"]) == 2
     for name, c in rep.bound_checks().items():
         assert d["checks"][name]["holds"] == c.holds
+
+
+def test_sandwich_approx_ek_sq_is_the_ek_series(catalog):
+    # in 2D at equal ranks the Tucker projection is the single-mode one,
+    # whose one-direction norm the kept series gives (ek_identity's tolerance)
+    for name in ("SEP1", "SINSUM", "BROWNIAN", "EXPXY"):
+        u, systems, derivs = catalog[name]
+        u_sq = sv.norm_l2(u) ** 2
+        for r in range(4):
+            rep = sv.h1_sandwich(u, (r, r), systems=systems, derivs=derivs)
+            for j in range(2):
+                scale = u_sq + derivs[j].du_sq
+                gap = abs(rep.approx_ek_sq[j] - rep.ek_norm_sq_series[j])
+                assert gap <= 1e-9 * scale, (name, r, j)
 
 
 def test_sandwich_bernstein_uses_effective_rank(catalog):
