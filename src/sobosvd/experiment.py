@@ -23,18 +23,12 @@ import numpy as np
 
 from .cases import _grid_sizes, get_case, sample_case
 from .diagnostics import h1_convergence_flag, rate_fit
-from .discretization import GridFunction, inner_l2, make_axis
+from .discretization import GridFunction, _fd2, inner_l2, make_axis
 from .errors import ConfigError, DegenerateDataError, ModeError, SampleFileError
-from .sobolev import _root_sum, derivative_data, norm_l2, retained_count, split_sq
+from .sobolev import _root_sum, derivative_data, norm_l2, retained_count
 from .svd_engine import mode_svd, mode_svds, numerical_rank
-from .truncation import (
-    _apply_projection,
-    _check_rank_vector,
-    _leading_bases,
-    h1_sandwich,
-    hosvd_project,
-    series_split,
-)
+from .tensor_core import matricize
+from .truncation import _analysis_map, _check_rank_vector, h1_sandwich, hosvd_project, series_split
 
 CHECK_NAMES = (
     "eckart_young",
@@ -346,27 +340,33 @@ class _Run:
         projection of mode j onto its first r left vectors (r clamped to
         k_max); built on first use, one entry per pair the ranks name.
 
-        In 2D the Tucker projection at (r_0, r_1) is the single-mode
-        projection of either mode at m = min(r_0, r_1, k_max), so the
-        pairs (0, m) and (1, m) are read off that rank vector's report.
-        Every other pair (from unequal ranks, or any pair when d >= 3) is
-        projected here and measured by ``split_sq`` in direction j only
-        (one derivative, of the residual, per pair).
+        Measured in coefficient space, one pass per mode, with M the
+        mode-j unfolding. Q holds the first R left vectors (R the largest
+        rank named), DQ = D_j Q, C = Q^T W_j M(u), E = DQ^T W_j M(D_j u),
+        G = DQ^T W_j DQ and H = C W_c C^T. Summed over k, l < r they give
+        |P u|^2 = sum H_kk, |D_j P u|^2 = sum G_kl H_kl and <D_j u, D_j P u>
+        = sum (E W_c C^T)_kk. The residual terms are |u|^2 - |P u|^2 and
+        |D_j u|^2 - 2 <D_j u, D_j P u> + |D_j P u|^2, from ``sq``: the
+        subtraction costs about eps |u|^2, which the checks divide out.
+        No sigma or transferred derivative enters, so the checks still
+        compare two independent computations.
         """
-        out = {}
-        if self.u.ndim == 2:
-            for rv, rep in zip(self.rvs, self.reports):
-                m = min(*rv, self.systems[0].k_max)
-                for j in range(2):
-                    triple = (rep.residual_l2**2, rep.approx_ek_sq[j], rep.residual_ek[j] ** 2)
-                    out.setdefault((j, m), triple)
-        for rv in self.rvs:
-            for j, system in enumerate(self.systems):
-                key = (j, min(rv[j], system.k_max))
-                if key not in out:
-                    proj = _apply_projection(self.u, _leading_bases((system,), (key[1],)))
-                    kept, tail = split_sq(self.u, {j: self.derivs[j].du}, proj)
-                    out[key] = tuple(_root_sum(t) ** 2 for t in (tail[:1], kept, tail))
+        u, out = self.u, {}
+        for j, (system, deriv) in enumerate(zip(self.systems, self.derivs)):
+            ranks = sorted({min(rv[j], system.k_max) for rv in self.rvs})
+            q = system.left_vectors[:, : ranks[-1]]
+            dq = _fd2(q, u.axes[j].spacing, 0, np.empty_like(q))
+            a, b = _analysis_map(u, q, j), _analysis_map(u, dq, j)
+            c = a @ matricize(u.values, j)
+            cw = c * system.col_weights
+            h, g, e = cw @ c.T, b @ dq, b @ matricize(deriv.du, j)
+            kept = np.cumsum(np.r_[0.0, np.diag(h)])
+            dkept = np.r_[0.0, np.diag(np.cumsum(np.cumsum(g * h, 0), 1))]
+            cross = np.cumsum(np.r_[0.0, np.einsum("kc,kc->k", e, cw)])
+            u_sq, du_sq = self.sq[0], self.sq[1 + j]
+            for r in ranks:
+                tail = (u_sq - kept[r], du_sq - 2.0 * cross[r] + dkept[r])
+                out[j, r] = tuple(_root_sum(t) ** 2 for t in (tail[:1], (kept[r], dkept[r]), tail))
         return out
 
 

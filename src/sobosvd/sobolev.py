@@ -15,14 +15,14 @@ right in the order above.
 
 Measuring a projection
 ----------------------
-``split_sq`` is the one kernel that measures a projection Pu of u: it
-returns the squared terms above for Pu and for the residual u - Pu, in
+``split_sq`` is the one kernel that measures a projection Pu of u on
+the grid: it returns the squared terms above for Pu and for u - Pu, in
 the directions it is given D_j u for. It differentiates only the
 residual, into one buffer reused for every direction, and takes
-D_j(Pu) = D_j u - D_j(u - Pu), which holds exactly because the stencil
-is linear. D_j u comes from ``derivative_data``, which computes it
-anyway, so a run differentiates u once per direction and each
-projection once per direction measured.
+D_j(Pu) = D_j u - D_j(u - Pu), exact because the stencil is linear.
+D_j u comes from ``derivative_data``, so a run differentiates u and
+each Tucker projection once per direction; the single-mode checks
+differentiate n_j x R bases instead (``experiment._Run.single_mode``).
 
 Derivative transfer
 -------------------

@@ -290,8 +290,8 @@ class ErrorReport:
     |u|_0^2 - |u - P u|_0^2, at every rank vector.
 
     ``approx_ek_sq`` holds the measured |P u|_{e_j}^2 per direction j,
-    the kept counterpart of ``residual_ek``. In 2D, where P is the
-    rank-min(r_0, r_1) truncation, the single-mode checks read them.
+    the kept counterpart of ``residual_ek``. It is a reported value
+    only: no check reads it.
     """
 
     rank_vector: tuple[int, ...]

@@ -497,120 +497,168 @@ def test_run_experiment_decomposes_each_mode_once(monkeypatch):
     assert calls == [(33, 33), (3, 3)]
 
 
-def _stencil_calls(monkeypatch, case, n, top):
-    """Stencil applications of a passing run over the ranks 1..top."""
+def _config(case, n, ranks):
+    return ExperimentConfig.from_dict(
+        {"function": {"case": case}, "grid": {"n": n}, "ranks": ranks}
+    )
+
+
+def _stencil_calls(monkeypatch, config):
+    """Grid differentiations of a run of ``config`` with edge cases, and
+    the run's result. The stencil is patched in every ``sobosvd`` module
+    that binds it, and only calls on grid-shaped arrays count: a stencil
+    applied to an n x R basis differentiates no grid."""
     import sobosvd.discretization as discretization
-    import sobosvd.sobolev as sobolev
 
     calls = []
     real = discretization._fd2
+    shape = tuple(config.grid_sizes)
 
     def counting(values, h, axis, out):
-        calls.append(axis)
+        if values.shape == shape:
+            calls.append(axis)
         return real(values, h, axis, out)
 
-    for module in (discretization, sobolev):
-        monkeypatch.setattr(module, "_fd2", counting)
-    cfg = ExperimentConfig.from_dict(
-        {
-            "function": {"case": case},
-            "grid": {"n": n},
-            "ranks": {"sweep": {"from": 1, "to": top}},
-        }
-    )
-    assert run_experiment(cfg, edge_cases=True).passed
-    return len(calls)
+    for name, module in list(sys.modules.items()):
+        if name == "sobosvd" or name.startswith("sobosvd."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counting)
+    result = run_experiment(config, edge_cases=True)
+    # the derivative transfer differentiates u once per direction
+    assert len(calls) >= len(shape)
+    return len(calls), result
+
+
+# unequal explicit ranks: the rank vector (3, 1) names the single-mode
+# pair (0, 3), which no Tucker projection of the run equals
+_UNEQUAL_RANKS = {"explicit": [[1, 2], [3, 1], [2, 2], [4, 4]]}
 
 
 def test_run_experiment_differentiates_each_projection_once(monkeypatch):
     # per mode: u, in the derivative transfer; per rank vector and mode:
     # the Tucker residual (the derivatives of the projection follow from
-    # those of u). The single-mode checks read the Tucker reports.
+    # those of u). The single-mode checks differentiate bases, not grids.
     d, n_ranks = 2, 4
-    assert _stencil_calls(monkeypatch, "BROWNIAN", [33, 33], n_ranks) <= d + d * n_ranks
+    config = _config("BROWNIAN", [33, 33], {"sweep": {"from": 1, "to": n_ranks}})
+    calls, result = _stencil_calls(monkeypatch, config)
+    assert result.passed
+    assert calls <= d + d * n_ranks
+
+
+def test_run_experiment_unequal_ranks_differentiate_each_projection_once(monkeypatch):
+    d, n_ranks = 2, len(_UNEQUAL_RANKS["explicit"])
+    calls, _ = _stencil_calls(monkeypatch, _config("BROWNIAN", [33, 33], _UNEQUAL_RANKS))
+    assert calls <= d + d * n_ranks
 
 
 def test_run_experiment_3d_differentiates_each_projection_once(monkeypatch):
-    # in 3D each single-mode residual is differentiated too, in its own
-    # direction only
     d, n_ranks = 3, 2
-    assert _stencil_calls(monkeypatch, "SUM3D", [9, 9, 9], n_ranks) <= d + 2 * d * n_ranks
+    config = _config("SUM3D", [9, 9, 9], {"sweep": {"from": 1, "to": n_ranks}})
+    calls, result = _stencil_calls(monkeypatch, config)
+    assert result.passed
+    assert calls <= d + d * n_ranks
 
 
-def test_single_mode_2d_reads_the_tucker_reports():
-    # in 2D the run's single-mode entries (0, m) and (1, m), with
-    # m = min(r_0, r_1, k_max), are read off the Tucker report at
-    # (r_0, r_1); each must equal a fresh single-mode measurement. The
-    # catalog cases are symmetric, so a 33x21 grid tells the modes apart.
+def _recording_runs(monkeypatch):
+    """The ``_Run`` of every run made while the patch is in place."""
+    import sobosvd.experiment as experiment
+
+    runs = []
+
+    class Recording(experiment._Run):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+
+    monkeypatch.setattr(experiment, "_Run", Recording)
+    return runs
+
+
+def test_single_mode_matches_grid_projections():
+    # every entry, for each rank vector on its own and its report, equals
+    # a single-mode projection built on the grid and measured by split_sq
+    # in direction j; the keys are exactly the pairs the rank vector names. The
+    # catalog cases are symmetric, so 33x21 and 17x13x9 grids tell the
+    # modes apart.
     import sobosvd.experiment as experiment
     from sobosvd.sobolev import _root_sum, split_sq
     from sobosvd.truncation import _apply_projection, _leading_bases
 
-    grids = [("BROWNIAN", (33, 33)), ("EXPXY", (33, 33)), ("SINSUM", (33, 33))]
-    for name, shape in [*grids, ("EXPXY", (33, 21))]:
+    cases = [
+        ("BROWNIAN", (33, 33)),
+        ("EXPXY", (33, 33)),
+        ("SINSUM", (33, 33)),
+        ("EXPXY", (33, 21)),
+        ("SUM3D", (17, 17, 17)),
+        ("SEP3D", (17, 13, 9)),
+    ]
+    for name, shape in cases:
         u = sv.sample_case(sv.get_case(name), shape)
         systems = sv.mode_svds(u)
         derivs = tuple(sv.derivative_data(u, s) for s in systems)
         sq = (sv.norm_l2(u) ** 2, *(dv.du_sq for dv in derivs))
-        for rv in itertools.product(range(6), repeat=2):
-            rep = sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
-            cached = experiment._Run(u, systems, derivs, (rv,), [rep], sq).single_mode
-            m = min(*rv, systems[0].k_max)
-            for j, system in enumerate(systems):
-                proj = _apply_projection(u, _leading_bases((system,), (m,)))
+        fresh = {}
+        for j, system in enumerate(systems):
+            scales = (sq[0], sq[0] + sq[1 + j], sq[0] + sq[1 + j])
+            for r in range(min(6, system.k_max + 1)):
+                proj = _apply_projection(u, _leading_bases((system,), (r,)))
                 kept, tail = split_sq(u, {j: derivs[j].du}, proj)
-                fresh = [_root_sum(t) ** 2 for t in (tail[:1], kept, tail)]
-                scales = (sq[0], sq[0] + sq[1 + j], sq[0] + sq[1 + j])
-                for got, want, scale in zip(cached[j, m], fresh, scales):
-                    assert abs(got - want) <= 1e-13 * scale, (name, shape, rv, j)
+                values = [_root_sum(t) ** 2 for t in (tail[:1], kept, tail)]
+                fresh[j, r] = list(zip(values, scales))
+        for rv in itertools.product(range(6), repeat=len(shape)):
+            reports = [sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)]
+            cached = experiment._Run(u, systems, derivs, (rv,), reports, sq).single_mode
+            named = {(j, min(r, s.k_max)) for j, (r, s) in enumerate(zip(rv, systems))}
+            assert set(cached) == named, (name, shape, rv)
+            for key, got in cached.items():
+                for g, (want, scale) in zip(got, fresh[key]):
+                    assert abs(g - want) <= 1e-13 * scale, (name, shape, rv, key)
 
 
-def _counting_single_mode_builds(monkeypatch):
-    """Record the mode -> rank of every projection ``experiment`` builds."""
-    import sobosvd.experiment as experiment
-
-    builds = []
-    real = experiment._apply_projection
-
-    def counting(u, bases):
-        builds.append({j: q.shape[1] for j, q in bases.items()})
-        return real(u, bases)
-
-    monkeypatch.setattr(experiment, "_apply_projection", counting)
-    return builds
-
-
-def test_single_mode_builds_only_what_no_report_covers(monkeypatch):
-    builds = _counting_single_mode_builds(monkeypatch)
-    cfg = ExperimentConfig.from_dict(
-        {
-            "function": {"case": "BROWNIAN"},
-            "grid": {"n": [33, 33]},
-            "ranks": {"explicit": [[1, 2], [3, 1], [2, 2], [4, 4]]},
-        }
-    )
-    result = run_experiment(cfg, edge_cases=True)
+def test_single_mode_explicit_ranks(monkeypatch):
+    runs = _recording_runs(monkeypatch)
+    result = run_experiment(_config("BROWNIAN", [33, 33], _UNEQUAL_RANKS), edge_cases=True)
     statuses = {c["name"]: c["status"] for c in result.report["checks"]}
     # sandwich fails on the unequal vectors through the residual_h1
-    # upper bracket (ROADMAP item 7), which no single-mode entry enters
+    # upper bracket (ROADMAP item 3), which no single-mode entry enters
     assert statuses.pop("sandwich") == "fail"
     assert set(statuses.values()) == {"pass"}, statuses
-    # the reports cover (0, m) and (1, m) for m = 1, 2, 4; the rank
-    # vector (3, 1) names (0, 3), which no report covers
-    assert builds == [{0: 3}]
+    (run,) = runs
+    k_max = [s.k_max for s in run.systems]
+    named = {(j, min(rv[j], k_max[j])) for rv in _UNEQUAL_RANKS["explicit"] for j in range(2)}
+    assert set(run.single_mode) == named
 
 
-def test_single_mode_equal_rank_sweep_builds_nothing(monkeypatch):
-    builds = _counting_single_mode_builds(monkeypatch)
-    cfg = ExperimentConfig.from_dict(
-        {
-            "function": {"case": "BROWNIAN"},
-            "grid": {"n": [33, 33]},
-            "ranks": {"sweep": {"from": 1, "to": 4}},
-        }
-    )
-    assert run_experiment(cfg).passed
-    assert builds == []
+@pytest.mark.parametrize("name", ["EXPXY", "BROWNIAN", "SINSUM"])
+@pytest.mark.parametrize("shape", [(17, 25), (33, 21)], ids=["17x25", "33x21"])
+def test_run_experiment_mode_swap_equivariance(monkeypatch, tmp_path, name, shape):
+    # u and its transpose, run from sample files with their axes and
+    # ranks swapped, get the same statuses, and the single-mode entry
+    # (j, r) of one is the entry (1 - j, r) of the other
+    runs = _recording_runs(monkeypatch)
+    u = sv.sample_case(sv.get_case(name), shape)
+    ranks = [[1, 2], [3, 1], [2, 2], [0, 3], [5, 5]]
+    results = []
+    for label, f, rvs in [
+        ("u", u, ranks),
+        ("ut", sv.GridFunction(u.axes[::-1], u.values.T), [rv[::-1] for rv in ranks]),
+    ]:
+        sv.save_samples(f, tmp_path / f"{label}.raw")
+        cfg = ExperimentConfig.from_dict(
+            {"function": {"file": f"{label}.raw"}, "ranks": {"explicit": rvs}},
+            base_dir=tmp_path,
+        )
+        results.append(run_experiment(cfg, edge_cases=True))
+    statuses = [[c["status"] for c in res.report["checks"]] for res in results]
+    assert statuses[0] == statuses[1]
+    run, swapped = runs
+    assert {(1 - j, r) for j, r in run.single_mode} == set(swapped.single_mode)
+    for (j, r), entry in run.single_mode.items():
+        ek_scale = run.sq[0] + run.sq[1 + j]
+        scales = (run.sq[0], ek_scale, ek_scale)
+        for got, want, scale in zip(entry, swapped.single_mode[1 - j, r], scales):
+            assert abs(got - want) <= 1e-12 * scale, (j, r)
 
 
 @pytest.mark.parametrize(
