@@ -1,5 +1,6 @@
 """Package hygiene: no unused imports, and a public surface that resolves."""
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -31,6 +32,14 @@ def _unused_imports(path: Path) -> list[str]:
 )
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_config_schema_lists_every_check():
+    # the schema's checks enum and CHECK_NAMES are two copies of one list
+    from sobosvd.experiment import CHECK_NAMES
+
+    schema = json.loads((SRC / "schemas" / "config.schema.json").read_text("utf-8"))
+    assert schema["properties"]["checks"]["items"]["enum"] == list(CHECK_NAMES)
 
 
 def test_public_names_resolve():

@@ -18,7 +18,6 @@ LAYERS = (
     "svd_engine.mode_svd",
     "truncation.h1_sandwich",
     "truncation.hosvd_project",
-    "truncation.hooi",
 )
 
 
@@ -36,3 +35,15 @@ def test_tracer_sees_every_verify_layer(tmp_path):
     assert {name: counts[f"{name}.calls"] > 0 for name in LAYERS} == dict.fromkeys(LAYERS, True)
     assert counts["discretization.partial_derivative.elements"] > 0
     assert counts["experiment.load_samples.bytes"] > 0
+
+
+def test_tracer_reads_hooi_by_name():
+    # a verify run makes no hooi call; the tracer still reads hooi's
+    # max_iters argument and error_history result by name. summarize()
+    # needs a run span, so the hooi spans are totalled here
+    u = sv.sample_case(sv.get_case("SUM3D"), (9, 9, 9))
+    with Tracer() as tracer:
+        sv.hooi(u, (2, 2, 2))
+    spans = [s for s in tracer.spans if s.name == "truncation.hooi"]
+    assert len(spans) > 0
+    assert sum(s.work["sweeps"] for s in spans) > 0

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -276,20 +277,57 @@ def test_hosvd_project_2d_is_the_svd_truncation(catalog):
             assert sv.norm_l2(tucker - svd) <= 1e-13 * scale, (name, rv)
 
 
-def test_sandwich_quasi_opt_reference(catalog):
-    u, systems, derivs = catalog["SUM3D"]
-    plain = sv.h1_sandwich(u, (1, 1, 1), systems=systems, derivs=derivs)
-    assert plain.quasi_opt_reference is None
-    assert "quasi_opt" not in plain.bound_checks()
-    with_ref = sv.h1_sandwich(
-        u, (1, 1, 1), systems=systems, derivs=derivs, hooi_reference=True
-    )
-    assert with_ref.quasi_opt_reference is not None
-    checks = with_ref.bound_checks()
-    assert checks["quasi_opt"].holds
-    # reference is d times the refined squared error, never below the
-    # best possible, so the spectral error passes with the factor d
-    assert with_ref.quasi_opt_reference >= with_ref.residual_l2**2 / 3.0
+def test_sandwich_quasi_ref_is_d_times_largest_tail(catalog):
+    # d max_j tail_j with tail_j the plain spectral tail of mode j at
+    # min(r_j, k_max), bit for bit, in every d; the triple is always there
+    for name, (u, systems, derivs) in catalog.items():
+        for rv in itertools.product((0, 1, 3, 70), repeat=u.ndim):
+            rv = tuple(min(r, n) for r, n in zip(rv, u.shape))
+            rep = sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
+            tails = [
+                sv.series_split(s, min(r, s.k_max)).error_sq for s, r in zip(systems, rv)
+            ]
+            assert rep.quasi_opt_reference == u.ndim * max(tails), (name, rv)
+            assert rep.bound_checks()["quasi_opt"].holds, (name, rv)
+
+
+def test_sandwich_quasi_ref_is_the_2d_optimum(catalog):
+    # in 2D the reference is d times the tail of the rank-min(r0, r1)
+    # truncation, the best error at (r0, r1): mode 1 shares mode 0's
+    # sigmas, up to the refinement in mode 1's own orientation
+    for name, (u, systems, derivs) in catalog.items():
+        if u.ndim != 2:
+            continue
+        scale = sv.norm_l2(u) ** 2
+        for rv in itertools.product(range(6), repeat=2):
+            rep = sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
+            m = min(*rv, systems[0].k_max)
+            optimum = 2.0 * float(np.sum(systems[0].sigmas[m:] ** 2))
+            assert abs(rep.quasi_opt_reference - optimum) <= 1e-15 * scale, (name, rv)
+
+
+def _inverse_sum_3d():
+    axes = (sv.make_axis(17), sv.make_axis(13), sv.make_axis(11))
+    x, y, z = np.meshgrid(*(ax.nodes for ax in axes), indexing="ij")
+    return sv.GridFunction(axes, 1.0 / (1.0 + x + y + z))
+
+
+@pytest.mark.parametrize("name", ["SUM3D", "SEP3D", "inverse-sum"])
+def test_sandwich_quasi_ref_chain(name):
+    # |u - P u|^2 <= d max_j tail_j <= d |u - u*|^2 <= d min(hooi history)^2:
+    # the reference sits between the measured error and the refined one
+    if name == "inverse-sum":
+        u = _inverse_sum_3d()
+    else:
+        u = sv.sample_case(sv.get_case(name), (17, 17, 17))
+    systems = sv.mode_svds(u)
+    for rv in itertools.product(range(4), repeat=3):
+        rep = sv.h1_sandwich(u, rv, systems=systems)
+        refined = sv.hooi(u, rv, systems=systems)
+        assert rep.residual_l2**2 - rep.slack <= rep.quasi_opt_reference, rv
+        assert (
+            rep.quasi_opt_reference <= 3 * min(refined.error_history) ** 2 + rep.slack
+        ), rv
 
 
 def test_sandwich_d3_has_no_h1_series(catalog):
@@ -383,14 +421,30 @@ def _count_mode_svds(monkeypatch) -> list:
     return calls
 
 
-def test_sandwich_hooi_reference_reuses_systems(catalog, monkeypatch):
-    calls = _count_mode_svds(monkeypatch)
-    for name, rv in (("BROWNIAN", (3, 3)), ("SUM3D", (2, 2, 2))):
-        u, systems, derivs = catalog[name]
-        rep = sv.h1_sandwich(
-            u, rv, systems=systems, derivs=derivs, hooi_reference=True
+def test_run_experiment_makes_no_hooi_call(monkeypatch):
+    # hooi is patched in every sobosvd module that binds it, so a call
+    # through any module's import counts
+    import sobosvd.truncation as truncation
+
+    calls = []
+    real = truncation.hooi
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sobosvd" or name.startswith("sobosvd."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counting)
+    for name, shape in (("SINSUM", (17, 17)), ("SUM3D", (9, 9, 9))):
+        config = sv.ExperimentConfig.from_dict(
+            {"function": {"case": name}, "grid": {"n": list(shape)}}
         )
-        assert rep.quasi_opt_reference is not None
+        result = sv.run_experiment(config, edge_cases=True)
+        assert result.passed
+        assert {c["name"]: c["status"] for c in result.report["checks"]}["quasi_opt"] == "pass"
     assert calls == []
 
 
@@ -403,20 +457,17 @@ def test_hooi_decomposes_once_in_2d(catalog, monkeypatch):
     assert calls == [0]
 
 
-def test_sandwich_quasi_ref_is_the_refined_error(catalog):
-    # the reference is read off hooi's error history; it is the error of
-    # the projection hooi returns, bit for bit, whatever the memory layout
-    # of the starting bases (per-mode mode_svd systems and mode_svds lay
-    # out the 2D mode-1 vectors differently)
+def test_hooi_least_error_is_its_projection_error(catalog):
+    # hooi's least recorded error is the error of the projection it
+    # returns, bit for bit, whatever the memory layout of the starting
+    # bases (per-mode mode_svd systems and mode_svds lay out the 2D
+    # mode-1 vectors differently)
     for name, rv in (("EXPXY", (3, 2)), ("SUM3D", (2, 1, 2))):
-        u, systems, derivs = catalog[name]
+        u, systems, _ = catalog[name]
         per_mode = tuple(sv.mode_svd(u, j) for j in range(u.ndim))
         for given in (systems, per_mode):
-            rep = sv.h1_sandwich(
-                u, rv, systems=given, derivs=derivs, hooi_reference=True
-            )
             refined = sv.hooi(u, rv, systems=given)
-            assert rep.quasi_opt_reference == u.ndim * sv.norm_l2(u - refined.projected) ** 2
+            assert min(refined.error_history) == sv.norm_l2(u - refined.projected)
 
 
 def test_hooi_stop_rule_is_scale_invariant():
