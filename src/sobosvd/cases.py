@@ -14,15 +14,15 @@ BROWNIAN  min(x, y), the Brownian-motion covariance, full rank with
           polynomially decaying spectrum.
 SEP3D     sin(pi x) sin(pi y) sin(pi z), rank one per mode.
 SUM3D     two orthonormal separable sine terms in three variables.
-EXPXY     exp(x y); no closed spectrum, oracle by self-refinement.
+EXPXY     exp(x y); no closed spectrum, closed L2 norm by a series.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expi, polygamma
 
 from .discretization import Axis, GridFunction, make_axis, sample
 from .errors import ConfigError, UnknownCaseError
@@ -34,17 +34,13 @@ class CaseOracle:
 
     ``sigmas(m)`` and ``dpsi_norms(m)`` give the first m singular values
     and left-vector derivative norms of any mode (the catalog cases are
-    mode-symmetric). ``sigma_tail_sq(r)`` and ``h1_tail_sq(r)`` are the
-    spectral tails after rank r: plain squared singular values, and the
-    full Sobolev error series of a bivariate truncation.
+    mode-symmetric). ``l2_norm`` is |u| and ``h1_norm_sq`` is |u|_1^2.
     """
 
     sigmas: Callable[[int], np.ndarray] | None = None
     dpsi_norms: Callable[[int], np.ndarray] | None = None
     l2_norm: float | None = None
     h1_norm_sq: float | None = None
-    sigma_tail_sq: Callable[[int], float] | None = None
-    h1_tail_sq: Callable[[int], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -67,14 +63,6 @@ def _sep1() -> AnalyticCase:
     1/2 with normalized vectors sqrt(2) sin(pi x), whose derivative norm
     is pi. Sobolev norm squared: 1/4 + pi^2/4 + pi^2/4.
     """
-    h1_sq = (1.0 + 2.0 * np.pi**2) / 4.0
-
-    def tail_sq(r: int) -> float:
-        return 0.0 if r >= 1 else 0.25
-
-    def h1_tail(r: int) -> float:
-        return 0.0 if r >= 1 else h1_sq
-
     return AnalyticCase(
         name="SEP1",
         dim=2,
@@ -83,9 +71,7 @@ def _sep1() -> AnalyticCase:
             sigmas=lambda m: np.full(min(m, 1), 0.5)[:m],
             dpsi_norms=lambda m: np.full(min(m, 1), np.pi)[:m],
             l2_norm=0.5,
-            h1_norm_sq=h1_sq,
-            sigma_tail_sq=tail_sq,
-            h1_tail_sq=h1_tail,
+            h1_norm_sq=(1.0 + 2.0 * np.pi**2) / 4.0,
         ),
         summary="rank-one product of sines",
     )
@@ -106,7 +92,6 @@ def _sinsum(coeffs: Sequence[float]) -> AnalyticCase:
     order = sorted(range(len(c)), key=lambda i: (-c[i], i))
     sig = np.array([c[i] / 2.0 for i in order])
     dps = np.array([(order[i] + 1) * np.pi for i in range(len(c))])
-    terms = sig**2 * (1.0 + 2.0 * dps**2)
 
     def sampler(x, y):
         out = np.zeros(np.broadcast(x, y).shape)
@@ -123,9 +108,7 @@ def _sinsum(coeffs: Sequence[float]) -> AnalyticCase:
             sigmas=lambda m: sig[:m].copy(),
             dpsi_norms=lambda m: dps[:m].copy(),
             l2_norm=float(np.sqrt(np.sum(sig**2))),
-            h1_norm_sq=float(np.sum(terms)),
-            sigma_tail_sq=lambda r: float(np.sum(sig[r:] ** 2)),
-            h1_tail_sq=lambda r: float(np.sum(terms[r:])),
+            h1_norm_sq=float(np.sum(sig**2 * (1.0 + 2.0 * dps**2))),
         ),
         params={"coeffs": list(c)},
         summary="finite sum of sine products",
@@ -137,13 +120,9 @@ def _brownian() -> AnalyticCase:
 
     Classical eigenexpansion: min(x, y) = sum_k lam_k e_k(x) e_k(y) with
     lam_k = ((k - 1/2) pi)^-2 and e_k = sqrt(2) sin((k - 1/2) pi x), so
-    sigma_k = lam_k and the derivative norms are (k - 1/2) pi. Tail sums
-    reduce to polygamma values:
-
-        sum_{k>r} (k - 1/2)^-2 = psi_1(r + 1/2)
-        sum_{k>r} (k - 1/2)^-4 = psi_3(r + 1/2) / 6
-
-    giving |u|^2 = 1/6, |u|_1^2 = 1/6 + 1 = 7/6.
+    sigma_k = lam_k and the derivative norms are (k - 1/2) pi. Directly,
+    |u|^2 = int int min(x, y)^2 = 1/6, and the gradient of min(x, y) is a
+    unit vector almost everywhere, so |u|_1^2 = 1/6 + 1 = 7/6.
     """
 
     def sig_fn(m: int) -> np.ndarray:
@@ -154,12 +133,6 @@ def _brownian() -> AnalyticCase:
         k = np.arange(1, m + 1)
         return (k - 0.5) * np.pi
 
-    def sigma_tail_sq(r: int) -> float:
-        return float(polygamma(3, r + 0.5) / (6.0 * np.pi**4))
-
-    def h1_tail_sq(r: int) -> float:
-        return sigma_tail_sq(r) + float(2.0 * polygamma(1, r + 0.5) / np.pi**2)
-
     return AnalyticCase(
         name="BROWNIAN",
         dim=2,
@@ -169,8 +142,6 @@ def _brownian() -> AnalyticCase:
             dpsi_norms=dps_fn,
             l2_norm=float(np.sqrt(1.0 / 6.0)),
             h1_norm_sq=7.0 / 6.0,
-            sigma_tail_sq=sigma_tail_sq,
-            h1_tail_sq=h1_tail_sq,
         ),
         summary="Brownian covariance min(x, y)",
     )
@@ -238,12 +209,16 @@ def _expxy() -> AnalyticCase:
 
     No closed spectrum; reference values come from self-refinement, the
     mode spectra at n and 2n - 1 agreeing at the second-order rate of the
-    grid. The L2 norm is closed: substituting
-    t = 2 x y gives
+    grid. The L2 norm is closed: expanding exp(2 x y) and integrating
+    term by term, int x^k = int y^k = 1 / (k + 1), gives
 
-        int int exp(2 x y) = (Ei(2) - eulergamma - log 2) / 2.
+        int int exp(2 x y) = sum_{k>=0} 2^k / (k! (k + 1)^2),
+
+    which equals (Ei(2) - eulergamma - log 2) / 2. Its terms fall below
+    1e-16 of the sum from k = 21 on, so 40 terms summed with fsum leave
+    no truncation error at double precision.
     """
-    l2_sq = (float(expi(2.0)) - float(np.euler_gamma) - float(np.log(2.0))) / 2.0
+    l2_sq = math.fsum(2.0**k / (math.factorial(k) * (k + 1) ** 2) for k in range(40))
     return AnalyticCase(
         name="EXPXY",
         dim=2,

@@ -49,17 +49,15 @@ def test_sep1_oracle_values():
     assert o.dpsi_norms(2) == pytest.approx([np.pi])
     assert o.l2_norm == 0.5
     assert o.h1_norm_sq == pytest.approx(0.25 * (1.0 + 2.0 * np.pi**2))
-    assert o.sigma_tail_sq(0) == 0.25
-    assert o.sigma_tail_sq(1) == 0.0
-    assert o.h1_tail_sq(1) == 0.0
 
 
 def test_sep1_discrete_agreement():
-    u = sv.sample_case(sv.get_case("SEP1"), (129, 129))
+    case = sv.get_case("SEP1")
+    u = sv.sample_case(case, (129, 129))
     s = sv.mode_svd(u, 0)
     assert s.sigmas[0] == pytest.approx(0.5, rel=1e-4)
     d = sv.derivative_data(u, s)
-    assert d.dpsi_norms[0] == pytest.approx(np.pi, rel=1e-3)
+    assert d.dpsi_norms[0] == pytest.approx(case.oracle.dpsi_norms(1)[0], rel=1e-3)
 
 
 def test_sinsum_sorts_by_coefficient():
@@ -74,7 +72,6 @@ def test_sinsum_sorts_by_coefficient():
         for k, c in ((1, 0.2), (2, 1.0), (3, 0.5))
     )
     assert o.h1_norm_sq == pytest.approx(expect_h1, rel=1e-14)
-    assert o.sigma_tail_sq(1) == pytest.approx(0.0725)
 
 
 def test_sinsum_discrete_spectrum():
@@ -89,23 +86,17 @@ def test_brownian_oracle_self_consistency():
     o = sv.get_case("BROWNIAN").oracle
     k = np.arange(1, 9)
     assert o.sigmas(8) == pytest.approx(((k - 0.5) * np.pi) ** -2.0, rel=1e-15)
-    # polygamma tail against a long partial sum; the remainder past
-    # 10^4 terms is below 1e-13
-    direct = float(np.sum(((np.arange(1, 10001) - 0.5) * np.pi) ** -4.0))
-    assert o.sigma_tail_sq(0) == pytest.approx(direct, abs=1e-12)
-    partial = float(np.sum(o.sigmas(5) ** 2))
-    assert o.sigma_tail_sq(5) == pytest.approx(o.sigma_tail_sq(0) - partial)
-    assert o.h1_tail_sq(0) == pytest.approx(7.0 / 6.0 - 1.0 / 6.0 + o.sigma_tail_sq(0))
     assert o.l2_norm == pytest.approx(np.sqrt(1.0 / 6.0))
 
 
 def test_brownian_discrete_spectrum():
-    u = sv.sample_case(sv.get_case("BROWNIAN"), (129, 129))
+    case = sv.get_case("BROWNIAN")
+    oracle = case.oracle
+    u = sv.sample_case(case, (129, 129))
     s = sv.mode_svd(u, 0)
-    exact = sv.get_case("BROWNIAN").oracle.sigmas(6)
-    assert s.sigmas[:6] == pytest.approx(exact, rel=2e-3)
+    assert s.sigmas[:6] == pytest.approx(oracle.sigmas(6), rel=2e-3)
     assert sv.norm_l2(u) ** 2 == pytest.approx(1.0 / 6.0, rel=1e-3)
-    assert sv.norm_h1(u) ** 2 == pytest.approx(7.0 / 6.0, rel=2e-2)
+    assert sv.norm_h1(u) ** 2 == pytest.approx(oracle.h1_norm_sq, rel=2e-2)
 
 
 def test_sep3d_oracle_and_sampling():
@@ -132,6 +123,8 @@ def test_sum3d_oracle_and_sampling():
 
 def test_expxy_l2_closed_form():
     case = sv.get_case("EXPXY")
+    # (Ei(2) - eulergamma - log 2) / 2, square-rooted
+    assert case.oracle.l2_norm == pytest.approx(1.3571793379175083, rel=1e-15)
     u = sv.sample_case(case, (513, 513))
     assert sv.norm_l2(u) == pytest.approx(case.oracle.l2_norm, rel=1e-6)
     assert case.oracle.sigmas is None

@@ -497,6 +497,27 @@ def test_run_experiment_decomposes_each_mode_once(monkeypatch):
     assert calls == [(33, 33), (3, 3)]
 
 
+def test_run_experiment_reports_a_transfer_bound_violation(monkeypatch):
+    # singular values scaled by 10 shrink each transferred norm tenfold and
+    # its bound a hundredfold; the run records the violation and returns
+    import dataclasses
+
+    import sobosvd.experiment as experiment
+
+    real = experiment.mode_svds
+
+    def inflated(u):
+        return tuple(dataclasses.replace(s, sigmas=s.sigmas * 10) for s in real(u))
+
+    monkeypatch.setattr(experiment, "mode_svds", inflated)
+    cfg = ExperimentConfig.from_dict({"function": {"case": "SEP1"}, "grid": {"n": [17, 17]}})
+    result = run_experiment(cfg)
+    assert not result.passed
+    check = next(c for c in result.report["checks"] if c["name"] == "derivative_bound")
+    assert check["status"] == "fail"
+    assert check["worst"] > 0.1
+
+
 def _config(case, n, ranks):
     return ExperimentConfig.from_dict(
         {"function": {"case": case}, "grid": {"n": n}, "ranks": ranks}

@@ -1,7 +1,10 @@
 """Package hygiene: no unused imports, and a public surface that resolves."""
 import ast
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,21 @@ def test_config_schema_lists_every_check():
 
     schema = json.loads((SRC / "schemas" / "config.schema.json").read_text("utf-8"))
     assert schema["properties"]["checks"]["items"]["enum"] == list(CHECK_NAMES)
+
+
+def test_no_scipy_on_the_import_path():
+    # the runtime dependencies are numpy, jsonschema and the stdlib
+    code = (
+        "import sys, sobosvd.experiment, sobosvd.cli\n"
+        "sobosvd.cli.main(['list-cases'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_public_names_resolve():
