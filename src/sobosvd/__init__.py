@@ -41,6 +41,7 @@ _EXPORTS = {
         "mode_svd",
         "mode_svds",
         "numerical_rank",
+        "retained_count",
         "weighted_svd",
     ),
     "sobolev": (
@@ -49,7 +50,6 @@ _EXPORTS = {
         "norm_ek",
         "norm_h1",
         "norm_l2",
-        "retained_count",
         "sobolev_sq",
     ),
     "truncation": (

@@ -18,9 +18,10 @@ EXPXY     exp(x y); no closed spectrum, closed L2 norm by a series.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -45,15 +46,19 @@ class CaseOracle:
 
 @dataclass(frozen=True)
 class AnalyticCase:
+    """A catalog function on the unit cube with its oracle data.
+
+    ``spectral_rtol``, one constant for every case, is the relative accuracy
+    the trapezoid grid reaches against the oracle at the acceptance sizes.
+    """
+
     name: str
     dim: int
     sampler: Callable
     oracle: CaseOracle
     params: dict = field(default_factory=dict)
-    # relative accuracy the trapezoid grid reaches against the oracle at
-    # the sizes the acceptance checks use
-    spectral_rtol: float = 1e-3
     summary: str = ""
+    spectral_rtol: ClassVar[float] = 1e-3
 
 
 def _sep1() -> AnalyticCase:
@@ -77,7 +82,7 @@ def _sep1() -> AnalyticCase:
     )
 
 
-def _sinsum(coeffs: Sequence[float]) -> AnalyticCase:
+def _sinsum(coeffs: Sequence[float] = (1.0, 0.5, 0.25)) -> AnalyticCase:
     """sum_k c_k sin(k pi x) sin(k pi y).
 
     The sine factors are orthogonal with squared norm 1/2, so the
@@ -170,7 +175,7 @@ def _sep3d() -> AnalyticCase:
     )
 
 
-def _sum3d(c1: float, c2: float) -> AnalyticCase:
+def _sum3d(c1: float = 1.0, c2: float = 0.5) -> AnalyticCase:
     """c1 * s1(x) s1(y) s1(z) + c2 * s2(x) s2(y) s2(z).
 
     s_k = sqrt(2) sin(k pi t) are orthonormal, so every mode has the
@@ -229,46 +234,38 @@ def _expxy() -> AnalyticCase:
 
 
 _BUILDERS = {
-    "SEP1": (_sep1, ()),
-    "SINSUM": (_sinsum, ("coeffs",)),
-    "BROWNIAN": (_brownian, ()),
-    "SEP3D": (_sep3d, ()),
-    "SUM3D": (_sum3d, ("c1", "c2")),
-    "EXPXY": (_expxy, ()),
-}
-
-_DEFAULTS = {
-    "SINSUM": {"coeffs": (1.0, 0.5, 0.25)},
-    "SUM3D": {"c1": 1.0, "c2": 0.5},
+    "SEP1": _sep1,
+    "SINSUM": _sinsum,
+    "BROWNIAN": _brownian,
+    "SEP3D": _sep3d,
+    "SUM3D": _sum3d,
+    "EXPXY": _expxy,
 }
 
 
 def get_case(name: str, **params) -> AnalyticCase:
     """Build a catalog case by name, with optional parameters.
 
-    Unknown names raise UnknownCaseError; parameters a case does not
-    take, or invalid values, raise ConfigError.
+    A case takes the parameters of its builder, whose signature holds
+    their defaults. Unknown names raise UnknownCaseError; parameters a
+    case does not take, or invalid values, raise ConfigError.
     """
     key = str(name).upper()
     if key not in _BUILDERS:
         raise UnknownCaseError(
             f"unknown case {name!r}, have {sorted(_BUILDERS)}"
         )
-    builder, accepted = _BUILDERS[key]
-    merged = dict(_DEFAULTS.get(key, {}))
-    for p, v in params.items():
+    builder = _BUILDERS[key]
+    accepted = inspect.signature(builder).parameters
+    for p in params:
         if p not in accepted:
             raise ConfigError(f"case {key} takes no parameter {p!r}")
-        merged[p] = v
-    return builder(**merged)
+    return builder(**params)
 
 
 def list_cases() -> list[tuple[str, str]]:
     """Names and one-line summaries of every catalog case."""
-    out = []
-    for key in sorted(_BUILDERS):
-        out.append((key, get_case(key).summary))
-    return out
+    return [(key, get_case(key).summary) for key in sorted(_BUILDERS)]
 
 
 def _grid_sizes(sizes: Sequence[int], dim: int) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ thing on these grids.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import AxisMismatchError, InvalidAxisError, SamplingError
 from .tensor_core import check_mode
 
+# the one scheme of every axis; a report names it as ``grid.scheme``
 UNIFORM_TRAPEZOID_FD2 = "uniform-trapezoid-fd2"
 
 
@@ -30,26 +32,23 @@ def _frozen(a) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Axis:
-    """One discretized interval.
+    """One discretized interval, in the scheme ``UNIFORM_TRAPEZOID_FD2``.
 
     Attributes
     ----------
     lower, upper : float
-        Interval endpoints, ``lower < upper``.
+        Finite interval endpoints, ``lower < upper``.
     nodes : ndarray, shape (n,)
         Equispaced nodes including both endpoints.
     quad_weights : ndarray, shape (n,)
         Composite trapezoid weights: h/2 at the endpoints, h inside.
         They sum to the interval length.
-    scheme : str
-        Discretization tag, ``"uniform-trapezoid-fd2"``.
     """
 
     lower: float
     upper: float
     nodes: np.ndarray
     quad_weights: np.ndarray
-    scheme: str = UNIFORM_TRAPEZOID_FD2
 
     @property
     def n(self) -> int:
@@ -60,12 +59,7 @@ class Axis:
         return (self.upper - self.lower) / (self.n - 1)
 
     def is_compatible(self, other: "Axis") -> bool:
-        return (
-            self.n == other.n
-            and self.lower == other.lower
-            and self.upper == other.upper
-            and self.scheme == other.scheme
-        )
+        return (self.n, self.lower, self.upper) == (other.n, other.lower, other.upper)
 
 
 def make_axis(n: int, lower: float = 0.0, upper: float = 1.0) -> Axis:
@@ -74,12 +68,14 @@ def make_axis(n: int, lower: float = 0.0, upper: float = 1.0) -> Axis:
     Raises
     ------
     InvalidAxisError
-        If ``n < 3`` or ``lower >= upper``. Three nodes are the minimum
-        for the one-sided boundary stencils.
+        If ``n < 3``, an endpoint is not finite, or ``lower >= upper``.
+        Three nodes are the minimum for the one-sided boundary stencils.
     """
     n = int(n)
     if n < 3:
         raise InvalidAxisError(f"need at least 3 nodes, got {n}")
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise InvalidAxisError(f"endpoints must be finite: lower={lower!r}, upper={upper!r}")
     if not lower < upper:
         raise InvalidAxisError(f"empty interval: lower={lower!r}, upper={upper!r}")
     h = (upper - lower) / (n - 1)

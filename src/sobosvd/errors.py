@@ -6,7 +6,7 @@ class SobosvdError(Exception):
 
 
 class InvalidAxisError(SobosvdError, ValueError):
-    """Axis construction rejected (too few nodes, empty interval)."""
+    """Axis construction rejected (too few nodes, non-finite or empty interval)."""
 
 
 class SamplingError(SobosvdError, ValueError):

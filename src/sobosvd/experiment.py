@@ -10,6 +10,7 @@ spectrum table.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -23,135 +24,39 @@ import numpy as np
 
 from .cases import _grid_sizes, get_case, sample_case
 from .diagnostics import h1_convergence_flag, rate_fit
-from .discretization import GridFunction, _fd2, inner_l2, make_axis
-from .errors import ConfigError, DegenerateDataError, ModeError, SampleFileError
-from .sobolev import _root_sum, derivative_data, norm_l2, retained_count
-from .svd_engine import mode_svd, mode_svds, numerical_rank
+from .discretization import UNIFORM_TRAPEZOID_FD2, GridFunction, _fd2, inner_l2, make_axis
+from .errors import ConfigError, DegenerateDataError, ModeError, SampleFileError, SobosvdError
+from .sobolev import _root_sum, derivative_data, norm_l2
+from .svd_engine import mode_svd, mode_svds, numerical_rank, retained_count
 from .tensor_core import matricize
 from .truncation import _analysis_map, _check_rank_vector, h1_sandwich, hosvd_project, series_split
-
-CHECK_NAMES = (
-    "eckart_young",
-    "h1_identity",
-    "ek_identity",
-    "hosvd_bound",
-    "quasi_opt",
-    "sandwich",
-    "derivative_bound",
-    "diagnostics",
-)
-
-DEFAULT_TOLERANCES = {
-    "eckart_young": 1e-10,
-    "h1_identity": 1e-9,
-    "ek_identity": 1e-9,
-    "hosvd_bound": 1e-10,
-    "quasi_opt": 1e-10,
-    "sandwich": 1e-9,
-    "derivative_bound": 1e-10,
-}
 
 _TINY = 1e-300  # guards divisions for the all-zero input
 
 
-def _load_schema(name: str) -> dict:
-    text = resources.files("sobosvd").joinpath("schemas", name).read_text("utf-8")
-    return json.loads(text)
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not a JSON number")
 
 
-CONFIG_SCHEMA = _load_schema("config.schema.json")
-REPORT_SCHEMA = _load_schema("report.schema.json")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated description of one run.
-
-    Exactly one of ``case_name``/``sample_file`` is set. ``rank_vectors``
-    holds explicit vectors when the config gave them; otherwise
-    ``rank_sweep`` (or, with both unset, a default sweep) is resolved
-    against the function's dimension when the run starts.
+def _read_json(path, error: type[SobosvdError], what: str) -> dict:
+    """The JSON object in the file at ``path``, parsed strictly: the NaN and
+    Infinity tokens ``json.loads`` accepts by default are not JSON. Raises
+    ``error`` for a file that cannot be read, is not JSON or holds no object.
     """
+    try:
+        data = json.loads(path.read_text("utf-8"), parse_constant=_reject_constant)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return data
 
-    case_name: str | None = None
-    case_params: dict | None = None
-    sample_file: Path | None = None
-    grid_sizes: tuple[int, ...] | None = None
-    rank_vectors: tuple[tuple[int, ...], ...] | None = None
-    rank_sweep: dict | None = None
-    checks: tuple[str, ...] = CHECK_NAMES
-    tolerances: dict | None = None
-    output: Path | None = None
 
-    def __post_init__(self):
-        unknown = sorted(set(self.checks) - set(CHECK_NAMES))
-        if unknown:
-            raise ConfigError(f"unknown checks {unknown}; valid: {list(CHECK_NAMES)}")
-        unknown = sorted(set(self.tolerances or ()) - set(DEFAULT_TOLERANCES))
-        if unknown:
-            raise ConfigError(
-                f"unknown tolerance keys {unknown}; valid: {sorted(DEFAULT_TOLERANCES)}"
-            )
-
-    def tolerance(self, name: str) -> float:
-        merged = dict(DEFAULT_TOLERANCES)
-        if self.tolerances:
-            merged.update(self.tolerances)
-        return merged[name]
-
-    @classmethod
-    def from_dict(cls, data: dict, base_dir: Path | str = ".") -> "ExperimentConfig":
-        base = Path(base_dir)
-        validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-        errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-        if errors:
-            err = errors[0]
-            where = "/".join(str(p) for p in err.absolute_path) or "top level"
-            raise ConfigError(f"config invalid at {where}: {err.message}")
-
-        fn = data["function"]
-        tolerances = data.get("tolerances")
-
-        checks = data.get("checks")
-        if checks is None:
-            checks = CHECK_NAMES
-        else:
-            checks = tuple(n for n in CHECK_NAMES if n in set(checks))
-
-        ranks = data.get("ranks")
-        explicit = sweep = None
-        if ranks and "explicit" in ranks:
-            explicit = tuple(tuple(int(r) for r in rv) for rv in ranks["explicit"])
-        elif ranks:
-            sweep = dict(ranks["sweep"])
-
-        grid = data.get("grid")
-        return cls(
-            case_name=fn.get("case"),
-            case_params=fn.get("params"),
-            sample_file=(base / fn["file"]) if "file" in fn else None,
-            grid_sizes=tuple(int(n) for n in grid["n"]) if grid else None,
-            rank_vectors=explicit,
-            rank_sweep=sweep,
-            checks=checks,
-            tolerances=dict(tolerances) if tolerances else None,
-            output=(base / data["output"]) if "output" in data else None,
-        )
-
-    @classmethod
-    def from_file(cls, path: Path | str) -> "ExperimentConfig":
-        p = Path(path)
-        try:
-            text = p.read_text("utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {p}: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {p} is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {p} must hold a JSON object")
-        return cls.from_dict(data, base_dir=p.parent)
+_SCHEMAS = resources.files("sobosvd") / "schemas"
+CONFIG_SCHEMA = _read_json(_SCHEMAS / "config.schema.json", SobosvdError, "schema")
+REPORT_SCHEMA = _read_json(_SCHEMAS / "report.schema.json", SobosvdError, "schema")
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +87,23 @@ def save_samples(u: GridFunction, path: Path | str) -> Path:
 def load_samples(path: Path | str) -> GridFunction:
     """Read a raw sample file written by :func:`save_samples`.
 
-    The byte content of a save/load round trip is preserved exactly.
+    The byte content of a save/load round trip is preserved exactly. The
+    sidecar must be strict JSON, its ``shape`` a list of positive integers
+    and its ``axes`` one object with finite ``lower`` < ``upper`` per entry
+    of ``shape``; anything else raises SampleFileError.
     """
     p = Path(path)
     meta_p = Path(str(p) + ".meta.json")
-    try:
-        meta = json.loads(meta_p.read_text("utf-8"))
-    except OSError as exc:
-        raise SampleFileError(f"cannot read sample sidecar {meta_p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SampleFileError(f"sample sidecar {meta_p} is not valid JSON: {exc}") from exc
-
-    if not isinstance(meta, dict) or meta.get("format") != _SAMPLE_FORMAT:
+    meta = _read_json(meta_p, SampleFileError, "sample sidecar")
+    if meta.get("format") != _SAMPLE_FORMAT:
         raise SampleFileError(f"{meta_p}: unrecognized sample format")
     if meta.get("dtype") != "<f8" or meta.get("order") != "colex":
         raise SampleFileError(f"{meta_p}: unsupported dtype or ordering")
-    file_shape = tuple(int(n) for n in meta.get("shape", ()))
-    axes_meta = meta.get("axes", ())
+    file_shape, axes_meta = meta.get("shape"), meta.get("axes")
+    if not isinstance(file_shape, list) or not all(type(n) is int and n > 0 for n in file_shape):
+        raise SampleFileError(f"{meta_p}: shape must be a list of positive integers")
+    if not isinstance(axes_meta, list) or not all(isinstance(a, dict) for a in axes_meta):
+        raise SampleFileError(f"{meta_p}: axes must be a list of objects")
     if len(file_shape) != len(axes_meta) or not file_shape:
         raise SampleFileError(f"{meta_p}: shape and axes entries disagree")
 
@@ -206,12 +111,12 @@ def load_samples(path: Path | str) -> GridFunction:
         raw = p.read_bytes()
     except OSError as exc:
         raise SampleFileError(f"cannot read samples {p}: {exc}") from exc
-    expected = int(np.prod(file_shape)) * 8
+    expected = math.prod(file_shape) * 8
     if len(raw) != expected:
         raise SampleFileError(
             f"{p}: {len(raw)} bytes on disk, shape {file_shape} needs {expected}"
         )
-    values = np.frombuffer(raw, dtype="<f8").reshape(file_shape, order="F").copy()
+    values = np.frombuffer(raw, dtype="<f8").reshape(file_shape, order="F")
 
     try:
         axes = tuple(
@@ -445,6 +350,22 @@ def _bracket_check(norm, keys, detail, both_sides=False):
     return check
 
 
+_check_hosvd_bound = _bracket_check(
+    "l2", ("residual_l2",), "worst normalized excess {worst:.3e} over the spectral tail sum"
+)
+_check_quasi_opt = _bracket_check(
+    "l2",
+    ("quasi_opt",),
+    "worst normalized excess {worst:.3e} over d times the largest per-mode spectral tail",
+)
+_check_sandwich = _bracket_check(
+    "h1",
+    ("approx_h1", "residual_h1"),
+    "worst normalized bracket violation {worst:.3e}",
+    both_sides=True,
+)
+
+
 def _check_derivative_bound(run, tol):
     defects = [
         (dpsi - bound) / max(bound, 1.0)
@@ -531,32 +452,112 @@ def _check_edge_cases(run, tol):
     return "pass", None, "full-rank, rank-zero and zero-input behaviour as expected"
 
 
-# CHECK_NAMES in order, then the checks ``edge_cases=True`` adds; each
-# entry maps (run, tolerance) to (status, worst, detail)
+# The check table: each name a config may select, in report order, with
+# its check, which maps (run, tolerance) to (status, worst, detail), and
+# its default tolerance (None for a check that takes none). The checks
+# ``edge_cases=True`` adds (``_check_edge_cases``) are not selectable.
 _CHECKS = {
-    "eckart_young": _check_eckart_young,
-    "h1_identity": _check_h1_identity,
-    "ek_identity": _check_ek_identity,
-    "hosvd_bound": _bracket_check(
-        "l2",
-        ("residual_l2",),
-        "worst normalized excess {worst:.3e} over the spectral tail sum",
-    ),
-    "quasi_opt": _bracket_check(
-        "l2",
-        ("quasi_opt",),
-        "worst normalized excess {worst:.3e} over d times the largest per-mode spectral tail",
-    ),
-    "sandwich": _bracket_check(
-        "h1",
-        ("approx_h1", "residual_h1"),
-        "worst normalized bracket violation {worst:.3e}",
-        both_sides=True,
-    ),
-    "derivative_bound": _check_derivative_bound,
-    "diagnostics": _check_diagnostics,
-    "edge_cases": _check_edge_cases,
+    "eckart_young": (_check_eckart_young, 1e-10),
+    "h1_identity": (_check_h1_identity, 1e-9),
+    "ek_identity": (_check_ek_identity, 1e-9),
+    "hosvd_bound": (_check_hosvd_bound, 1e-10),
+    "quasi_opt": (_check_quasi_opt, 1e-10),
+    "sandwich": (_check_sandwich, 1e-9),
+    "derivative_bound": (_check_derivative_bound, 1e-10),
+    "diagnostics": (_check_diagnostics, None),
 }
+CHECK_NAMES = tuple(_CHECKS)
+DEFAULT_TOLERANCES = {name: tol for name, (_, tol) in _CHECKS.items() if tol is not None}
+
+
+# ---------------------------------------------------------------------------
+# configs
+
+
+def _validate(data, schema: dict, where: tuple = ()) -> None:
+    """Raise ConfigError where ``data``, at path ``where`` in a config, breaks ``schema``."""
+    errors = jsonschema.Draft202012Validator(schema).iter_errors(data)
+    err = min(errors, key=lambda e: list(e.absolute_path), default=None)
+    if err is not None:
+        at = "/".join(str(p) for p in (*where, *err.absolute_path)) or "top level"
+        raise ConfigError(f"config invalid at {at}: {err.message}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Validated description of one run.
+
+    Exactly one of ``case_name``/``sample_file`` is set. ``rank_vectors``
+    holds explicit vectors when the config gave them; otherwise
+    ``rank_sweep`` (or, with both unset, a default sweep) is resolved
+    against the function's dimension when the run starts.
+
+    A config built directly obeys the config schema's rules for ``checks``
+    (known, distinct names) and ``tolerances`` (positive numbers), and
+    each tolerance must be finite and name a check that takes one.
+    """
+
+    case_name: str | None = None
+    case_params: dict | None = None
+    sample_file: Path | None = None
+    grid_sizes: tuple[int, ...] | None = None
+    rank_vectors: tuple[tuple[int, ...], ...] | None = None
+    rank_sweep: dict | None = None
+    checks: tuple[str, ...] = CHECK_NAMES
+    tolerances: dict | None = None
+    output: Path | None = None
+
+    def __post_init__(self):
+        tolerances = self.tolerances or {}
+        _validate(list(self.checks), CONFIG_SCHEMA["properties"]["checks"], ("checks",))
+        _validate(tolerances, CONFIG_SCHEMA["properties"]["tolerances"], ("tolerances",))
+        unknown = sorted(set(tolerances) - set(DEFAULT_TOLERANCES))
+        if unknown:
+            raise ConfigError(
+                f"unknown tolerance keys {unknown}; valid: {sorted(DEFAULT_TOLERANCES)}"
+            )
+        if not all(math.isfinite(t) for t in tolerances.values()):
+            raise ConfigError(f"tolerances must be finite, got {tolerances}")
+
+    def tolerance(self, name: str) -> float | None:
+        """The tolerance of check ``name``: the config's, the default, or None."""
+        return {**DEFAULT_TOLERANCES, **(self.tolerances or {})}.get(name)
+
+    @classmethod
+    def from_dict(cls, data: dict, base_dir: Path | str = ".") -> "ExperimentConfig":
+        base = Path(base_dir)
+        _validate(data, CONFIG_SCHEMA)
+        fn = data["function"]
+        tolerances = data.get("tolerances")
+
+        checks = tuple(n for n in CHECK_NAMES if n in data.get("checks", CHECK_NAMES))
+
+        ranks = data.get("ranks")
+        explicit = sweep = None
+        if ranks and "explicit" in ranks:
+            explicit = tuple(tuple(int(r) for r in rv) for rv in ranks["explicit"])
+        elif ranks:
+            sweep = dict(ranks["sweep"])
+
+        grid = data.get("grid")
+        return cls(
+            case_name=fn.get("case"),
+            case_params=fn.get("params"),
+            sample_file=(base / fn["file"]) if "file" in fn else None,
+            grid_sizes=tuple(int(n) for n in grid["n"]) if grid else None,
+            rank_vectors=explicit,
+            rank_sweep=sweep,
+            checks=checks,
+            tolerances=dict(tolerances) if tolerances else None,
+            output=(base / data["output"]) if "output" in data else None,
+        )
+
+    @classmethod
+    def from_file(cls, path: Path | str) -> "ExperimentConfig":
+        p = Path(path)
+        return cls.from_dict(_read_json(p, ConfigError, "config"), base_dir=p.parent)
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +616,13 @@ def run_experiment(
     ]
     run = _Run(u, systems, derivs, rvs, reports, u_sq)
 
+    selected = [(name, _CHECKS[name][0]) for name in config.checks]
+    if edge_cases:
+        selected.append(("edge_cases", _check_edge_cases))
     checks = []
-    for name in [*config.checks, *(["edge_cases"] if edge_cases else [])]:
-        tol = config.tolerance(name) if name in DEFAULT_TOLERANCES else None
-        status, worst, detail = _CHECKS[name](run, tol)
+    for name, check in selected:
+        tol = config.tolerance(name)
+        status, worst, detail = check(run, tol)
         checks.append(
             {
                 "name": name,
@@ -639,7 +643,7 @@ def run_experiment(
         "function": fdesc,
         "grid": {
             "n": [int(n) for n in u.shape],
-            "scheme": u.axes[0].scheme,
+            "scheme": UNIFORM_TRAPEZOID_FD2,
             "domain": [[float(ax.lower), float(ax.upper)] for ax in u.axes],
         },
         "threads": int(threads) if threads and threads.isdigit() else None,

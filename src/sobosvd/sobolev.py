@@ -50,7 +50,7 @@ from .discretization import (
     inner_l2,
     partial_derivative,
 )
-from .svd_engine import SingularSystem, _count_retained
+from .svd_engine import SingularSystem, retained_count
 from .tensor_core import matricize
 
 
@@ -118,8 +118,8 @@ class DerivativeData:
     Column k of ``gammas`` is the transferred derivative of left vector
     k of the system of mode ``mode``; ``dpsi_norms`` its weighted L2 norm
     on the axis and ``bound_values`` the Cauchy-Schwarz bound
-    (1/lambda_k) |u| |d_j u|. Only the leading directions with lambda_k
-    above RETAIN_REL times lambda_1 are kept; ``count`` says how many.
+    (1/lambda_k) |u| |d_j u|. Only the ``retained_count`` leading
+    directions are kept; ``count`` says how many.
 
     ``du`` is the array D_mode u the transfer differentiates, and
     ``du_sq`` its squared weighted norm |D_mode u|^2; ``split_sq`` and
@@ -137,11 +137,6 @@ class DerivativeData:
     @property
     def count(self) -> int:
         return int(self.gammas.shape[1])
-
-
-def retained_count(system: SingularSystem) -> int:
-    """Number of leading directions with lambda_k > RETAIN_REL * lambda_1."""
-    return _count_retained(system.sigmas)
 
 
 def derivative_data(u: GridFunction, system: SingularSystem) -> DerivativeData:

@@ -328,3 +328,9 @@ def numerical_rank(system: SingularSystem) -> int:
     Counted by the retain rule on (sigma_k / sigma_1)^2; zero input has rank zero.
     """
     return _count_retained(system.sigmas, DEFAULT_RANK_TOL**2)
+
+
+def retained_count(system: SingularSystem) -> int:
+    """Number of leading directions with lambda_k > RETAIN_REL * lambda_1,
+    the ones ``derivative_data`` and the refinement work on."""
+    return _count_retained(system.sigmas)

@@ -13,7 +13,6 @@ def test_make_axis_basic():
     ax = sv.make_axis(5)
     assert ax.n == 5
     assert ax.spacing == 0.25
-    assert ax.scheme == "uniform-trapezoid-fd2"
     np.testing.assert_allclose(ax.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
     np.testing.assert_allclose(ax.quad_weights, [0.125, 0.25, 0.25, 0.25, 0.125])
     assert ax.quad_weights.sum() == pytest.approx(1.0)
@@ -36,6 +35,12 @@ def test_make_axis_empty_interval():
         sv.make_axis(5, 1.0, 1.0)
     with pytest.raises(InvalidAxisError):
         sv.make_axis(5, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("lower, upper", [(0.0, np.inf), (-np.inf, 1.0), (-np.inf, np.inf)])
+def test_make_axis_non_finite_endpoint(lower, upper):
+    with pytest.raises(InvalidAxisError, match="finite"):
+        sv.make_axis(5, lower, upper)
 
 
 def test_axis_arrays_immutable():

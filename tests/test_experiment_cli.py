@@ -89,6 +89,36 @@ def test_config_unknown_tolerance_key():
         ExperimentConfig(case_name="SEP1", grid_sizes=(9,), tolerances={"sandwhich": 1e-3})
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"checks": ("eckart_young", "eckart_young")},
+        {"tolerances": {"eckart_young": float("inf")}},
+        {"tolerances": {"sandwich": float("nan")}},
+        {"tolerances": {"sandwich": 0.0}},
+        {"tolerances": {"sandwich": "1e-9"}},
+    ],
+)
+def test_config_built_directly_obeys_the_schema(kwargs):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(case_name="SEP1", grid_sizes=(9, 9), **kwargs)
+
+
+@pytest.mark.parametrize("token", ["Infinity", "NaN", "1e999"])
+def test_config_file_rejects_non_finite_tolerance(tmp_path, capsys, token):
+    # Infinity and NaN are not JSON; 1e999 is, and parses to inf
+    p = tmp_path / "config.json"
+    p.write_text(
+        '{"function": {"case": "SEP1"}, "grid": {"n": [9, 9]}, '
+        f'"tolerances": {{"eckart_young": {token}}}}}',
+        "utf-8",
+    )
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_file(p)
+    assert main(["run", "--config", str(p)]) == 2
+    assert "sobosvd:" in capsys.readouterr().err
+
+
 def test_config_from_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_file(tmp_path / "missing.json")
@@ -172,6 +202,30 @@ def test_load_samples_failure_modes(tmp_path):
     meta_p.write_text(json.dumps(meta), "utf-8")
     with pytest.raises(SampleFileError):
         load_samples(p)
+
+    # malformed shape and axes entries; [-9, -7], "97" and [9.7, 7] read
+    # as integers multiply out to the file's size, so the size check
+    # alone does not catch them
+    for key, value in [
+        ("shape", None),
+        ("axes", 3),
+        ("shape", [-9, -7]),
+        ("shape", "97"),
+        ("shape", [9.7, 7]),
+    ]:
+        meta = json.loads(good)
+        meta[key] = value
+        meta_p.write_text(json.dumps(meta), "utf-8")
+        with pytest.raises(SampleFileError):
+            load_samples(p)
+
+    # an infinite endpoint, as the non-JSON token and as a literal that
+    # parses to inf
+    assert good.count('"upper": 2.0') == 1
+    for upper in ("Infinity", "1e999"):
+        meta_p.write_text(good.replace('"upper": 2.0', f'"upper": {upper}'), "utf-8")
+        with pytest.raises(SampleFileError):
+            load_samples(p)
 
     meta_p.write_text(good, "utf-8")
     p.write_bytes(p.read_bytes()[:-8])
@@ -295,7 +349,7 @@ def test_report_holds_flags_scale_invariant(tmp_path):
 def test_run_experiment_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="grid sizes"):
         run_experiment(ExperimentConfig.from_dict({"function": {"case": "SEP1"}}))
-    with pytest.raises(ConfigError, match="unknown checks"):
+    with pytest.raises(ConfigError, match="'edge_cases' is not one of"):
         ExperimentConfig(case_name="SEP1", grid_sizes=(9,), checks=("edge_cases",))
     with pytest.raises(ConfigError, match="dimensions"):
         run_experiment(
@@ -751,7 +805,7 @@ def test_check_with_nan_defect_fails(check, field):
 
     def run_check(reps):
         run = experiment._Run(u, (), (), (), reps, sv.sobolev_sq(u))
-        return experiment._CHECKS[check](run, 1e-9)
+        return experiment._CHECKS[check][0](run, 1e-9)
 
     status, worst, detail = run_check(reports)
     assert status == "fail"

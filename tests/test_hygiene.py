@@ -45,6 +45,70 @@ def test_config_schema_lists_every_check():
     assert schema["properties"]["checks"]["items"]["enum"] == list(CHECK_NAMES)
 
 
+def test_check_list_is_spelled_out_once():
+    # the check table is the one literal in experiment.py that lists check
+    # names; CHECK_NAMES and DEFAULT_TOLERANCES are derived from it
+    from sobosvd.experiment import _CHECKS, CHECK_NAMES
+
+    tree = ast.parse((SRC / "experiment.py").read_text("utf-8"))
+    literals = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            items = node.keys
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            items = node.elts
+        else:
+            continue
+        names = [i for i in items if isinstance(i, ast.Constant) and i.value in CHECK_NAMES]
+        if len(names) > 1:
+            literals.append(node.lineno)
+    assert len(literals) == 1, literals
+    assert tuple(_CHECKS) == CHECK_NAMES
+
+
+def test_retain_rule_lives_in_svd_engine_only():
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "svd_engine.py" and "_count_retained" in path.read_text("utf-8")
+    ]
+    assert found == []
+
+
+def _json_parses(tree: ast.AST) -> list[ast.Call]:
+    return [
+        n
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr in ("load", "loads")
+        and getattr(n.func.value, "id", None) == "json"
+    ]
+
+
+def test_json_is_parsed_by_the_strict_reader_only():
+    # experiment._read_json is the one JSON parse in the package, and it
+    # rejects the NaN and Infinity tokens json.loads accepts by default
+    strict, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        readers = [
+            n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_read_json"
+        ]
+        inside = {id(c) for reader in readers for c in _json_parses(reader)}
+        strict += [c for c in _json_parses(tree) if id(c) in inside]
+        found += [f"{path.name}:{c.lineno}" for c in _json_parses(tree) if id(c) not in inside]
+        found += [
+            f"{path.name}:{n.lineno} imports from json"
+            for n in ast.walk(tree)
+            if isinstance(n, ast.ImportFrom) and n.module == "json"
+        ]
+    assert found == []
+    assert strict and all(
+        any(k.arg == "parse_constant" for k in call.keywords) for call in strict
+    )
+
+
 def test_no_scipy_on_the_import_path():
     # the runtime dependencies are numpy, jsonschema and the stdlib
     code = (
