@@ -24,7 +24,7 @@ def main():
     for r in (1, 2, 3, 4):
         rv = (r, r, r)
         spectral = sv.hosvd_project(u, rv, systems=systems)
-        refined = sv.hooi(u, rv)
+        refined = sv.hooi(u, rv, systems=systems)
         e_s = sv.norm_l2(u - spectral.projected)
         e_h = sv.norm_l2(u - refined.projected)
         tail = np.sqrt(sum(float(np.sum(s.sigmas[r:] ** 2)) for s in systems))

@@ -75,7 +75,6 @@ _EXPORTS = {
     "cases": (
         "AnalyticCase",
         "CaseOracle",
-        "geometric_coeffs",
         "get_case",
         "list_cases",
         "sample_case",

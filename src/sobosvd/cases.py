@@ -8,7 +8,7 @@ over [0, 1] does the work everywhere.
 
 Catalog
 -------
-SEP1      sin(pi x) sin(pi y), rank one.
+SEP1      sin(pi x) sin(pi y), rank one: SINSUM with one coefficient.
 SINSUM    sum_k c_k sin(k pi x) sin(k pi y), finite rank.
 BROWNIAN  min(x, y), the Brownian-motion covariance, full rank with
           polynomially decaying spectrum.
@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from .discretization import Axis, GridFunction, make_axis, sample
+from .discretization import GridFunction, make_axis, sample
 from .errors import ConfigError, UnknownCaseError
 
 
@@ -61,25 +62,11 @@ class AnalyticCase:
     spectral_rtol: ClassVar[float] = 1e-3
 
 
-def _sep1() -> AnalyticCase:
-    """sin(pi x) sin(pi y).
-
-    Both factors have squared norm 1/2, so the only singular value is
-    1/2 with normalized vectors sqrt(2) sin(pi x), whose derivative norm
-    is pi. Sobolev norm squared: 1/4 + pi^2/4 + pi^2/4.
-    """
-    return AnalyticCase(
-        name="SEP1",
-        dim=2,
-        sampler=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-        oracle=CaseOracle(
-            sigmas=lambda m: np.full(min(m, 1), 0.5)[:m],
-            dpsi_norms=lambda m: np.full(min(m, 1), np.pi)[:m],
-            l2_norm=0.5,
-            h1_norm_sq=(1.0 + 2.0 * np.pi**2) / 4.0,
-        ),
-        summary="rank-one product of sines",
-    )
+def _number(value, what: str) -> float:
+    """``value`` as a float; ConfigError unless it is a real number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 def _sinsum(coeffs: Sequence[float] = (1.0, 0.5, 0.25)) -> AnalyticCase:
@@ -89,7 +76,9 @@ def _sinsum(coeffs: Sequence[float] = (1.0, 0.5, 0.25)) -> AnalyticCase:
     singular values are c_k / 2 with vectors sqrt(2) sin(k pi x) and
     derivative norms k pi, ordered by decreasing c_k.
     """
-    c = tuple(float(v) for v in coeffs)
+    if not isinstance(coeffs, (list, tuple, np.ndarray)):
+        raise ConfigError(f"SINSUM coeffs must be a list of numbers, got {coeffs!r}")
+    c = tuple(_number(v, "a SINSUM coefficient") for v in coeffs)
     if len(c) == 0:
         raise ConfigError("SINSUM needs at least one coefficient")
     if any(v <= 0 for v in c):
@@ -118,6 +107,12 @@ def _sinsum(coeffs: Sequence[float] = (1.0, 0.5, 0.25)) -> AnalyticCase:
         params={"coeffs": list(c)},
         summary="finite sum of sine products",
     )
+
+
+def _sep1() -> AnalyticCase:
+    """sin(pi x) sin(pi y): SINSUM with the one coefficient 1, so the only
+    singular value is 1/2 and its derivative norm is pi."""
+    return replace(_sinsum((1.0,)), name="SEP1", params={}, summary="rank-one product of sines")
 
 
 def _brownian() -> AnalyticCase:
@@ -181,8 +176,7 @@ def _sum3d(c1: float = 1.0, c2: float = 0.5) -> AnalyticCase:
     s_k = sqrt(2) sin(k pi t) are orthonormal, so every mode has the
     singular values (c1, c2) with derivative norms (pi, 2 pi).
     """
-    c1 = float(c1)
-    c2 = float(c2)
+    c1, c2 = _number(c1, "SUM3D c1"), _number(c2, "SUM3D c2")
     if not c1 > c2 > 0:
         raise ConfigError(f"SUM3D needs c1 > c2 > 0, got {(c1, c2)}")
     sig = np.array([c1, c2])
@@ -278,19 +272,8 @@ def _grid_sizes(sizes: Sequence[int], dim: int) -> tuple[int, ...]:
     return sizes
 
 
-def case_axes(case: AnalyticCase, sizes: Sequence[int]) -> tuple[Axis, ...]:
-    return tuple(make_axis(n, 0.0, 1.0) for n in _grid_sizes(sizes, case.dim))
-
-
 def sample_case(case: AnalyticCase, sizes: Sequence[int]) -> GridFunction:
-    """Sample a case on the unit cube with the given per-axis sizes."""
-    return sample(case.sampler, case_axes(case, sizes))
-
-
-def geometric_coeffs(m: int, ratio: float = 0.5) -> tuple[float, ...]:
-    """Coefficients 1, ratio, ratio^2, ... for SINSUM-style spectra."""
-    if m < 1:
-        raise ConfigError(f"need m >= 1, got {m}")
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"need 0 < ratio < 1, got {ratio}")
-    return tuple(ratio**i for i in range(m))
+    """Sample a case on the unit cube with the given per-axis sizes; one
+    size serves every axis, and any other count is a ConfigError."""
+    axes = tuple(make_axis(n, 0.0, 1.0) for n in _grid_sizes(sizes, case.dim))
+    return sample(case.sampler, axes)

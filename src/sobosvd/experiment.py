@@ -29,7 +29,9 @@ from .errors import ConfigError, DegenerateDataError, ModeError, SampleFileError
 from .sobolev import _root_sum, derivative_data, norm_l2
 from .svd_engine import mode_svd, mode_svds, numerical_rank, retained_count
 from .tensor_core import matricize
-from .truncation import _analysis_map, _check_rank_vector, h1_sandwich, hosvd_project, series_split
+from .truncation import (
+    _SANDWICH_RTOL, _analysis_map, _check_rank_vector, h1_sandwich, hosvd_project, series_split
+)
 
 _TINY = 1e-300  # guards divisions for the all-zero input
 
@@ -89,8 +91,9 @@ def load_samples(path: Path | str) -> GridFunction:
 
     The byte content of a save/load round trip is preserved exactly. The
     sidecar must be strict JSON, its ``shape`` a list of positive integers
-    and its ``axes`` one object with finite ``lower`` < ``upper`` per entry
-    of ``shape``; anything else raises SampleFileError.
+    and its ``axes`` one object per entry of ``shape``, whose ``lower`` and
+    ``upper`` are JSON numbers, finite and ``lower`` < ``upper``; anything
+    else raises SampleFileError.
     """
     p = Path(path)
     meta_p = Path(str(p) + ".meta.json")
@@ -102,8 +105,11 @@ def load_samples(path: Path | str) -> GridFunction:
     file_shape, axes_meta = meta.get("shape"), meta.get("axes")
     if not isinstance(file_shape, list) or not all(type(n) is int and n > 0 for n in file_shape):
         raise SampleFileError(f"{meta_p}: shape must be a list of positive integers")
-    if not isinstance(axes_meta, list) or not all(isinstance(a, dict) for a in axes_meta):
-        raise SampleFileError(f"{meta_p}: axes must be a list of objects")
+    if not isinstance(axes_meta, list) or not all(
+        isinstance(a, dict) and all(type(a.get(k)) in (int, float) for k in ("lower", "upper"))
+        for a in axes_meta
+    ):
+        raise SampleFileError(f"{meta_p}: axes must be objects with numeric lower and upper")
     if len(file_shape) != len(axes_meta) or not file_shape:
         raise SampleFileError(f"{meta_p}: shape and axes entries disagree")
 
@@ -124,9 +130,7 @@ def load_samples(path: Path | str) -> GridFunction:
             for n, a in zip(file_shape, axes_meta)
         )
         return GridFunction(axes, values)
-    except (KeyError, TypeError) as exc:
-        raise SampleFileError(f"{meta_p}: malformed axis entry: {exc}") from exc
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
         raise SampleFileError(f"{p}: {exc}") from exc
 
 
@@ -462,7 +466,7 @@ _CHECKS = {
     "ek_identity": (_check_ek_identity, 1e-9),
     "hosvd_bound": (_check_hosvd_bound, 1e-10),
     "quasi_opt": (_check_quasi_opt, 1e-10),
-    "sandwich": (_check_sandwich, 1e-9),
+    "sandwich": (_check_sandwich, _SANDWICH_RTOL),
     "derivative_bound": (_check_derivative_bound, 1e-10),
     "diagnostics": (_check_diagnostics, None),
 }

@@ -137,8 +137,6 @@ def combined_weights(weight_vectors) -> np.ndarray:
     index runs fastest.
     """
     vecs = [np.asarray(w, dtype=float) for w in weight_vectors]
-    if not vecs:
-        return np.ones(1)
     grid = reduce(np.multiply.outer, vecs)
     return np.ravel(grid, order="F")
 

@@ -31,11 +31,12 @@ import numpy as np
 
 from .discretization import GridFunction, _sq_l2, inner_l2
 from .errors import InsufficientRankError, ModeError, SobosvdError
-from .sobolev import DerivativeData, _root_sum, derivative_data, norm_l2, split_sq
-from .svd_engine import SingularSystem, _fix_signs, mode_svds
+from .sobolev import DerivativeData, _root_sum, norm_l2, split_sq
+from .svd_engine import SingularSystem, _fix_signs
 from .tensor_core import check_mode, matricize, mode_product
 
 _HOOI_TOL = 1e-12  # hooi's stop rule, relative to the L2 norm of u
+_SANDWICH_RTOL = 1e-9  # h1_sandwich's default slack, relative to |u|_1^2
 
 
 class SeriesSplit(NamedTuple):
@@ -162,23 +163,17 @@ def _per_mode(items, d: int, what: str):
 
 
 def _ranks_and_systems(u: GridFunction, ranks, systems):
-    """Validated rank vector, and the mode systems of ``u`` unless given."""
-    rv = _check_rank_vector(ranks, u.shape)
-    if systems is None:
-        return rv, mode_svds(u)
-    return rv, _per_mode(systems, u.ndim, "systems")
+    """Validated rank vector and mode systems of ``u``."""
+    return _check_rank_vector(ranks, u.shape), _per_mode(systems, u.ndim, "systems")
 
 
 def hosvd_project(
-    u: GridFunction,
-    ranks,
-    *,
-    systems: tuple[SingularSystem, ...] | None = None,
+    u: GridFunction, ranks, *, systems: tuple[SingularSystem, ...]
 ) -> TuckerApprox:
     """Compose the per-mode spectral projections at a rank vector.
 
-    Each mode keeps the span of its first r_j left singular vectors; the
-    projections commute, and the L2 error of the composition is bounded
+    Each mode keeps the span of its first r_j left vectors in ``systems``;
+    the projections commute, and the L2 error of the composition is bounded
     by the sum of per-mode discarded spectral weight.
     """
     rv, systems = _ranks_and_systems(u, ranks, systems)
@@ -192,7 +187,7 @@ def hooi(
     ranks,
     max_iters: int = 50,
     *,
-    systems: tuple[SingularSystem, ...] | None = None,
+    systems: tuple[SingularSystem, ...],
 ) -> TuckerApprox:
     """Alternating refinement of the per-mode subspaces at fixed ranks.
 
@@ -206,12 +201,6 @@ def hooi(
     error history. The projection is built from the very bases whose
     error the history records, so its error is the least of the history
     bit for bit.
-
-    ``systems`` takes the systems of every mode of ``u``, as
-    ``hosvd_project`` and ``h1_sandwich`` do; the starting bases are
-    read from it instead of decomposing each mode again. Without it the
-    decompositions are computed here by ``mode_svds``, so given its
-    result the refinement is bit-identical.
     """
     if max_iters < 1:
         raise SobosvdError(f"max_iters must be >= 1, got {max_iters}")
@@ -388,8 +377,8 @@ def h1_sandwich(
     u: GridFunction,
     ranks,
     *,
-    systems: tuple[SingularSystem, ...] | None = None,
-    derivs: tuple[DerivativeData, ...] | None = None,
+    systems: tuple[SingularSystem, ...],
+    derivs: tuple[DerivativeData, ...],
     slack: float | None = None,
 ) -> ErrorReport:
     """Measure a rank-vector truncation and evaluate all its bounds.
@@ -402,21 +391,20 @@ def h1_sandwich(
     evaluates the spectral series, the two-sided Sobolev estimates that
     ``ErrorReport`` describes and the per-mode norm-ratio constants.
 
-    Precomputed ``systems``/``derivs`` (one per mode, modes 0..d-1 in
-    order, else ModeError) avoid repeated decompositions across a rank
-    sweep.
+    ``systems`` and ``derivs`` (one per mode, modes 0..d-1 in order, else
+    ModeError) are the caller's, read again at every rank of a sweep.
 
     ``slack`` widens every bracket of ``bound_checks``; the default is
-    1e-9 times |u|_1^2, so the verdicts do not depend on the scale of u.
+    ``_SANDWICH_RTOL`` times |u|_1^2, so the verdicts do not depend on
+    the scale of u.
     |u|_1^2 is summed from |u|^2 and the |D_j u|^2 in ``derivs``.
     """
     rv, systems = _ranks_and_systems(u, ranks, systems)
     d = u.ndim
-    if derivs is None:
-        derivs = tuple(derivative_data(u, s) for s in systems)
     derivs = _per_mode(derivs, d, "derivs")
     if slack is None:
-        slack = 1e-9 * _root_sum((inner_l2(u, u), *(dv.du_sq for dv in derivs))) ** 2
+        u_sq = (inner_l2(u, u), *(dv.du_sq for dv in derivs))
+        slack = _SANDWICH_RTOL * _root_sum(u_sq) ** 2
 
     approx = hosvd_project(u, rv, systems=systems)
     du = {dv.mode: dv.du for dv in derivs}

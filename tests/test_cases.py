@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import sobosvd as sv
-from sobosvd.cases import case_axes, list_cases
+from sobosvd.cases import list_cases
 from sobosvd.errors import ConfigError, UnknownCaseError
 
 
@@ -23,23 +23,22 @@ def test_get_case_rejects_bad_input():
         sv.get_case("SINSUM", coeffs=(1.0, -0.5))
     with pytest.raises(ConfigError):
         sv.get_case("SUM3D", c1=0.5, c2=1.0)
+    # numpy numbers from Python callers are numbers too
+    for coeffs in ([np.float64(1.0), 0.5], np.array([1.0, 0.5])):
+        assert sv.get_case("SINSUM", coeffs=coeffs).params == {"coeffs": [1.0, 0.5]}
+    sum3d = sv.get_case("SUM3D", c1=np.float64(2.0), c2=np.int64(1))
+    assert sum3d.params == {"c1": 2.0, "c2": 1.0}
 
 
 def test_case_axes_size_handling():
+    # sample_case builds one unit-interval axis per dimension of the case
     case = sv.get_case("SEP3D")
-    axes = case_axes(case, (17,))
-    assert len(axes) == 3 and all(a.n == 17 for a in axes)
+    u = sv.sample_case(case, (17,))
+    assert u.shape == (17, 17, 17)
+    assert all((a.n, a.lower, a.upper) == (17, 0.0, 1.0) for a in u.axes)
+    assert sv.sample_case(case, (5, 7, 9)).shape == (5, 7, 9)
     with pytest.raises(ConfigError):
-        case_axes(case, (17, 17))
-
-
-def test_geometric_coeffs():
-    assert sv.geometric_coeffs(4) == (1.0, 0.5, 0.25, 0.125)
-    assert sv.geometric_coeffs(3, ratio=0.1) == pytest.approx((1.0, 0.1, 0.01))
-    with pytest.raises(ConfigError):
-        sv.geometric_coeffs(0)
-    with pytest.raises(ConfigError):
-        sv.geometric_coeffs(3, ratio=1.0)
+        sv.sample_case(case, (17, 17))
 
 
 def test_sep1_oracle_values():

@@ -219,13 +219,19 @@ def test_load_samples_failure_modes(tmp_path):
         with pytest.raises(SampleFileError):
             load_samples(p)
 
-    # an infinite endpoint, as the non-JSON token and as a literal that
-    # parses to inf
+    # an infinite endpoint, as the non-JSON token, as a literal that parses
+    # to inf and as an integer too large for a float, and endpoints that
+    # are not JSON numbers
     assert good.count('"upper": 2.0') == 1
-    for upper in ("Infinity", "1e999"):
+    for upper in ("Infinity", "1e999", "1" + "0" * 400, "true", '"2"'):
         meta_p.write_text(good.replace('"upper": 2.0', f'"upper": {upper}'), "utf-8")
         with pytest.raises(SampleFileError):
             load_samples(p)
+    meta = json.loads(good)
+    meta["axes"][0]["lower"] = str(meta["axes"][0]["lower"])
+    meta_p.write_text(json.dumps(meta), "utf-8")
+    with pytest.raises(SampleFileError):
+        load_samples(p)
 
     meta_p.write_text(good, "utf-8")
     p.write_bytes(p.read_bytes()[:-8])
@@ -478,6 +484,21 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     missing = write_config(tmp_path, {"function": {"file": "ghost.raw"}})
     assert main(["run", "--config", str(missing)]) == 3
     assert "ghost.raw" in capsys.readouterr().err
+
+    # case parameters are JSON numbers, and coeffs a list of them
+    for case, params in [
+        ("SINSUM", {"coeffs": 5}),
+        ("SINSUM", {"coeffs": [1, "a"]}),
+        ("SINSUM", {"coeffs": "123"}),
+        ("SUM3D", {"c1": "x"}),
+        ("SUM3D", {"c1": "2"}),
+        ("SUM3D", {"c1": True}),
+    ]:
+        bad = write_config(
+            tmp_path, {"function": {"case": case, "params": params}, "grid": {"n": [9]}}
+        )
+        assert main(["run", "--config", str(bad)]) == 2, params
+        assert "must be a" in capsys.readouterr().err, params
 
 
 def test_cli_thread_pinning(capsys):
@@ -799,7 +820,9 @@ def test_check_with_nan_defect_fails(check, field):
     import sobosvd.experiment as experiment
 
     u = sv.sample_case(sv.get_case("SINSUM"), (17, 17))
-    good = [sv.h1_sandwich(u, (r, r)) for r in (1, 2)]
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    good = [sv.h1_sandwich(u, (r, r), systems=systems, derivs=derivs) for r in (1, 2)]
     # the NaN comes second: a plain running max(worst, nan) would keep worst
     reports = [good[0], dataclasses.replace(good[1], **{field: float("nan")})]
 

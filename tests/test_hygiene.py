@@ -141,6 +141,7 @@ def test_public_names_resolve():
         "dematricize",
         "dense_reference_sigmas",
         "ek_identity",
+        "geometric_coeffs",
         "h1_identity",
         "hosvd",
         "jackson_exponent",
@@ -231,3 +232,46 @@ def test_every_mode_is_decomposed_in_svd_engine_only():
         and _loops_mode_svd_over_modes(ast.parse(path.read_text("utf-8")))
     ]
     assert found == []
+
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((SRC / name).read_text("utf-8"))
+
+
+def test_truncation_never_decomposes():
+    # hosvd_project, hooi and h1_sandwich take the caller's mode systems
+    # and derivative data; truncation.py binds nothing that makes them
+    names = set()
+    for node in ast.walk(_tree("truncation.py")):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.asname or alias.name for alias in node.names}
+        names |= {getattr(node, "id", None), getattr(node, "attr", None)}
+    assert names & {"mode_svd", "mode_svds", "derivative_data"} == set()
+
+
+def _float_literals(node: ast.AST) -> list[float]:
+    return [
+        n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and type(n.value) is float
+    ]
+
+
+def test_sandwich_tolerance_is_written_once():
+    # h1_sandwich's default slack and the sandwich check's default
+    # tolerance both read _SANDWICH_RTOL, the one literal in truncation.py
+    from sobosvd import experiment, truncation
+
+    sandwich = next(
+        n
+        for n in ast.walk(_tree("truncation.py"))
+        if isinstance(n, ast.FunctionDef) and n.name == "h1_sandwich"
+    )
+    table = next(
+        n.value
+        for n in ast.walk(_tree("experiment.py"))
+        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "_CHECKS"
+    )
+    entry = table.values[[k.value for k in table.keys].index("sandwich")]
+    assert truncation._SANDWICH_RTOL not in _float_literals(sandwich)
+    assert _float_literals(entry) == []
+    assert experiment._CHECKS["sandwich"][1] == truncation._SANDWICH_RTOL

@@ -23,7 +23,6 @@ def test_combined_weights_order():
     # first vector fastest, matching colexicographic matricization
     w = sv.combined_weights([np.array([1.0, 2.0]), np.array([10.0, 100.0])])
     np.testing.assert_allclose(w, [10.0, 20.0, 100.0, 200.0])
-    np.testing.assert_allclose(sv.combined_weights([]), [1.0])
 
 
 def test_weighted_svd_hand_case():

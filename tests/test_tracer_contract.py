@@ -43,7 +43,7 @@ def test_tracer_reads_hooi_by_name():
     # needs a run span, so the hooi spans are totalled here
     u = sv.sample_case(sv.get_case("SUM3D"), (9, 9, 9))
     with Tracer() as tracer:
-        sv.hooi(u, (2, 2, 2))
+        sv.hooi(u, (2, 2, 2), systems=sv.mode_svds(u))
     spans = [s for s in tracer.spans if s.name == "truncation.hooi"]
     assert len(spans) > 0
     assert sum(s.work["sweeps"] for s in spans) > 0

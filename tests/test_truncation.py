@@ -109,15 +109,13 @@ def test_series_split_rank_range(catalog):
 
 def test_hosvd_project_caps_rank():
     u = sv.sample_case(sv.get_case("SEP3D"), (9, 9, 9))
-    approx = sv.hosvd_project(u, (9, 9, 9))
+    systems = sv.mode_svds(u)
+    approx = sv.hosvd_project(u, (9, 9, 9), systems=systems)
     # k_max is 9 here, nothing to cap; over-asking beyond shape raises
     assert approx.factors[0].shape == (9, 9)
-    with pytest.raises(ModeError):
-        sv.hosvd_project(u, (10, 9, 9))
-    with pytest.raises(ModeError):
-        sv.hosvd_project(u, (9, 9))
-    with pytest.raises(ModeError):
-        sv.hosvd_project(u, (-1, 9, 9))
+    for rv in ((10, 9, 9), (9, 9), (-1, 9, 9)):
+        with pytest.raises(ModeError):
+            sv.hosvd_project(u, rv, systems=systems)
 
 
 def test_hosvd_project_l2_bound(catalog):
@@ -137,18 +135,18 @@ def test_given_systems_must_cover_every_mode_in_order():
     rng = np.random.default_rng(3)
     axes = tuple(sv.make_axis(n) for n in (9, 11, 13))
     u = sv.GridFunction(axes, rng.standard_normal((9, 11, 13)))
-    s0, s1, s2 = (sv.mode_svd(u, j) for j in range(3))
+    s0, s1, s2 = sv.mode_svds(u)
+    d0, d1, d2 = (sv.derivative_data(u, s) for s in (s0, s1, s2))
     for systems in ((s0, s0, s2), (s1, s0, s2), (s0, s1)):
         with pytest.raises(ModeError):
             sv.hosvd_project(u, (1, 1, 1), systems=systems)
         with pytest.raises(ModeError):
             sv.hooi(u, (1, 1, 1), systems=systems)
         with pytest.raises(ModeError):
-            sv.h1_sandwich(u, (1, 1, 1), systems=systems)
+            sv.h1_sandwich(u, (1, 1, 1), systems=systems, derivs=(d0, d1, d2))
     assert len(sv.hosvd_project(u, (1, 1, 1), systems=(s0, s1, s2)).factors) == 3
     # derivative data likewise: a repeated mode would drop a direction
     # from the measured residual
-    d0, d1, d2 = (sv.derivative_data(u, s) for s in (s0, s1, s2))
     with pytest.raises(ModeError):
         sv.h1_sandwich(u, (1, 1, 1), systems=(s0, s1, s2), derivs=(d0, d0, d2))
 
@@ -157,9 +155,10 @@ def test_hooi_never_worse_than_spectral_start():
     rng = np.random.default_rng(13)
     axes = tuple(sv.make_axis(10) for _ in range(3))
     u = sv.GridFunction(axes, rng.standard_normal((10, 10, 10)))
+    systems = sv.mode_svds(u)
     for rv in ((1, 1, 1), (2, 3, 2), (4, 4, 4)):
-        spectral = sv.hosvd_project(u, rv)
-        refined = sv.hooi(u, rv)
+        spectral = sv.hosvd_project(u, rv, systems=systems)
+        refined = sv.hooi(u, rv, systems=systems)
         e_s = sv.norm_l2(u - spectral.projected)
         e_h = sv.norm_l2(u - refined.projected)
         assert e_h <= e_s + 1e-12
@@ -168,15 +167,15 @@ def test_hooi_never_worse_than_spectral_start():
 
 
 def test_hooi_exact_on_separable_sum(catalog):
-    u, _, _ = catalog["SUM3D"]
-    refined = sv.hooi(u, (2, 2, 2))
+    u, systems, _ = catalog["SUM3D"]
+    refined = sv.hooi(u, (2, 2, 2), systems=systems)
     assert sv.norm_l2(u - refined.projected) / sv.norm_l2(u) < 1e-12
 
 
 def test_hooi_validates_inputs():
     u = sv.sample_case(sv.get_case("SEP3D"), (9, 9, 9))
     with pytest.raises(SobosvdError):
-        sv.hooi(u, (1, 1, 1), max_iters=0)
+        sv.hooi(u, (1, 1, 1), max_iters=0, systems=sv.mode_svds(u))
 
 
 def test_bernstein_constant_rank_errors(catalog):
@@ -259,7 +258,10 @@ def test_sandwich_default_slack_is_scale_invariant():
     u = sv.sample_case(sv.get_case("EXPXY"), (33, 33))
     holds = {}
     for c in (1e-6, 1.0, 1e6):
-        rep = sv.h1_sandwich(sv.GridFunction(u.axes, c * u.values), (1, 2))
+        v = sv.GridFunction(u.axes, c * u.values)
+        systems = sv.mode_svds(v)
+        derivs = tuple(sv.derivative_data(v, s) for s in systems)
+        rep = sv.h1_sandwich(v, (1, 2), systems=systems, derivs=derivs)
         holds[c] = {k: b.holds for k, b in rep.bound_checks().items()}
     assert holds[1e-6] == holds[1.0] == holds[1e6], holds
 
@@ -321,8 +323,9 @@ def test_sandwich_quasi_ref_chain(name):
     else:
         u = sv.sample_case(sv.get_case(name), (17, 17, 17))
     systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
     for rv in itertools.product(range(4), repeat=3):
-        rep = sv.h1_sandwich(u, rv, systems=systems)
+        rep = sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
         refined = sv.hooi(u, rv, systems=systems)
         assert rep.residual_l2**2 - rep.slack <= rep.quasi_opt_reference, rv
         assert (
@@ -388,24 +391,6 @@ def _random_cube(seed=7, n=12):
     return sv.GridFunction(axes, rng.standard_normal((n, n, n)))
 
 
-def test_hooi_given_systems_is_bit_identical(catalog):
-    # given the decompositions hooi would compute itself (mode_svds, which
-    # in 2D reads mode 1 off mode 0), the refinement is bit-identical
-    cases = [
-        (catalog["EXPXY"][0], (3, 3)),
-        (catalog["SUM3D"][0], (2, 1, 2)),
-        (_random_cube(), (2, 3, 2)),
-    ]
-    for u, rv in cases:
-        fresh = sv.hooi(u, rv)
-        given = sv.hooi(u, rv, systems=sv.mode_svds(u))
-        assert len(fresh.factors) == len(given.factors)
-        for a, b in zip(fresh.factors, given.factors):
-            assert np.array_equal(a, b)
-        assert np.array_equal(fresh.projected.values, given.projected.values)
-        assert fresh.error_history == given.error_history
-
-
 def _count_mode_svds(monkeypatch) -> list:
     """Record the mode of every ``mode_svd`` the package makes from now on."""
     import sobosvd.svd_engine as svd_engine
@@ -448,13 +433,29 @@ def test_run_experiment_makes_no_hooi_call(monkeypatch):
     assert calls == []
 
 
-def test_hooi_decomposes_once_in_2d(catalog, monkeypatch):
-    # without systems= the starting bases come from mode_svds: one SVD
-    # in 2D, mode 1 being the adjoint of mode 0
+def test_tucker_functions_make_no_mode_svd(catalog, monkeypatch):
+    # hosvd_project, hooi and h1_sandwich read the caller's mode systems
+    # and derivative data; none of them decomposes u again
     calls = _count_mode_svds(monkeypatch)
-    u = catalog["BROWNIAN"][0]
-    sv.hooi(u, (3, 3))
-    assert calls == [0]
+    for name in ("BROWNIAN", "SUM3D"):
+        u, systems, derivs = catalog[name]
+        rv = (3,) * u.ndim
+        sv.hosvd_project(u, rv, systems=systems)
+        sv.hooi(u, rv, systems=systems)
+        sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
+    assert calls == []
+
+
+def test_tucker_functions_require_the_mode_systems(catalog):
+    u, systems, _ = catalog["SINSUM"]
+    for call in (
+        lambda: sv.hosvd_project(u, (1, 1)),
+        lambda: sv.hooi(u, (1, 1)),
+        lambda: sv.h1_sandwich(u, (1, 1)),
+        lambda: sv.h1_sandwich(u, (1, 1), systems=systems),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_hooi_least_error_is_its_projection_error(catalog):
@@ -471,12 +472,12 @@ def test_hooi_least_error_is_its_projection_error(catalog):
 
 
 def test_hooi_stop_rule_is_scale_invariant():
-    u = _random_cube()
+    u, scaled = _random_cube(), {}
+    for c in (1e-6, 1.0, 1e6):
+        v = sv.GridFunction(u.axes, c * u.values)
+        scaled[c] = (v, sv.mode_svds(v))
     for r in (2, 4, 6):
-        runs = {
-            c: sv.hooi(sv.GridFunction(u.axes, c * u.values), (r, r, r))
-            for c in (1e-6, 1.0, 1e6)
-        }
+        runs = {c: sv.hooi(v, (r, r, r), systems=s) for c, (v, s) in scaled.items()}
         sweeps = {c: len(t.error_history) - 1 for c, t in runs.items()}
         assert len(set(sweeps.values())) == 1, sweeps
         base = np.array(runs[1.0].error_history)
@@ -489,6 +490,6 @@ def test_hooi_stop_rule_is_scale_invariant():
 def test_hooi_zero_input_stops_after_one_sweep():
     axes = tuple(sv.make_axis(9) for _ in range(3))
     z = sv.GridFunction(axes, np.zeros((9, 9, 9)))
-    refined = sv.hooi(z, (2, 2, 2))
+    refined = sv.hooi(z, (2, 2, 2), systems=sv.mode_svds(z))
     assert refined.error_history == (0.0, 0.0)
     assert sv.norm_l2(refined.projected) == 0.0
