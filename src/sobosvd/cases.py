@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import Callable, ClassVar, Sequence
@@ -63,9 +64,10 @@ class AnalyticCase:
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float; ConfigError unless it is a real number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+    """``value`` as a float; ConfigError unless it is a finite real number (not a bool)."""
+    finite = isinstance(value, Real) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -68,7 +68,8 @@ def make_axis(n: int, lower: float = 0.0, upper: float = 1.0) -> Axis:
     Raises
     ------
     InvalidAxisError
-        If ``n < 3``, an endpoint is not finite, or ``lower >= upper``.
+        If ``n < 3``, an endpoint is not finite, ``lower >= upper``, or the
+        spacing h overflows or its half, the end weight, underflows to 0.
         Three nodes are the minimum for the one-sided boundary stencils.
     """
     n = int(n)
@@ -79,6 +80,8 @@ def make_axis(n: int, lower: float = 0.0, upper: float = 1.0) -> Axis:
     if not lower < upper:
         raise InvalidAxisError(f"empty interval: lower={lower!r}, upper={upper!r}")
     h = (upper - lower) / (n - 1)
+    if not (math.isfinite(h) and h / 2.0 > 0.0):
+        raise InvalidAxisError(f"spacing {h!r} on [{lower!r}, {upper!r}] overflows or underflows")
     nodes = np.linspace(lower, upper, n)
     w = np.full(n, h)
     w[0] = w[-1] = h / 2.0

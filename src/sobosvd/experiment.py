@@ -16,10 +16,10 @@ import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from numbers import Number
 from pathlib import Path
 from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from .cases import _grid_sizes, get_case, sample_case
@@ -478,13 +478,77 @@ DEFAULT_TOLERANCES = {name: tol for name, (_, tol) in _CHECKS.items() if tol is 
 # configs
 
 
-def _validate(data, schema: dict, where: tuple = ()) -> None:
-    """Raise ConfigError where ``data``, at path ``where`` in a config, breaks ``schema``."""
-    errors = jsonschema.Draft202012Validator(schema).iter_errors(data)
-    err = min(errors, key=lambda e: list(e.absolute_path), default=None)
+def _is(x, name: str) -> bool:
+    """Whether ``x`` has JSON Schema type ``name``: an integral float is an
+    integer, and a bool is neither an integer nor a number."""
+    if name == "integer":
+        return _is(x, "number") and (isinstance(x, int) or isinstance(x, float) and x.is_integer())
+    if name == "number":
+        return type(x) is not bool and isinstance(x, Number)
+    types = {"array": list, "boolean": bool, "null": type(None), "object": dict, "string": str}
+    return isinstance(x, types[name])
+
+
+def _schema_errors(x, schema: dict, root: dict, path: tuple):
+    """Yield (path, message) for each way ``x`` at ``path`` breaks ``schema``,
+    in the order and words of jsonschema's Draft 2020-12 validator. Reads the
+    keywords the two shipped schemas use; their ``const`` and ``enum`` values
+    are strings, which ``==`` compares as JSON does. A ``$ref`` names an entry
+    of ``root["$defs"]``."""
+    for key, s in schema.items():
+        if key == "$ref":
+            yield from _schema_errors(x, root["$defs"][s.removeprefix("#/$defs/")], root, path)
+        elif key == "type":
+            names = [s] if isinstance(s, str) else s
+            if not any(_is(x, t) for t in names):
+                yield path, f"{x!r} is not of type {', '.join(map(repr, names))}"
+        elif key == "const" and x != s:
+            yield path, f"{s!r} was expected"
+        elif key == "enum" and x not in s:
+            yield path, f"{x!r} is not one of {s!r}"
+        elif key == "minimum" and _is(x, "number") and x < s:
+            yield path, f"{x!r} is less than the minimum of {s!r}"
+        elif key == "exclusiveMinimum" and _is(x, "number") and x <= s:
+            yield path, f"{x!r} is less than or equal to the minimum of {s!r}"
+        elif key == "oneOf":
+            ok = [sub for sub in s if not any(_schema_errors(x, sub, root, path))]
+            if not ok:
+                yield path, f"{x!r} is not valid under any of the given schemas"
+            elif len(ok) > 1:
+                each = ", ".join(map(repr, ok[1:] + ok[:1]))
+                yield path, f"{x!r} is valid under each of {each}"
+        elif key == "required" and isinstance(x, dict):
+            yield from ((path, f"{k!r} is a required property") for k in s if k not in x)
+        elif key == "properties" and isinstance(x, dict):
+            for k in (k for k in s if k in x):
+                yield from _schema_errors(x[k], s[k], root, (*path, k))
+        elif key == "additionalProperties" and isinstance(x, dict):
+            extra = sorted(k for k in x if k not in schema.get("properties", {}))
+            if s is False and extra:
+                listed = f"{', '.join(map(repr, extra))} {'was' if len(extra) == 1 else 'were'}"
+                yield path, f"Additional properties are not allowed ({listed} unexpected)"
+            for k in extra if isinstance(s, dict) else ():
+                yield from _schema_errors(x[k], s, root, (*path, k))
+        elif key == "items" and isinstance(x, list):
+            for i, item in enumerate(x):
+                yield from _schema_errors(item, s, root, (*path, i))
+        elif key == "minItems" and isinstance(x, list) and len(x) < s:
+            yield path, f"{x!r} {'should be non-empty' if s == 1 else 'is too short'}"
+        elif key == "maxItems" and isinstance(x, list) and len(x) > s:
+            yield path, f"{x!r} is too long"
+        elif key == "uniqueItems" and s and isinstance(x, list):
+            tagged = [(type(e) is bool, e) for e in x]  # in JSON, true is not 1
+            if any(e in tagged[:i] for i, e in enumerate(tagged)):
+                yield path, f"{x!r} has non-unique elements"
+
+
+def _validate(data, schema: dict, where: tuple = (), error=ConfigError, what="config") -> None:
+    """Raise ``error`` where ``data``, at path ``where`` in a ``what``, breaks
+    ``schema``; of several breaks, the one at the first path is reported."""
+    err = min(_schema_errors(data, schema, schema, where), key=lambda e: e[0], default=None)
     if err is not None:
-        at = "/".join(str(p) for p in (*where, *err.absolute_path)) or "top level"
-        raise ConfigError(f"config invalid at {at}: {err.message}")
+        at = "/".join(map(str, err[0])) or "top level"
+        raise error(f"{what} invalid at {at}: {err[1]}")
 
 
 @dataclass(frozen=True)
@@ -658,7 +722,7 @@ def run_experiment(
         "diagnostics": run.diagnostics,
         "passed": passed,
     }
-    jsonschema.Draft202012Validator(REPORT_SCHEMA).validate(report)
+    _validate(report, REPORT_SCHEMA, error=SobosvdError, what="report")
 
     report_path = sigma_path = None
     out = Path(out_dir) if out_dir is not None else config.output

@@ -43,6 +43,26 @@ def test_make_axis_non_finite_endpoint(lower, upper):
         sv.make_axis(5, lower, upper)
 
 
+@pytest.mark.parametrize(
+    "n, lower, upper",
+    [
+        (5, -1e308, 1e308),  # h = inf, and NaN nodes
+        (5, 0.0, 5e-324),  # h = 0, all weights 0
+        (3, 0.0, 1e-323),  # h = 5e-324, end weights h/2 = 0
+    ],
+)
+def test_make_axis_rejects_a_spacing_that_overflows_or_underflows(n, lower, upper):
+    with pytest.raises(InvalidAxisError, match="spacing"):
+        sv.make_axis(n, lower, upper)
+
+
+def test_make_axis_keeps_the_extreme_usable_spacings():
+    wide = sv.make_axis(3, -8e307, 8e307)
+    narrow = sv.make_axis(3, 0.0, 2e-323)
+    assert wide.spacing == 8e307 and np.all(np.isfinite(wide.nodes))
+    assert np.all(narrow.quad_weights > 0)
+
+
 def test_axis_arrays_immutable():
     ax = sv.make_axis(5)
     with pytest.raises(ValueError):

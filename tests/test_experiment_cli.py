@@ -501,6 +501,42 @@ def test_cli_error_exit_codes(tmp_path, capsys):
         assert "must be a" in capsys.readouterr().err, params
 
 
+@pytest.mark.parametrize(
+    "case, params",
+    [
+        ("SINSUM", '{"coeffs": [1e999]}'),
+        pytest.param("SINSUM", '{"coeffs": [1.0, 1' + "0" * 400 + "]}", id="SINSUM-1e400"),
+        ("SUM3D", '{"c1": 1e999}'),
+        ("SUM3D", '{"c1": 2.0, "c2": -1e999}'),
+    ],
+)
+def test_cli_rejects_infinite_case_parameters(tmp_path, capsys, case, params):
+    # JSON reads 1e999 as infinity; a long integer overflows a float
+    p = tmp_path / "config.json"
+    text = f'{{"function": {{"case": "{case}", "params": {params}}}, "grid": {{"n": [9]}}}}'
+    p.write_text(text, "utf-8")
+    assert main(["run", "--config", str(p)]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lower, upper", [(-1e308, 1e308), (0.0, 5e-324)])
+def test_cli_rejects_a_sidecar_axis_whose_spacing_overflows_or_underflows(
+    tmp_path, capsys, lower, upper
+):
+    # the spacing (upper - lower) / 8 is inf, or 0
+    u = sv.sample_case(sv.get_case("SEP1"), (9, 9))
+    p = save_samples(u, tmp_path / "u.raw")
+    meta_p = tmp_path / "u.raw.meta.json"
+    meta = json.loads(meta_p.read_text("utf-8"))
+    meta["axes"][0] = {"lower": lower, "upper": upper}
+    meta_p.write_text(json.dumps(meta), "utf-8")
+    with pytest.raises(SampleFileError, match="spacing"):
+        load_samples(p)
+    config = write_config(tmp_path, {"function": {"file": "u.raw"}})
+    assert main(["run", "--config", str(config)]) == 3
+    assert "spacing" in capsys.readouterr().err
+
+
 def test_cli_thread_pinning(capsys):
     os.environ.pop("SOBOSVD_THREADS", None)
     assert main(["verify", "--case", "SEP1", "--n", "9", "--threads", "3"]) == 0

@@ -109,12 +109,18 @@ def test_json_is_parsed_by_the_strict_reader_only():
     )
 
 
-def test_no_scipy_on_the_import_path():
-    # the runtime dependencies are numpy, jsonschema and the stdlib
+def test_no_scipy_on_the_import_path(tmp_path):
+    # the runtime dependencies are numpy and the stdlib; jsonschema and
+    # what it loads are for tests only, even when a run validates its
+    # config and its report
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"function": {"case": "SEP1"}, "grid": {"n": [9, 9]}}), "utf-8")
     code = (
         "import sys, sobosvd.experiment, sobosvd.cli\n"
         "sobosvd.cli.main(['list-cases'])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"assert sobosvd.cli.main(['run', '--config', {str(config)!r}]) == 0\n"
+        "banned = ('scipy', 'jsonschema', 'referencing', 'rpds', 'attrs', 'attr')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in banned))"
     )
     path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
