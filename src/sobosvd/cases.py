@@ -243,14 +243,12 @@ def get_case(name: str, **params) -> AnalyticCase:
     """Build a catalog case by name, with optional parameters.
 
     A case takes the parameters of its builder, whose signature holds
-    their defaults. Unknown names raise UnknownCaseError; parameters a
-    case does not take, or invalid values, raise ConfigError.
+    their defaults. Unknown names raise UnknownCaseError, a ConfigError;
+    parameters a case does not take, or invalid values, raise ConfigError.
     """
     key = str(name).upper()
     if key not in _BUILDERS:
-        raise UnknownCaseError(
-            f"unknown case {name!r}, have {sorted(_BUILDERS)}"
-        )
+        raise UnknownCaseError(f"unknown case {name!r}, have {sorted(_BUILDERS)}")
     builder = _BUILDERS[key]
     accepted = inspect.signature(builder).parameters
     for p in params:

@@ -75,13 +75,6 @@ def _pin_threads(flag: int | None) -> None:
         os.environ[var] = str(count)
 
 
-def _message(exc: BaseException) -> str:
-    # KeyError-derived exceptions repr their argument in str()
-    if exc.args and isinstance(exc.args[0], str):
-        return exc.args[0]
-    return str(exc)
-
-
 def _parse_sizes(text: str):
     try:
         return [int(part) for part in text.split(",")]
@@ -132,7 +125,7 @@ def main(argv=None) -> int:
         print(f"sobosvd: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    from .errors import ConfigError, SampleFileError, SobosvdError, UnknownCaseError
+    from .errors import ConfigError, SampleFileError, SobosvdError
 
     try:
         if args.command == "run":
@@ -140,14 +133,14 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_list_cases()
-    except (ConfigError, UnknownCaseError) as exc:
-        print(f"sobosvd: {_message(exc)}", file=sys.stderr)
+    except ConfigError as exc:
+        print(f"sobosvd: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SampleFileError, OSError) as exc:
-        print(f"sobosvd: {_message(exc)}", file=sys.stderr)
+        print(f"sobosvd: {exc}", file=sys.stderr)
         return EXIT_IO
     except SobosvdError as exc:
-        print(f"sobosvd: {_message(exc)}", file=sys.stderr)
+        print(f"sobosvd: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 
 

@@ -29,12 +29,12 @@ class DegenerateDataError(SobosvdError, ValueError):
     """Not enough usable data points for a fit."""
 
 
-class UnknownCaseError(SobosvdError, KeyError):
-    """Requested analytic case is not in the catalog."""
-
-
 class ConfigError(SobosvdError, ValueError):
     """Experiment configuration failed to parse or validate."""
+
+
+class UnknownCaseError(ConfigError):
+    """Requested analytic case is not in the catalog."""
 
 
 class SampleFileError(SobosvdError, OSError):

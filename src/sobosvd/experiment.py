@@ -9,6 +9,7 @@ spectrum table.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -59,12 +60,13 @@ def _read_json(path, error: type[SobosvdError], what: str) -> dict:
 _SCHEMAS = resources.files("sobosvd") / "schemas"
 CONFIG_SCHEMA = _read_json(_SCHEMAS / "config.schema.json", SobosvdError, "schema")
 REPORT_SCHEMA = _read_json(_SCHEMAS / "report.schema.json", SobosvdError, "schema")
+SAMPLES_SCHEMA = _read_json(_SCHEMAS / "samples.schema.json", SobosvdError, "schema")
 
 
 # ---------------------------------------------------------------------------
 # raw sample files
 
-_SAMPLE_FORMAT = "sobosvd-raw-1"
+_SAMPLE_FORMAT = SAMPLES_SCHEMA["properties"]["format"]["const"]
 
 
 def save_samples(u: GridFunction, path: Path | str) -> Path:
@@ -90,27 +92,19 @@ def load_samples(path: Path | str) -> GridFunction:
     """Read a raw sample file written by :func:`save_samples`.
 
     The byte content of a save/load round trip is preserved exactly. The
-    sidecar must be strict JSON, its ``shape`` a list of positive integers
-    and its ``axes`` one object per entry of ``shape``, whose ``lower`` and
-    ``upper`` are JSON numbers, finite and ``lower`` < ``upper``; anything
-    else raises SampleFileError.
+    sidecar must be strict JSON that ``schemas/samples.schema.json``
+    describes, with one axis per entry of ``shape`` (an integral float
+    such as ``9.0`` is an integer), finite endpoints ``lower`` < ``upper``,
+    and, for every mode, the products of the other axes' largest and
+    smallest quadrature weights finite and nonzero; anything else raises
+    SampleFileError.
     """
     p = Path(path)
     meta_p = Path(str(p) + ".meta.json")
     meta = _read_json(meta_p, SampleFileError, "sample sidecar")
-    if meta.get("format") != _SAMPLE_FORMAT:
-        raise SampleFileError(f"{meta_p}: unrecognized sample format")
-    if meta.get("dtype") != "<f8" or meta.get("order") != "colex":
-        raise SampleFileError(f"{meta_p}: unsupported dtype or ordering")
-    file_shape, axes_meta = meta.get("shape"), meta.get("axes")
-    if not isinstance(file_shape, list) or not all(type(n) is int and n > 0 for n in file_shape):
-        raise SampleFileError(f"{meta_p}: shape must be a list of positive integers")
-    if not isinstance(axes_meta, list) or not all(
-        isinstance(a, dict) and all(type(a.get(k)) in (int, float) for k in ("lower", "upper"))
-        for a in axes_meta
-    ):
-        raise SampleFileError(f"{meta_p}: axes must be objects with numeric lower and upper")
-    if len(file_shape) != len(axes_meta) or not file_shape:
+    _validate(meta, SAMPLES_SCHEMA, error=SampleFileError, what=f"sample sidecar {meta_p}")
+    file_shape, axes_meta = [int(n) for n in meta["shape"]], meta["axes"]
+    if len(file_shape) != len(axes_meta):
         raise SampleFileError(f"{meta_p}: shape and axes entries disagree")
 
     try:
@@ -129,9 +123,17 @@ def load_samples(path: Path | str) -> GridFunction:
             make_axis(n, float(a["lower"]), float(a["upper"]))
             for n, a in zip(file_shape, axes_meta)
         )
-        return GridFunction(axes, values)
+        u = GridFunction(axes, values)
     except (OverflowError, ValueError) as exc:
         raise SampleFileError(f"{p}: {exc}") from exc
+    # mode j's column weights are products of the other axes' weights
+    for j in range(u.ndim):
+        w = [ax.quad_weights for ax in axes[:j] + axes[j + 1 :]]
+        small = math.prod(float(x.min()) for x in w)
+        big = math.prod(float(x.max()) for x in w)
+        if not (small > 0.0 and big < math.inf):
+            raise SampleFileError(f"{p}: weights off axis {j} overflow or underflow in product")
+    return u
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -158,57 +160,46 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def _build_function(config: ExperimentConfig):
-    if config.case_name is not None:
-        case = get_case(config.case_name, **(config.case_params or {}))
-        if config.grid_sizes is None:
+    fn, grid = config.data["function"], config.data.get("grid", {}).get("n")
+    if "case" in fn:
+        case = get_case(fn["case"], **fn.get("params", {}))
+        if grid is None:
             raise ConfigError("grid sizes are required for a catalog case")
-        u = sample_case(case, config.grid_sizes)
-        desc = {
-            "case": case.name,
-            "params": case.params,
-            "summary": case.summary,
-        }
-        return u, desc
+        desc = {"case": case.name, "params": case.params, "summary": case.summary}
+        return sample_case(case, grid), desc
 
-    u = load_samples(config.sample_file)
-    if config.grid_sizes is not None and _grid_sizes(config.grid_sizes, u.ndim) != u.shape:
-        raise ConfigError(
-            f"config grid {config.grid_sizes} does not match sample file shape {u.shape}"
-        )
-    return u, {"file": str(config.sample_file)}
+    path = config.base_dir / fn["file"]
+    u = load_samples(path)
+    if grid is not None and _grid_sizes(grid, u.ndim) != u.shape:
+        raise ConfigError(f"config grid {grid} does not match sample file shape {u.shape}")
+    return u, {"file": str(path)}
 
 
 def _broadcast(value, dim: int, what: str) -> tuple[int, ...]:
-    if isinstance(value, int):
-        return (value,) * dim
-    out = tuple(int(v) for v in value)
-    if len(out) != dim:
-        raise ConfigError(f"ranks.sweep.{what} lists {len(out)} entries for {dim} modes")
-    return out
+    if not isinstance(value, list):
+        return (int(value),) * dim
+    if len(value) != dim:
+        raise ConfigError(f"ranks.sweep.{what} lists {len(value)} entries for {dim} modes")
+    return tuple(int(v) for v in value)
 
 
 def _resolve_ranks(config: ExperimentConfig, u: GridFunction):
-    d = u.ndim
-    if config.rank_vectors is not None:
-        vectors = config.rank_vectors
-    elif config.rank_sweep is not None:
-        lo = _broadcast(config.rank_sweep["from"], d, "from")
-        hi = _broadcast(config.rank_sweep["to"], d, "to")
-        step = _broadcast(config.rank_sweep.get("step", 1), d, "step")
+    d, ranks = u.ndim, config.data.get("ranks", {})
+    if "explicit" in ranks:
+        vectors = ranks["explicit"]
+    elif "sweep" in ranks:
+        sweep = ranks["sweep"]
+        lo = _broadcast(sweep["from"], d, "from")
+        hi = _broadcast(sweep["to"], d, "to")
+        step = _broadcast(sweep.get("step", 1), d, "step")
         if any(s < 1 for s in step):
             raise ConfigError("ranks.sweep.step entries must be >= 1")
         if any(h < l for l, h in zip(lo, hi)):
             raise ConfigError("ranks.sweep.to must not be below ranks.sweep.from")
         count = min((h - l) // s for l, h, s in zip(lo, hi, step)) + 1
-        vectors = tuple(
-            tuple(l + t * s for l, s in zip(lo, step)) for t in range(count)
-        )
+        vectors = [[l + t * s for l, s in zip(lo, step)] for t in range(count)]
     else:
-        top = min(8, min(u.shape))
-        vectors = tuple((r,) * d for r in range(1, top + 1))
-
-    if not vectors:
-        raise ConfigError("no rank vectors to sweep")
+        vectors = [(r,) * d for r in range(1, min(8, min(u.shape)) + 1)]
     try:
         return tuple(_check_rank_vector(rv, u.shape) for rv in vectors)
     except ModeError as exc:
@@ -553,32 +544,25 @@ def _validate(data, schema: dict, where: tuple = (), error=ConfigError, what="co
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of one run.
+    """One run: ``data`` is the JSON object ``schemas/config.schema.json``
+    describes, and relative paths in it resolve against ``base_dir``.
 
-    Exactly one of ``case_name``/``sample_file`` is set. ``rank_vectors``
-    holds explicit vectors when the config gave them; otherwise
-    ``rank_sweep`` (or, with both unset, a default sweep) is resolved
-    against the function's dimension when the run starts.
-
-    A config built directly obeys the config schema's rules for ``checks``
-    (known, distinct names) and ``tolerances`` (positive numbers), and
-    each tolerance must be finite and name a check that takes one.
+    ``data`` is deep-copied on construction and validated once, against
+    the schema and then the two rules a schema cannot state: each
+    tolerance must name a check that takes one, and be finite. A breach is
+    a ConfigError. The default rank sweep, and explicit or swept rank
+    vectors, are resolved against the function's dimension when the run
+    starts.
     """
 
-    case_name: str | None = None
-    case_params: dict | None = None
-    sample_file: Path | None = None
-    grid_sizes: tuple[int, ...] | None = None
-    rank_vectors: tuple[tuple[int, ...], ...] | None = None
-    rank_sweep: dict | None = None
-    checks: tuple[str, ...] = CHECK_NAMES
-    tolerances: dict | None = None
-    output: Path | None = None
+    data: dict
+    base_dir: Path = Path(".")
 
     def __post_init__(self):
-        tolerances = self.tolerances or {}
-        _validate(list(self.checks), CONFIG_SCHEMA["properties"]["checks"], ("checks",))
-        _validate(tolerances, CONFIG_SCHEMA["properties"]["tolerances"], ("tolerances",))
+        object.__setattr__(self, "data", copy.deepcopy(self.data))
+        object.__setattr__(self, "base_dir", Path(self.base_dir))
+        _validate(self.data, CONFIG_SCHEMA)
+        tolerances = self.data.get("tolerances", {})
         unknown = sorted(set(tolerances) - set(DEFAULT_TOLERANCES))
         if unknown:
             raise ConfigError(
@@ -587,45 +571,23 @@ class ExperimentConfig:
         if not all(math.isfinite(t) for t in tolerances.values()):
             raise ConfigError(f"tolerances must be finite, got {tolerances}")
 
+    @property
+    def checks(self) -> tuple[str, ...]:
+        """The selected checks, in the check table's order."""
+        return tuple(n for n in CHECK_NAMES if n in self.data.get("checks", CHECK_NAMES))
+
     def tolerance(self, name: str) -> float | None:
         """The tolerance of check ``name``: the config's, the default, or None."""
-        return {**DEFAULT_TOLERANCES, **(self.tolerances or {})}.get(name)
+        return {**DEFAULT_TOLERANCES, **self.data.get("tolerances", {})}.get(name)
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | str = ".") -> "ExperimentConfig":
-        base = Path(base_dir)
-        _validate(data, CONFIG_SCHEMA)
-        fn = data["function"]
-        tolerances = data.get("tolerances")
-
-        checks = tuple(n for n in CHECK_NAMES if n in data.get("checks", CHECK_NAMES))
-
-        ranks = data.get("ranks")
-        explicit = sweep = None
-        if ranks and "explicit" in ranks:
-            explicit = tuple(tuple(int(r) for r in rv) for rv in ranks["explicit"])
-        elif ranks:
-            sweep = dict(ranks["sweep"])
-
-        grid = data.get("grid")
-        return cls(
-            case_name=fn.get("case"),
-            case_params=fn.get("params"),
-            sample_file=(base / fn["file"]) if "file" in fn else None,
-            grid_sizes=tuple(int(n) for n in grid["n"]) if grid else None,
-            rank_vectors=explicit,
-            rank_sweep=sweep,
-            checks=checks,
-            tolerances=dict(tolerances) if tolerances else None,
-            output=(base / data["output"]) if "output" in data else None,
-        )
+        return cls(data, base_dir)
 
     @classmethod
     def from_file(cls, path: Path | str) -> "ExperimentConfig":
         p = Path(path)
-        return cls.from_dict(_read_json(p, ConfigError, "config"), base_dir=p.parent)
-
-
+        return cls(_read_json(p, ConfigError, "config"), p.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -725,10 +687,11 @@ def run_experiment(
     _validate(report, REPORT_SCHEMA, error=SobosvdError, what="report")
 
     report_path = sigma_path = None
-    out = Path(out_dir) if out_dir is not None else config.output
-    if out is not None:
-        report_path = Path(out) / "report.json"
-        sigma_path = Path(out) / "sigma.csv"
+    if out_dir is None and "output" in config.data:
+        out_dir = config.base_dir / config.data["output"]
+    if out_dir is not None:
+        report_path = Path(out_dir) / "report.json"
+        sigma_path = Path(out_dir) / "sigma.csv"
         _atomic_write_text(
             report_path, json.dumps(report, indent=2, sort_keys=True) + "\n"
         )

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,8 +50,8 @@ def write_config(tmp_path, data, name="config.json"):
 
 def test_config_minimal_defaults():
     cfg = ExperimentConfig.from_dict({"function": {"case": "SEP1"}})
-    assert cfg.case_name == "SEP1"
-    assert cfg.sample_file is None
+    assert cfg.data == {"function": {"case": "SEP1"}}
+    assert cfg.base_dir == Path(".")
     assert cfg.checks == CHECK_NAMES
     assert cfg.tolerance("sandwich") == 1e-9
 
@@ -86,13 +88,13 @@ def test_config_unknown_tolerance_key():
         )
     # a config built directly is checked too, not run with the default
     with pytest.raises(ConfigError, match="unknown tolerance"):
-        ExperimentConfig(case_name="SEP1", grid_sizes=(9,), tolerances={"sandwhich": 1e-3})
+        ExperimentConfig({"function": {"case": "SEP1"}, "tolerances": {"sandwhich": 1e-3}})
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"checks": ("eckart_young", "eckart_young")},
+        {"checks": ["eckart_young", "eckart_young"]},
         {"tolerances": {"eckart_young": float("inf")}},
         {"tolerances": {"sandwich": float("nan")}},
         {"tolerances": {"sandwich": 0.0}},
@@ -100,8 +102,41 @@ def test_config_unknown_tolerance_key():
     ],
 )
 def test_config_built_directly_obeys_the_schema(kwargs):
+    data = {"function": {"case": "SEP1"}, "grid": {"n": [9, 9]}, **kwargs}
     with pytest.raises(ConfigError):
-        ExperimentConfig(case_name="SEP1", grid_sizes=(9, 9), **kwargs)
+        ExperimentConfig(data)
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(data)
+
+
+def test_config_has_one_representation(monkeypatch):
+    import sobosvd.experiment as experiment
+
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == ["data", "base_dir"]
+    schemas = []
+    real = experiment._validate
+
+    def counting(data, schema, *args, **kwargs):
+        schemas.append(schema)
+        return real(data, schema, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_validate", counting)
+    data = {"function": {"case": "SEP1"}, "grid": {"n": [9, 9]}, "checks": ["sandwich"]}
+    cfg = ExperimentConfig.from_dict(data)
+    assert schemas == [experiment.CONFIG_SCHEMA]  # validated once, as a whole
+    monkeypatch.undo()
+
+    # the config holds a copy: changing the caller's dict changes neither
+    # the config nor its run
+    data["grid"]["n"][0] = 11
+    data["checks"].append("eckart_young")
+    data["function"]["case"] = "NOPE"
+    assert cfg.data == {
+        "function": {"case": "SEP1"}, "grid": {"n": [9, 9]}, "checks": ["sandwich"]
+    }
+    report = run_experiment(cfg).report
+    assert report["grid"]["n"] == [9, 9]
+    assert [c["name"] for c in report["checks"]] == ["sandwich"]
 
 
 @pytest.mark.parametrize("token", ["Infinity", "NaN", "1e999"])
@@ -131,15 +166,19 @@ def test_config_from_file_errors(tmp_path):
         ExperimentConfig.from_file(p)
 
 
-def test_config_paths_resolve_against_config_dir(tmp_path):
+def test_config_paths_resolve_against_config_dir(tmp_path, monkeypatch):
     sub = tmp_path / "nested"
-    sub.mkdir()
+    save_samples(sv.sample_case(sv.get_case("SEP1"), (9, 9)), sub / "data.raw")
     p = write_config(
-        sub, {"function": {"file": "data.raw"}, "output": "results"}
+        sub, {"function": {"file": "data.raw"}, "output": "results", "checks": ["eckart_young"]}
     )
+    monkeypatch.chdir(tmp_path)
     cfg = ExperimentConfig.from_file(p)
-    assert cfg.sample_file == sub / "data.raw"
-    assert cfg.output == sub / "results"
+    assert cfg.base_dir == sub
+    result = run_experiment(cfg)
+    assert result.report["function"]["file"] == str(sub / "data.raw")
+    assert result.report_path == sub / "results" / "report.json"
+    assert result.report_path.exists() and not (tmp_path / "results").exists()
 
 
 def sample_grid(shape=(9, 7)):
@@ -237,6 +276,28 @@ def test_load_samples_failure_modes(tmp_path):
     p.write_bytes(p.read_bytes()[:-8])
     with pytest.raises(SampleFileError):
         load_samples(p)
+
+
+def test_sidecar_shape_takes_integral_floats(tmp_path):
+    # the sidecar schema's integers are JSON Schema's, as grid.n is in a
+    # config: 9.0 reads as 9; a fraction, a bool or a string does not
+    u = sample_grid()
+    p = save_samples(u, tmp_path / "u.raw")
+    meta_p = tmp_path / "u.raw.meta.json"
+    good = json.loads(meta_p.read_text("utf-8"))
+    want = load_samples(p)
+    meta_p.write_text(json.dumps({**good, "shape": [9.0, 7]}), "utf-8")
+    back = load_samples(p)
+    assert back.shape == (9, 7) and all(type(n) is int for n in back.shape)
+    assert np.array_equal(back.values, want.values)
+    for got, ax in zip(back.axes, want.axes):
+        assert (got.lower, got.upper) == (ax.lower, ax.upper)
+        assert np.array_equal(got.nodes, ax.nodes)
+        assert np.array_equal(got.quad_weights, ax.quad_weights)
+    for shape in ([9.7, 7], [True, 7], ["9", 7]):
+        meta_p.write_text(json.dumps({**good, "shape": shape}), "utf-8")
+        with pytest.raises(SampleFileError, match="invalid at shape/0"):
+            load_samples(p)
 
 
 def test_run_experiment_catalog_case(tmp_path):
@@ -356,7 +417,7 @@ def test_run_experiment_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="grid sizes"):
         run_experiment(ExperimentConfig.from_dict({"function": {"case": "SEP1"}}))
     with pytest.raises(ConfigError, match="'edge_cases' is not one of"):
-        ExperimentConfig(case_name="SEP1", grid_sizes=(9,), checks=("edge_cases",))
+        ExperimentConfig({"function": {"case": "SEP1"}, "checks": ["edge_cases"]})
     with pytest.raises(ConfigError, match="dimensions"):
         run_experiment(
             ExperimentConfig.from_dict(
@@ -404,9 +465,6 @@ def test_run_experiment_config_errors(tmp_path):
             )
         )
 
-    with pytest.raises(ConfigError, match="no rank vectors"):
-        run_experiment(ExperimentConfig(case_name="SEP1", grid_sizes=(9,), rank_vectors=()))
-
     one_d = sv.sample(lambda x: x, (sv.make_axis(9),))
     save_samples(one_d, tmp_path / "line.raw")
     with pytest.raises(ConfigError, match="two axes"):
@@ -415,6 +473,19 @@ def test_run_experiment_config_errors(tmp_path):
                 {"function": {"file": "line.raw"}}, base_dir=tmp_path
             )
         )
+
+
+def test_rank_sweep_takes_integral_floats():
+    # an integral float is a JSON Schema integer, as a scalar sweep bound too
+    cfg = ExperimentConfig.from_dict(
+        {
+            "function": {"case": "SEP1"},
+            "grid": {"n": [9, 9]},
+            "ranks": {"sweep": {"from": 1.0, "to": [3.0, 3], "step": 1.0}},
+            "checks": ["eckart_young"],
+        }
+    )
+    assert run_experiment(cfg).report["ranks"] == [[1, 1], [2, 2], [3, 3]]
 
 
 def test_run_experiment_edge_cases_block():
@@ -474,6 +545,11 @@ def test_cli_run_and_failure_exit(tmp_path, capsys):
 def test_cli_error_exit_codes(tmp_path, capsys):
     assert main(["verify", "--case", "NOPE", "--n", "17"]) == 2
     assert "unknown case" in capsys.readouterr().err
+    assert main(["verify", "--case", "NOPE", "--n", "9"]) == 2
+    assert capsys.readouterr().err == (
+        "sobosvd: unknown case 'NOPE', have "
+        "['BROWNIAN', 'EXPXY', 'SEP1', 'SEP3D', 'SINSUM', 'SUM3D']\n"
+    )
     assert main(["verify", "--case", "SEP1", "--n", "2"]) == 2
     capsys.readouterr()
     assert main(["verify", "--case", "SEP1", "--n", "x"]) == 2
@@ -535,6 +611,32 @@ def test_cli_rejects_a_sidecar_axis_whose_spacing_overflows_or_underflows(
     config = write_config(tmp_path, {"function": {"file": "u.raw"}})
     assert main(["run", "--config", str(config)]) == 3
     assert "spacing" in capsys.readouterr().err
+
+
+def _cube_on(tmp_path, upper):
+    """Random 9^3 samples on [0, upper]^3, saved; the sample file's path."""
+    axes = (sv.make_axis(9, 0.0, upper),) * 3
+    values = np.random.default_rng(7).standard_normal((9, 9, 9))
+    return save_samples(sv.GridFunction(axes, values), tmp_path / "cube.raw")
+
+
+@pytest.mark.parametrize("upper", [1e200, 1e-170])
+def test_cli_rejects_sidecar_axes_whose_weight_products_overflow_or_underflow(
+    tmp_path, capsys, upper
+):
+    # each axis passes make_axis, but mode j's column weights, products of
+    # the other two axes' weights, are inf (1e200) or 0 (1e-170)
+    p = _cube_on(tmp_path, upper)
+    with pytest.raises(SampleFileError, match="overflow or underflow"):
+        load_samples(p)
+    config = write_config(tmp_path, {"function": {"file": "cube.raw"}})
+    assert main(["run", "--config", str(config)]) == 3
+    assert "overflow or underflow" in capsys.readouterr().err
+
+
+def test_load_samples_keeps_axes_whose_weight_products_fit(tmp_path):
+    u = load_samples(_cube_on(tmp_path, 1e100))
+    assert u.shape == (9, 9, 9) and u.axes[2].upper == 1e100
 
 
 def test_cli_thread_pinning(capsys):
@@ -644,7 +746,7 @@ def _stencil_calls(monkeypatch, config):
 
     calls = []
     real = discretization._fd2
-    shape = tuple(config.grid_sizes)
+    shape = tuple(config.data["grid"]["n"])
 
     def counting(values, h, axis, out):
         if values.shape == shape:

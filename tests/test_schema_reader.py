@@ -1,9 +1,9 @@
-"""The package reads its two schemas itself (experiment._schema_errors).
+"""The package reads its schemas itself (experiment._schema_errors).
 
 jsonschema is a test-only dependency here: its Draft 2020-12 validator is
 the reference the reader must agree with, in verdict and in message, on
 every config the tests build or reject, on reports of the benchmark's
-workloads, and on mutations of both.
+workloads, on a sample sidecar, and on mutations of each.
 """
 import ast
 import copy
@@ -17,8 +17,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from sobosvd import experiment
-from sobosvd.errors import ConfigError, SobosvdError
+from sobosvd import experiment, get_case, sample_case, save_samples
+from sobosvd.errors import ConfigError, SampleFileError, SobosvdError
 
 ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
@@ -26,7 +26,9 @@ if str(ROOT) not in sys.path:
 
 from perfbench.workloads import WORKLOADS, make_inputs  # noqa: E402
 
-SCHEMAS = {"config": experiment.CONFIG_SCHEMA, "report": experiment.REPORT_SCHEMA}
+# every schema the package ships, and its name: config for config.schema.json
+SCHEMA_FILES = sorted((Path(experiment.__file__).parent / "schemas").glob("*.json"))
+SCHEMA_NAMES = [p.name.removesuffix(".schema.json") for p in SCHEMA_FILES]
 # keywords that assert nothing: the reader skips them, as jsonschema does
 # ($defs is walked below, and read through $ref)
 ANNOTATIONS = {"$schema", "$id", "title", "$defs"}
@@ -60,15 +62,21 @@ def _subschemas(schema: dict):
             yield from _subschemas(sub)
 
 
-@pytest.mark.parametrize("name", sorted(SCHEMAS))
-def test_reader_implements_every_schema_keyword(name):
+def test_every_shipped_schema_is_read():
+    assert SCHEMA_NAMES == ["config", "report", "samples"]
+    loaded = [experiment.CONFIG_SCHEMA, experiment.REPORT_SCHEMA, experiment.SAMPLES_SCHEMA]
+    assert [json.loads(p.read_text("utf-8")) for p in SCHEMA_FILES] == loaded
+
+
+@pytest.mark.parametrize("path", SCHEMA_FILES, ids=SCHEMA_NAMES)
+def test_reader_implements_every_schema_keyword(path):
     # a schema edit that brings in a keyword the reader skips must fail here
-    schema, implemented = SCHEMAS[name], _reader_keywords()
+    schema, implemented = json.loads(path.read_text("utf-8")), _reader_keywords()
     assert {"type", "oneOf", "$ref", "additionalProperties"} <= implemented
     for sub in _subschemas(schema):
         assert set(sub) <= implemented | ANNOTATIONS, sorted(set(sub) - implemented)
         if "$ref" in sub:
-            assert sub["$ref"].removeprefix("#/$defs/") in schema["$defs"]
+            assert sub["$ref"].removeprefix("#/$defs/") in schema.get("$defs", {})
         # the reader compares const and enum values with ==, JSON's
         # equality on strings
         for value in [sub.get("const", "")] + sub.get("enum", []):
@@ -89,7 +97,7 @@ def _reference(data, schema, where=(), what="config"):
 
 
 def _ours(data, schema, where=(), what="config"):
-    error = ConfigError if what == "config" else SobosvdError
+    error = {"config": ConfigError, "sample sidecar": SampleFileError}.get(what, SobosvdError)
     try:
         experiment._validate(data, schema, where, error=error, what=what)
     except error as exc:
@@ -222,9 +230,36 @@ def test_reader_agrees_with_jsonschema_on_configs():
     ],
 )
 def test_reader_agrees_with_jsonschema_on_configs_built_directly(key, value):
-    # ExperimentConfig checks these two fields against their sub-schemas
-    schema = experiment.CONFIG_SCHEMA["properties"][key]
-    assert _ours(value, schema, (key,)) == _reference(value, schema, (key,))
+    # ExperimentConfig validates the whole config once; these rows are the
+    # values of checks and tolerances a config built in Python may carry
+    config = {"function": {"case": "SEP1"}, key: value}
+    schema = experiment.CONFIG_SCHEMA
+    assert _ours(config, schema) == _reference(config, schema)
+
+
+def test_reader_agrees_with_jsonschema_on_sidecars(tmp_path):
+    u = sample_case(get_case("SUM3D"), (5, 4, 3))
+    save_samples(u, tmp_path / "u.raw")
+    sidecar = json.loads((tmp_path / "u.raw.meta.json").read_text("utf-8"))
+    schema = experiment.SAMPLES_SCHEMA
+    assert _ours(sidecar, schema, what="sample sidecar") is None
+    axis = sidecar["axes"][0]
+    sidecars = [
+        sidecar,
+        {**sidecar, "shape": [5.0, 4, 3]},
+        {**sidecar, "shape": [5, 4.5, 3], "axes": [axis, {**axis, "lower": True}]},
+        {**sidecar, "shape": [], "axes": []},
+        {**sidecar, "format": "sobosvd-raw-2", "dtype": ">f8", "order": "lex"},
+        {**sidecar, "axes": [{**axis, "lower": -1, "note": "x"}]},
+        {"shape": [0], "axes": [{}]},
+    ]
+    cases = _distinct(m for s in sidecars for m in [s, *_mutations(s)])
+    # an integer no float holds is a JSON number all the same
+    cases.append({**sidecar, "axes": [{**axis, "upper": 10**400}]})
+    assert len(cases) > 200
+    verdicts = [_reference(case, schema, what="sample sidecar") for case in cases]
+    assert [_ours(case, schema, what="sample sidecar") for case in cases] == verdicts
+    assert {v is None for v in verdicts} == {True, False}
 
 
 def _report(config: dict, base_dir: Path, edge_cases: bool) -> dict:
