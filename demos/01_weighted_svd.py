@@ -30,12 +30,13 @@ def main():
     print(f"\nnumerical rank: {r}")
     print(f"weighted orthonormality defect of the left vectors: {off:.2e}")
 
-    resid = sv.norm_l2(u - sv.truncate_svd(system, r)) / sv.norm_l2(u)
+    other = sv.mode_svd(u, 1)
+    truncation = sv.hosvd_project(u, (r, r), systems=(system, other)).projected
+    resid = sv.norm_l2(u - truncation) / sv.norm_l2(u)
     print(f"relative L2 residual at full numerical rank: {resid:.2e}")
 
     # the same factorization transposed: right vectors of mode 0 are the
     # left vectors of mode 1 up to sign for this symmetric function
-    other = sv.mode_svd(u, 1)
     gap = np.max(np.abs(np.abs(system.right_vectors[:, :r]) - np.abs(other.left_vectors[:, :r])))
     print(f"mode symmetry of the factors: {gap:.2e}")
 

@@ -22,7 +22,7 @@ def main():
 
     print("\nrank  measured H1 err^2   series value        sigma tail only")
     for r in range(5):
-        ur = sv.truncate_svd(systems[0], r)
+        ur = sv.hosvd_project(u, (r, r), systems=systems).projected
         measured = sv.norm_h1(u - ur) ** 2
         ident = sv.series_split(systems[0], r, *derivs)
         tail = float(sum(systems[0].sigmas[r:] ** 2))

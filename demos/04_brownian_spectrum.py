@@ -23,7 +23,8 @@ def spectrum_error(n, count):
 def main():
     exact = sv.get_case("BROWNIAN").oracle.sigmas(6)
     u = sv.sample_case(sv.get_case("BROWNIAN"), (257, 257))
-    s = sv.mode_svd(u, 0)
+    systems = sv.mode_svds(u)
+    s = systems[0]
     print("k   computed sigma   ((k - 1/2) pi)^-2")
     for k in range(6):
         print(f"{k + 1}   {s.sigmas[k]:14.9f}   {exact[k]:14.9f}")
@@ -37,7 +38,7 @@ def main():
     ranks = [1, 2, 4, 8, 16, 32]
     l2_errs, h1_errs = [], []
     for r in ranks:
-        ur = sv.truncate_svd(s, r)
+        ur = sv.hosvd_project(u, (r, r), systems=systems).projected
         l2_errs.append(sv.norm_l2(u - ur) / sv.norm_l2(u))
         h1_errs.append(sv.norm_h1(u - ur) / sv.norm_h1(u))
     l2_fit = rate_fit(ranks, l2_errs)

@@ -32,13 +32,13 @@ def main():
 
     print("\nSobolev report at rank (2, 2, 2):")
     rep = sv.h1_sandwich(u, (2, 2, 2), systems=systems, derivs=derivs)
-    for name, check in rep.bound_checks().items():
+    for name, check in rep["checks"].items():
         print(
-            f"  {name:12} {check.lower:12.6f} <= {check.value:12.6f} "
-            f"<= {check.upper:12.6f}   holds: {check.holds}"
+            f"  {name:12} {check['lower']:12.6f} <= {check['value']:12.6f} "
+            f"<= {check['upper']:12.6f}   holds: {check['holds']}"
         )
-    print(f"  all brackets hold: {rep.bounds_hold}")
-    print(f"  norm ratio constants per mode: {[round(g, 3) for g in rep.bernstein]}")
+    print(f"  all brackets hold: {all(c['holds'] for c in rep['checks'].values())}")
+    print(f"  norm ratio constants per mode: {[round(g, 3) for g in rep['bernstein']]}")
 
 
 if __name__ == "__main__":

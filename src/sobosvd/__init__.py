@@ -53,8 +53,6 @@ _EXPORTS = {
         "sobolev_sq",
     ),
     "truncation": (
-        "BoundCheck",
-        "ErrorReport",
         "SeriesSplit",
         "TuckerApprox",
         "bernstein_constant",
@@ -62,7 +60,6 @@ _EXPORTS = {
         "hooi",
         "hosvd_project",
         "series_split",
-        "truncate_svd",
     ),
     "diagnostics": (
         "CONVERGED",

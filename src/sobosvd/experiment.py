@@ -13,6 +13,7 @@ import copy
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
@@ -96,8 +97,8 @@ def load_samples(path: Path | str) -> GridFunction:
     describes, with one axis per entry of ``shape`` (an integral float
     such as ``9.0`` is an integer), finite endpoints ``lower`` < ``upper``,
     and, for every mode, the products of the other axes' largest and
-    smallest quadrature weights finite and nonzero; anything else raises
-    SampleFileError.
+    smallest quadrature weights finite and normal (a subnormal product
+    breaks the eigensolver); anything else raises SampleFileError.
     """
     p = Path(path)
     meta_p = Path(str(p) + ".meta.json")
@@ -131,7 +132,7 @@ def load_samples(path: Path | str) -> GridFunction:
         w = [ax.quad_weights for ax in axes[:j] + axes[j + 1 :]]
         small = math.prod(float(x.min()) for x in w)
         big = math.prod(float(x.max()) for x in w)
-        if not (small > 0.0 and big < math.inf):
+        if not (small >= sys.float_info.min and big < math.inf):
             raise SampleFileError(f"{p}: weights off axis {j} overflow or underflow in product")
     return u
 
@@ -213,8 +214,8 @@ def _resolve_ranks(config: ExperimentConfig, u: GridFunction):
 @dataclass
 class _Run:
     """What the checks read: the function, its mode systems and
-    derivative data, the rank vectors, one report per rank vector, and
-    ``sq``, (|u|^2, |D_0 u|^2, ...), that the checks' norm scales come
+    derivative data, the rank vectors, the ``h1_sandwich`` report of each,
+    and ``sq``, (|u|^2, |D_0 u|^2, ...), that the checks' norm scales come
     from. The diagnostics check stores its block in ``diagnostics``.
     """
 
@@ -304,8 +305,9 @@ def _check_h1_identity(run, tol):
     scale = max(run.h1**2, _TINY)
     defects = []
     for rep in run.reports:
-        defects.append(abs(rep.approx_h1_sq - rep.h1_norm_sq_series) / scale)
-        defects.append(abs(rep.residual_h1**2 - rep.h1_error_sq_series) / scale)
+        measured, series = rep["measured"], rep["series"]
+        defects.append(abs(measured["approx_h1_sq"] - series["h1_norm_sq"]) / scale)
+        defects.append(abs(measured["h1"] ** 2 - series["h1_error_sq"]) / scale)
     detail = "worst relative defect {worst:.3e} in the two-sided Sobolev series"
     return _verdict(defects, tol, detail)
 
@@ -316,14 +318,14 @@ def _check_ek_identity(run, tol):
     for rv, rep in zip(run.rvs, run.reports):
         for j, system in enumerate(run.systems):
             _, kept, tail = run.single_mode[j, min(rv[j], system.k_max)]
-            defects.append(abs(kept - rep.ek_norm_sq_series[j]) / scales[j])
-            defects.append(abs(tail - rep.ek_error_sq_series[j]) / scales[j])
+            defects.append(abs(kept - rep["series"]["ek_norm_sq"][j]) / scales[j])
+            defects.append(abs(tail - rep["series"]["ek_error_sq"][j]) / scales[j])
     detail = "worst relative defect {worst:.3e} in the one-direction series"
     return _verdict(defects, tol, detail)
 
 
 def _bracket_check(norm, keys, detail, both_sides=False):
-    """Check over the ``ErrorReport.bound_checks()`` triples named in ``keys``.
+    """Check over the ``checks`` triples named in ``keys`` of each rank report.
 
     The defects are each value's excess over its upper bound and, with
     ``both_sides``, its shortfall below the lower bound, relative to the
@@ -334,12 +336,11 @@ def _bracket_check(norm, keys, detail, both_sides=False):
         scale = max(getattr(run, norm) ** 2, _TINY)
         defects = []
         for rep in run.reports:
-            triples = rep.bound_checks()
             for key in keys:
-                b = triples[key]
-                defects.append((b.value - b.upper) / scale)
+                b = rep["checks"][key]
+                defects.append((b["value"] - b["upper"]) / scale)
                 if both_sides:
-                    defects.append((b.lower - b.value) / scale)
+                    defects.append((b["lower"] - b["value"]) / scale)
         return _verdict(defects, tol, detail)
 
     return check
@@ -389,7 +390,7 @@ def _check_diagnostics(run, tol):
         try:
             fit = rate_fit(
                 [ranks_axis[i] for i in usable],
-                [getattr(run.reports[i], f"residual_{key}") / scale for i in usable],
+                [run.reports[i]["measured"][key] / scale for i in usable],
             )
         except DegenerateDataError:
             continue
@@ -402,15 +403,15 @@ def _check_diagnostics(run, tol):
         keep = [i for i, rv in enumerate(run.rvs) if 1 <= rv[j] <= deriv.count]
         ranks = [run.rvs[i][j] for i in keep]
         try:
-            fit = rate_fit(ranks, [run.reports[i].bernstein[j] for i in keep])
+            fit = rate_fit(ranks, [run.reports[i]["bernstein"][j] for i in keep])
         except DegenerateDataError:
             fit = None
         block["bernstein_slope"].append(None if fit is None else fit.slope)
 
     if run.u.ndim == 2:
-        sums = [rep.h1_norm_sq_series for rep in run.reports]
+        sums = [rep["series"]["h1_norm_sq"] for rep in run.reports]
     else:
-        sums = [float(np.sum(rep.ek_norm_sq_series)) for rep in run.reports]
+        sums = [float(np.sum(rep["series"]["ek_norm_sq"])) for rep in run.reports]
     try:
         block["flag"] = h1_convergence_flag(sums)
     except DegenerateDataError:
@@ -679,7 +680,7 @@ def run_experiment(
         "threads": int(threads) if threads and threads.isdigit() else None,
         "ranks": [list(rv) for rv in rvs],
         "spectra": spectra,
-        "reports": [rep.to_dict() for rep in reports],
+        "reports": reports,
         "checks": checks,
         "diagnostics": run.diagnostics,
         "passed": passed,

@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .discretization import Axis, GridFunction
+from .discretization import GridFunction
 from .errors import ModeError, SobosvdError
 from .tensor_core import matricize
 
@@ -151,9 +151,8 @@ class SingularSystem:
     largest-magnitude entry of each left vector is positive, ties broken
     by lowest index.
 
-    ``mode`` and ``axes`` record, for a system built by ``mode_svd``, the
-    unfolded mode and the grid, so rank-r truncations can be folded back
-    onto the grid; both are None for a bare matrix.
+    ``mode`` records, for a system built by ``mode_svd``, the unfolded
+    mode; it is None for a bare matrix.
 
     The system of the adjoint (the transposed matrix, weights exchanged)
     has the same sigmas with left and right vectors swapped; this is how
@@ -167,7 +166,6 @@ class SingularSystem:
     row_weights: np.ndarray
     col_weights: np.ndarray
     mode: int | None = None
-    axes: tuple[Axis, ...] | None = None
 
     @property
     def k_max(self) -> int:
@@ -216,7 +214,7 @@ def _fix_signs(vectors: np.ndarray, partners: np.ndarray | None = None) -> None:
         partners[:, flip] *= -1.0
 
 
-def _system(left, sigmas, right, row_weights, col_weights, mode, axes) -> SingularSystem:
+def _system(left, sigmas, right, row_weights, col_weights, mode) -> SingularSystem:
     """Unscaled triplets as a read-only ``SingularSystem``, signs fixed."""
     _fix_signs(left, right)
     for a in (sigmas, left, right):
@@ -228,7 +226,6 @@ def _system(left, sigmas, right, row_weights, col_weights, mode, axes) -> Singul
         row_weights=row_weights.copy(),
         col_weights=col_weights.copy(),
         mode=mode,
-        axes=axes,
     )
 
 
@@ -238,7 +235,6 @@ def weighted_svd(
     col_weights: np.ndarray,
     *,
     mode: int | None = None,
-    axes: tuple[Axis, ...] | None = None,
 ) -> SingularSystem:
     """Thin SVD of a matrix under weighted inner products.
 
@@ -266,7 +262,7 @@ def weighted_svd(
     scaled = m * sr[:, None] * sc[None, :]
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
     u, s, v = _refine_small_triplets(scaled, u, s, vt.T)
-    return _system(u / sr[:, None], s, v / sc[:, None], wr, wc, mode, axes)
+    return _system(u / sr[:, None], s, v / sc[:, None], wr, wc, mode)
 
 
 def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
@@ -280,7 +276,7 @@ def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
     mode = int(mode)
     wr = u.axes[mode].quad_weights
     wc = combined_weights([ax.quad_weights for j, ax in enumerate(u.axes) if j != mode])
-    return weighted_svd(mat, wr, wc, mode=mode, axes=u.axes)
+    return weighted_svd(mat, wr, wc, mode=mode)
 
 
 def mode_svds(u: GridFunction) -> tuple[SingularSystem, ...]:
@@ -317,7 +313,7 @@ def _adjoint(system: SingularSystem, u: GridFunction) -> SingularSystem:
             scaled, left * sr[:, None], sigmas, right * sc[:, None]
         )
         left, right = left / sr[:, None], right / sc[:, None]
-    return _system(left, sigmas, right, wr, wc, 1, system.axes)
+    return _system(left, sigmas, right, wr, wc, 1)
 
 
 def numerical_rank(system: SingularSystem) -> int:

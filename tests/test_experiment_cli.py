@@ -620,12 +620,14 @@ def _cube_on(tmp_path, upper):
     return save_samples(sv.GridFunction(axes, values), tmp_path / "cube.raw")
 
 
-@pytest.mark.parametrize("upper", [1e200, 1e-170])
+@pytest.mark.parametrize("upper", [1e200, 1e-170, 1e-160])
 def test_cli_rejects_sidecar_axes_whose_weight_products_overflow_or_underflow(
     tmp_path, capsys, upper
 ):
     # each axis passes make_axis, but mode j's column weights, products of
-    # the other two axes' weights, are inf (1e200) or 0 (1e-170)
+    # the other two axes' weights, are inf (1e200), 0 (1e-170) or
+    # subnormal (1e-160, about 4e-323), which the eigensolver of
+    # bernstein_constant does not survive
     p = _cube_on(tmp_path, upper)
     with pytest.raises(SampleFileError, match="overflow or underflow"):
         load_samples(p)
@@ -634,9 +636,11 @@ def test_cli_rejects_sidecar_axes_whose_weight_products_overflow_or_underflow(
     assert "overflow or underflow" in capsys.readouterr().err
 
 
-def test_load_samples_keeps_axes_whose_weight_products_fit(tmp_path):
-    u = load_samples(_cube_on(tmp_path, 1e100))
-    assert u.shape == (9, 9, 9) and u.axes[2].upper == 1e100
+@pytest.mark.parametrize("upper", [1e100, 1e-150])
+def test_load_samples_keeps_axes_whose_weight_products_fit(tmp_path, upper):
+    # 1e-150: the smallest product, about 4e-303, is a normal float
+    u = load_samples(_cube_on(tmp_path, upper))
+    assert u.shape == (9, 9, 9) and u.axes[2].upper == upper
 
 
 def test_cli_thread_pinning(capsys):
@@ -944,16 +948,16 @@ def test_diagnostics_bernstein_slope_needs_three_retained_ranks():
 
 
 @pytest.mark.parametrize(
-    "check, field",
+    "check, path",
     [
-        ("h1_identity", "residual_h1"),
-        ("hosvd_bound", "residual_l2"),
-        ("quasi_opt", "residual_l2"),
-        ("sandwich", "residual_h1"),
+        ("h1_identity", "measured.h1"),
+        ("hosvd_bound", "checks.residual_l2.value"),
+        ("quasi_opt", "checks.quasi_opt.value"),
+        ("sandwich", "checks.residual_h1.value"),
     ],
 )
-def test_check_with_nan_defect_fails(check, field):
-    import dataclasses
+def test_check_with_nan_defect_fails(check, path):
+    import copy
 
     import sobosvd.experiment as experiment
 
@@ -961,17 +965,51 @@ def test_check_with_nan_defect_fails(check, field):
     systems = sv.mode_svds(u)
     derivs = tuple(sv.derivative_data(u, s) for s in systems)
     good = [sv.h1_sandwich(u, (r, r), systems=systems, derivs=derivs) for r in (1, 2)]
-    # the NaN comes second: a plain running max(worst, nan) would keep worst
-    reports = [good[0], dataclasses.replace(good[1], **{field: float("nan")})]
+    # the NaN comes second, in the entry the check reads: a plain running
+    # max(worst, nan) would keep worst
+    bad = copy.deepcopy(good[1])
+    *keys, last = path.split(".")
+    entry = bad
+    for key in keys:
+        entry = entry[key]
+    entry[last] = float("nan")
 
     def run_check(reps):
         run = experiment._Run(u, (), (), (), reps, sv.sobolev_sq(u))
         return experiment._CHECKS[check][0](run, 1e-9)
 
-    status, worst, detail = run_check(reports)
+    status, worst, detail = run_check([good[0], bad])
     assert status == "fail"
     assert worst is None
     assert "non-finite" in detail
     status, worst, _ = run_check(good)
     assert status == "pass"
     assert worst is not None
+
+
+@pytest.mark.parametrize(
+    "case, n, ranks",
+    [
+        ("SINSUM", 17, {"explicit": [[1, 1], [0, 2], [3, 1]]}),
+        ("SUM3D", 9, {"explicit": [[1, 2, 1], [2, 2, 2]]}),
+    ],
+)
+def test_rank_report_has_one_representation(case, n, ranks):
+    # the report's entry for a rank vector is the object h1_sandwich
+    # returns, called with the run's mode systems and slack
+    config = ExperimentConfig.from_dict(
+        {"function": {"case": case}, "grid": {"n": [n]}, "ranks": ranks}
+    )
+    result = run_experiment(config)
+    u = result.function
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    reports = result.report["reports"]
+    assert [rep["rank_vector"] for rep in reports] == ranks["explicit"]
+    slack = config.tolerance("sandwich") * sv.norm_h1(u) ** 2
+    assert [rep["slack"] for rep in reports] == [pytest.approx(slack, rel=1e-12)] * len(reports)
+    for rep in reports:
+        direct = sv.h1_sandwich(
+            u, rep["rank_vector"], systems=systems, derivs=derivs, slack=rep["slack"]
+        )
+        assert direct == rep

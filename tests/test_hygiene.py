@@ -14,6 +14,10 @@ import sobosvd as sv
 SRC = Path(sv.__file__).parent
 
 
+def _tree(name: str) -> ast.Module:
+    return ast.parse((SRC / name).read_text("utf-8"))
+
+
 def _unused_imports(path: Path) -> list[str]:
     tree = ast.parse(path.read_text("utf-8"))
     imported = {}
@@ -135,11 +139,25 @@ def test_public_names_resolve():
         assert getattr(sv, name) is not None, name
 
 
+def _top_level_names(tree: ast.Module) -> list[str]:
+    """Names a module binds at top level: functions, classes and assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 @pytest.mark.parametrize(
     "name",
     [
+        "BoundCheck",
         "DegenerateModeError",
         "EkIdentity",
+        "ErrorReport",
         "H1Identity",
         "HOSVDSystem",
         "MatShape",
@@ -153,23 +171,20 @@ def test_public_names_resolve():
         "jackson_exponent",
         "norm_mix",
         "singular_derivative_operator",
+        "truncate_svd",
     ],
 )
 def test_removed_names_absent(name):
+    # neither exported nor left behind, unexported, in a module
     assert name not in sv.__all__
     assert not hasattr(sv, name)
+    defined = [p.name for p in sorted(SRC.glob("*.py")) if name in _top_level_names(_tree(p.name))]
+    assert defined == []
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:
     """Module-level ``_name`` functions, classes and assignments (no dunders)."""
-    names = []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.extend(t.id for t in targets if isinstance(t, ast.Name))
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in _top_level_names(tree) if n.startswith("_") and not n.startswith("__")]
 
 
 def test_no_dead_private_helpers():
@@ -238,11 +253,6 @@ def test_every_mode_is_decomposed_in_svd_engine_only():
         and _loops_mode_svd_over_modes(ast.parse(path.read_text("utf-8")))
     ]
     assert found == []
-
-
-
-def _tree(name: str) -> ast.Module:
-    return ast.parse((SRC / name).read_text("utf-8"))
 
 
 def test_truncation_never_decomposes():
