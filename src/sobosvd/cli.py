@@ -125,23 +125,19 @@ def main(argv=None) -> int:
         print(f"sobosvd: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    from .errors import ConfigError, SampleFileError, SobosvdError
+    from .errors import ConfigError, SobosvdError
 
+    # the first class that matches gives the exit code; a SampleFileError is an OSError
+    exit_codes = ((ConfigError, EXIT_CONFIG), (OSError, EXIT_IO), (SobosvdError, EXIT_CHECK_FAILED))
     try:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_list_cases()
-    except ConfigError as exc:
+    except (SobosvdError, OSError) as exc:
         print(f"sobosvd: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SampleFileError, OSError) as exc:
-        print(f"sobosvd: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SobosvdError as exc:
-        print(f"sobosvd: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return next(code for kind, code in exit_codes if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -44,16 +44,11 @@ def _line_fit(x: np.ndarray, y: np.ndarray):
 
 @dataclass(frozen=True)
 class RateFit:
-    """A straight-line fit in log2-log2 coordinates.
-
-    ``xs`` and ``ys`` are the raw points handed in (ranks, and errors or
-    constants); slope and intercept describe the fitted line in
-    the transformed coordinates, r2 its goodness. Points with y at or
-    below FIT_FLOOR are excluded from the fit but kept in ``ys``.
+    """A straight-line fit in log2-log2 coordinates: slope and intercept
+    of the fitted line, r2 its goodness. Only the points ``rate_fit``
+    kept (positive rank, y above FIT_FLOOR, both finite) enter the fit.
     """
 
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
     slope: float
     intercept: float
     r2: float
@@ -76,7 +71,7 @@ def rate_fit(ranks, errors) -> RateFit:
             f"got {int(np.count_nonzero(usable))}"
         )
     slope, intercept, r2 = _line_fit(np.log2(xs[usable]), np.log2(ys[usable]))
-    return RateFit(tuple(xs), tuple(ys), slope, intercept, r2)
+    return RateFit(slope, intercept, r2)
 
 
 def h1_convergence_flag(partial_sums) -> str:

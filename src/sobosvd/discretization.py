@@ -93,7 +93,8 @@ class GridFunction:
     """Point samples of a function on a tensor-product grid.
 
     ``values[i1, ..., id]`` is the sample at ``(axes[0].nodes[i1], ...)``.
-    Instances are immutable; arithmetic returns new objects.
+    Instances are immutable; the only arithmetic, ``+`` and ``-`` of two
+    grid functions on the same axes, returns new objects.
     """
 
     axes: tuple[Axis, ...]
@@ -132,14 +133,6 @@ class GridFunction:
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         require_same_axes(self, other)
         return GridFunction(self.axes, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.axes, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(self.axes, -self.values)
 
 
 def require_same_axes(f: GridFunction, g: GridFunction) -> None:

@@ -324,13 +324,11 @@ def _check_ek_identity(run, tol):
     return _verdict(defects, tol, detail)
 
 
-def _bracket_check(norm, keys, detail, both_sides=False):
-    """Check over the ``checks`` triples named in ``keys`` of each rank report.
-
-    The defects are each value's excess over its upper bound and, with
-    ``both_sides``, its shortfall below the lower bound, relative to the
-    squared ``norm`` (``"l2"`` or ``"h1"``) of u.
-    """
+def _bracket_check(norm, keys, detail):
+    """Check the ``checks`` triples named in ``keys`` of each rank report:
+    the defects are each value's excess over its upper side and shortfall
+    below its lower side, relative to the squared ``norm`` (``"l2"`` or
+    ``"h1"``) of u."""
 
     def check(run, tol):
         scale = max(getattr(run, norm) ** 2, _TINY)
@@ -339,26 +337,24 @@ def _bracket_check(norm, keys, detail, both_sides=False):
             for key in keys:
                 b = rep["checks"][key]
                 defects.append((b["value"] - b["upper"]) / scale)
-                if both_sides:
-                    defects.append((b["lower"] - b["value"]) / scale)
+                defects.append((b["lower"] - b["value"]) / scale)
         return _verdict(defects, tol, detail)
 
     return check
 
 
 _check_hosvd_bound = _bracket_check(
-    "l2", ("residual_l2",), "worst normalized excess {worst:.3e} over the spectral tail sum"
+    "l2",
+    ("residual_l2",),
+    "worst normalized violation {worst:.3e} of max_j tail_j <= |u - Pu|^2 <= sum_j tail_j",
 )
 _check_quasi_opt = _bracket_check(
     "l2",
     ("quasi_opt",),
-    "worst normalized excess {worst:.3e} over d times the largest per-mode spectral tail",
+    "worst normalized violation {worst:.3e} of max_j tail_j <= |u - Pu|^2 <= d max_j tail_j",
 )
 _check_sandwich = _bracket_check(
-    "h1",
-    ("approx_h1", "residual_h1"),
-    "worst normalized bracket violation {worst:.3e}",
-    both_sides=True,
+    "h1", ("approx_h1", "residual_h1"), "worst normalized bracket violation {worst:.3e}"
 )
 
 
@@ -381,17 +377,13 @@ def _check_diagnostics(run, tol):
     if len(run.rvs) < 3:
         return "skipped", None, "rate fits need at least 3 rank vectors"
     ranks_axis = [min(rv) for rv in run.rvs]
-    usable = [i for i, r in enumerate(ranks_axis) if r >= 1]
     block = {"rank_axis": [int(r) for r in ranks_axis], "flag": None}
     parts = []
     for key in ("l2", "h1"):
         block[f"{key}_slope"] = block[f"{key}_r2"] = None
         scale = max(getattr(run, key), _TINY)
         try:
-            fit = rate_fit(
-                [ranks_axis[i] for i in usable],
-                [run.reports[i]["measured"][key] / scale for i in usable],
-            )
+            fit = rate_fit(ranks_axis, [rep["measured"][key] / scale for rep in run.reports])
         except DegenerateDataError:
             continue
         block[f"{key}_slope"], block[f"{key}_r2"] = fit.slope, fit.r2
@@ -597,7 +589,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    config: ExperimentConfig
     function: GridFunction
     report: dict
     passed: bool
@@ -698,7 +689,7 @@ def run_experiment(
         )
         _atomic_write_text(sigma_path, _sigma_csv(spectra))
 
-    return ExperimentResult(config, u, report, passed, report_path, sigma_path)
+    return ExperimentResult(u, report, passed, report_path, sigma_path)
 
 
 def _sigma_csv(spectra) -> str:

@@ -87,30 +87,23 @@ def _refine_small_triplets(scaled, u, s, v):
     sig = s.copy()
     for k in range(retained):
         vec = right[:, k].copy()
-        degenerate = False
-        for _ in range(2):
+        # deflate and normalise; the first two passes then apply big^T big
+        for step in range(3):
             if k:
                 vec -= right[:, :k] @ (right[:, :k].T @ vec)
             norm = np.sqrt(vec @ vec)
             if norm == 0.0:
-                degenerate = True
                 break
-            vec = np.dot(big_t, np.dot(big, vec / norm))
-        if degenerate:
-            continue
-        if k:
-            vec -= right[:, :k] @ (right[:, :k].T @ vec)
-        norm = np.sqrt(vec @ vec)
-        if norm == 0.0:
-            continue
-        vec /= norm
-        image = np.dot(big, vec)
-        sigma = np.sqrt(image @ image)
-        if sigma == 0.0:
-            continue
-        right[:, k] = vec
-        left[:, k] = image / sigma
-        sig[k] = float(sigma)
+            vec = vec / norm
+            image = np.dot(big, vec)
+            if step < 2:
+                vec = np.dot(big_t, image)
+        else:
+            sigma = np.sqrt(image @ image)
+            if sigma != 0.0:
+                right[:, k] = vec
+                left[:, k] = image / sigma
+                sig[k] = float(sigma)
 
     u = u.copy()
     v = v.copy()

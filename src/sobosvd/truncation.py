@@ -14,9 +14,9 @@ and per mode, with the one-direction norm,
     |P_j u|_{e_j}^2 = sum_{k<=r_j} sigma_k^2 (1 + |dpsi_k|^2).
 
 In higher dimension the per-mode projections compose into the Tucker
-truncation; its L2 error is bounded by the sum of per-mode spectral
-tails, and so by d times the largest of them, which is at most d times
-the best error at that rank vector (the quasi-optimality reference).
+truncation; its L2 error lies between the largest per-mode spectral
+tail and the sum of them, so below d times the largest, which is at most
+d times the best error at that rank vector (the quasi-optimality reference).
 Its full Sobolev error is sandwiched between the largest per-mode tail
 series and the sum of tail series with the L2 tails added once more.
 An alternating refinement of the subspaces (``hooi``) improves the
@@ -81,7 +81,6 @@ def _check_rank(r: int, k_max: int) -> int:
 class TuckerApprox:
     """A rank-vector truncation: per-mode bases and the projected function."""
 
-    rank_vector: tuple[int, ...]
     factors: tuple[np.ndarray, ...]
     projected: GridFunction
     error_history: tuple[float, ...] | None = None
@@ -156,7 +155,7 @@ def hosvd_project(
     rv, systems = _ranks_and_systems(u, ranks, systems)
     bases = _leading_bases(systems, rv)
     projected = GridFunction(u.axes, _apply_projection(u, bases))
-    return TuckerApprox(rv, tuple(bases.values()), projected)
+    return TuckerApprox(tuple(bases.values()), projected)
 
 
 def hooi(
@@ -218,7 +217,7 @@ def hooi(
             break
 
     projected = GridFunction(u.axes, _apply_projection(u, best))
-    return TuckerApprox(rv, tuple(best.values()), projected, tuple(history))
+    return TuckerApprox(tuple(best.values()), projected, tuple(history))
 
 
 def bernstein_constant(
@@ -297,6 +296,11 @@ def h1_sandwich(
     measurement with a spectral quantity. In 2D it is d times the exact
     optimum, the tail of the rank-min(r_0, r_1) truncation.
 
+    Both L2 triples have the lower side max_j tail_j: with P_{-j} the
+    projection on the modes other than j, u - P u = (u - P_j u) +
+    P_j (u - P_{-j} u), two orthogonal terms, so |u - P u|_0^2 >= tail_j;
+    in 2D this is an equality (Eckart-Young).
+
     ``slack`` widens every bracket; the default is ``_SANDWICH_RTOL``
     times |u|_1^2, so the verdicts do not depend on the scale of u.
     |u|_1^2 is summed from |u|^2 and the |D_j u|^2 in ``derivs``. The
@@ -324,7 +328,7 @@ def h1_sandwich(
     cut = [min(r, s.k_max) for r, s in zip(rv, systems)]
     kept_w, tail_w = zip(*(series_split(s, r, dv) for s, r, dv in zip(systems, cut, derivs)))
     kept_sq, tail_sq = zip(*(series_split(s, r) for s, r in zip(systems, cut)))
-    l2_tail_sq_sum = float(np.sum(tail_sq))
+    l2_tail_sq_sum, l2_floor = float(np.sum(tail_sq)), max(tail_sq)
 
     h1_series = SeriesSplit(None, None)  # the two-sided series needs d = 2
     if d == 2:
@@ -337,7 +341,7 @@ def h1_sandwich(
 
     bounds = {
         "l2_tail_sq_sum": l2_tail_sq_sum,
-        "quasi_opt_reference": d * max(tail_sq),
+        "quasi_opt_reference": d * l2_floor,
         "h1_lower": float(np.max(tail_w)),
         "h1_upper": float(np.sum(tail_w) + l2_tail_sq_sum),
         "norm_lower": max(0.0, kept_sq[0] + tail_sq[0] - l2_tail_sq_sum),
@@ -346,8 +350,8 @@ def h1_sandwich(
     triples = {
         "approx_h1": (bounds["norm_lower"], approx_h1_sq, bounds["norm_upper"]),
         "residual_h1": (bounds["h1_lower"], h1**2, bounds["h1_upper"]),
-        "residual_l2": (0.0, l2**2, l2_tail_sq_sum),
-        "quasi_opt": (0.0, l2**2, bounds["quasi_opt_reference"]),
+        "residual_l2": (l2_floor, l2**2, l2_tail_sq_sum),
+        "quasi_opt": (l2_floor, l2**2, bounds["quasi_opt_reference"]),
     }
     return {
         "rank_vector": list(rv),

@@ -19,15 +19,13 @@ def test_rate_fit_recovers_exact_power_law():
     assert fit.slope == pytest.approx(-1.5, abs=1e-10)
     assert fit.intercept == pytest.approx(np.log2(3.0), abs=1e-10)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-    assert fit.xs == tuple(ranks)
 
 
 def test_rate_fit_ignores_floored_points():
     ranks = [1, 2, 4, 8, 16]
     errors = [1.0, 0.25, 0.0625, 1e-14, 0.0]
     fit = rate_fit(ranks, errors)
-    # the two dead values stay visible in ys but do not bend the line
-    assert fit.ys[-2:] == (1e-14, 0.0)
+    # the two dead values do not bend the line
     assert fit.slope == pytest.approx(-2.0, abs=1e-10)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import sobosvd as sv
 from sobosvd.cli import main
-from sobosvd.errors import ConfigError, SampleFileError
+from sobosvd.errors import ConfigError, DegenerateDataError, SampleFileError, SobosvdError
 from sobosvd.experiment import (
     CHECK_NAMES,
     ExperimentConfig,
@@ -578,6 +578,30 @@ def test_cli_error_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ConfigError("boom"), 2),
+        (SampleFileError("boom"), 3),
+        (OSError("boom"), 3),
+        (SobosvdError("boom"), 1),
+        (DegenerateDataError("boom"), 1),
+    ],
+    ids=lambda x: type(x).__name__ if isinstance(x, Exception) else str(x),
+)
+def test_cli_exit_code_table(monkeypatch, capsys, exc, code):
+    # one message format for every error the command line catches, and
+    # the exit code of the first class in the table the error is
+    import sobosvd.experiment as experiment
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(experiment, "run_experiment", fail)
+    assert main(["verify", "--case", "SEP1", "--n", "9"]) == code
+    assert capsys.readouterr().err == "sobosvd: boom\n"
+
+
+@pytest.mark.parametrize(
     "case, params",
     [
         ("SINSUM", '{"coeffs": [1e999]}'),
@@ -985,6 +1009,32 @@ def test_check_with_nan_defect_fails(check, path):
     status, worst, _ = run_check(good)
     assert status == "pass"
     assert worst is not None
+
+
+@pytest.mark.parametrize("case, n", [("SINSUM", 17), ("SUM3D", 9)])
+def test_l2_bracket_floor_is_judged(case, n):
+    # both L2 checks judge the lower side max_j tail_j: a measured
+    # |u - Pu|^2 (the value of both triples) pushed below it by twice
+    # the tolerance, relative to |u|^2, fails hosvd_bound and quasi_opt
+    import sobosvd.experiment as experiment
+
+    analytic = sv.get_case(case)
+    u = sv.sample_case(analytic, (n,) * analytic.dim)
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    reps = [sv.h1_sandwich(u, (r,) * u.ndim, systems=systems, derivs=derivs) for r in (1, 2)]
+    run = experiment._Run(u, (), (), (), reps, sv.sobolev_sq(u))
+    checks = {name: experiment._CHECKS[name][0] for name in ("hosvd_bound", "quasi_opt")}
+    tol = 1e-10
+    assert all(check(run, tol)[0] == "pass" for check in checks.values())
+
+    pushed = reps[1]["checks"]["residual_l2"]["lower"] - 2 * tol * sv.norm_l2(u) ** 2
+    for key in ("residual_l2", "quasi_opt"):
+        reps[1]["checks"][key]["value"] = pushed
+    for name, check in checks.items():
+        status, worst, _ = check(run, tol)
+        assert status == "fail", name
+        assert worst == pytest.approx(2 * tol, rel=1e-6), name
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Package hygiene: no unused imports, and a public surface that resolves."""
 import ast
+import dataclasses
 import json
 import os
 import re
@@ -180,6 +181,25 @@ def test_removed_names_absent(name):
     assert not hasattr(sv, name)
     defined = [p.name for p in sorted(SRC.glob("*.py")) if name in _top_level_names(_tree(p.name))]
     assert defined == []
+
+
+@pytest.mark.parametrize(
+    "owner, member",
+    [
+        ("ExperimentResult", "config"),
+        ("GridFunction", "__mul__"),
+        ("GridFunction", "__neg__"),
+        ("GridFunction", "__rmul__"),
+        ("RateFit", "xs"),
+        ("RateFit", "ys"),
+        ("TuckerApprox", "rank_vector"),
+    ],
+)
+def test_removed_members_absent(owner, member):
+    # neither a dataclass field nor a class attribute of the public class
+    cls = getattr(sv, owner)
+    assert member not in {f.name for f in dataclasses.fields(cls)}
+    assert not hasattr(cls, member)
 
 
 def _private_definitions(tree: ast.Module) -> list[str]:
