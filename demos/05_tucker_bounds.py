@@ -31,7 +31,7 @@ def main():
         print(f"{r:>4}   {e_s:12.6f}   {e_h:12.6f}   {tail:12.6f}")
 
     print("\nSobolev report at rank (2, 2, 2):")
-    rep = sv.h1_sandwich(u, (2, 2, 2), systems=systems, derivs=derivs)
+    (rep,) = sv.h1_sandwich(u, [(2, 2, 2)], systems=systems, derivs=derivs)
     for name, check in rep["checks"].items():
         print(
             f"  {name:12} {check['lower']:12.6f} <= {check['value']:12.6f} "

@@ -190,20 +190,23 @@ def _fd2(values: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray
     The same operations in the same order as
     ``np.gradient(values, h, axis=axis, edge_order=2)``, so the result is
     bit for bit the same; unlike it, this writes into a caller's buffer.
+    The interior is one shift by the stride of ``axis`` over the flattened
+    C-ordered array (``out`` through a buffer if it is not C-contiguous);
+    the end planes it also fills are then overwritten by the edge stencils.
     """
-
-    def at(index):
-        idx = [slice(None)] * values.ndim
-        idx[axis] = index
-        return tuple(idx)
-
-    interior = out[at(slice(1, -1))]
-    np.subtract(values[at(slice(2, None))], values[at(slice(None, -2))], out=interior)
+    v = np.ascontiguousarray(values)
+    work = out if out.flags.c_contiguous else np.empty(v.shape)
+    stride = math.prod(v.shape[axis + 1 :])
+    v3, w3 = (x.reshape(math.prod(v.shape[:axis]), v.shape[axis], stride) for x in (v, work))
+    flat, interior = v.reshape(-1), work.reshape(-1)[stride : v.size - stride]
+    np.subtract(flat[2 * stride :], flat[: v.size - 2 * stride], out=interior)
     np.divide(interior, 2.0 * h, out=interior)
     a, b, c = -1.5 / h, 2.0 / h, -0.5 / h
-    out[at(0)] = a * values[at(0)] + b * values[at(1)] + c * values[at(2)]
+    w3[:, 0] = a * v3[:, 0] + b * v3[:, 1] + c * v3[:, 2]
     a, b, c = 0.5 / h, -2.0 / h, 1.5 / h
-    out[at(-1)] = a * values[at(-3)] + b * values[at(-2)] + c * values[at(-1)]
+    w3[:, -1] = a * v3[:, -3] + b * v3[:, -2] + c * v3[:, -1]
+    if work is not out:
+        out[...] = work
     return out
 
 

@@ -392,7 +392,7 @@ def _check_diagnostics(run, tol):
     block["bernstein_slope"] = []
     for j, deriv in enumerate(run.derivs):
         # past the retained count Gamma_j is flat and would bend the fit
-        keep = [i for i, rv in enumerate(run.rvs) if 1 <= rv[j] <= deriv.count]
+        keep = [i for i, rv in enumerate(run.rvs) if rv[j] <= deriv.count]
         ranks = [run.rvs[i][j] for i in keep]
         try:
             fit = rate_fit(ranks, [run.reports[i]["bernstein"][j] for i in keep])
@@ -465,6 +465,8 @@ DEFAULT_TOLERANCES = {name: tol for name, (_, tol) in _CHECKS.items() if tol is 
 def _is(x, name: str) -> bool:
     """Whether ``x`` has JSON Schema type ``name``: an integral float is an
     integer, and a bool is neither an integer nor a number."""
+    if type(x) is float or type(x) is int:  # most of a report, so first
+        return name == "number" or name == "integer" and (type(x) is int or x.is_integer())
     if name == "integer":
         return _is(x, "number") and (isinstance(x, int) or isinstance(x, float) and x.is_integer())
     if name == "number":
@@ -632,10 +634,7 @@ def run_experiment(
 
     u_sq = (inner_l2(u, u), *(dv.du_sq for dv in derivs))
     sandwich_slack = config.tolerance("sandwich") * _root_sum(u_sq) ** 2
-    reports = [
-        h1_sandwich(u, rv, systems=systems, derivs=derivs, slack=sandwich_slack)
-        for rv in rvs
-    ]
+    reports = h1_sandwich(u, rvs, systems=systems, derivs=derivs, slack=sandwich_slack)
     run = _Run(u, systems, derivs, rvs, reports, u_sq)
 
     selected = [(name, _CHECKS[name][0]) for name in config.checks]
@@ -684,9 +683,8 @@ def run_experiment(
     if out_dir is not None:
         report_path = Path(out_dir) / "report.json"
         sigma_path = Path(out_dir) / "sigma.csv"
-        _atomic_write_text(
-            report_path, json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
+        # unindented: json's C encoder; with indent it falls back to Python
+        _atomic_write_text(report_path, json.dumps(report, sort_keys=True) + "\n")
         _atomic_write_text(sigma_path, _sigma_csv(spectra))
 
     return ExperimentResult(u, report, passed, report_path, sigma_path)

@@ -21,7 +21,8 @@ the directions it is given D_j u for. It differentiates only the
 residual, into one buffer reused for every direction, and takes
 D_j(Pu) = D_j u - D_j(u - Pu), exact because the stencil is linear.
 D_j u comes from ``derivative_data``, so a run differentiates u and
-each Tucker projection once per direction; the single-mode checks
+each Tucker residual once per direction (``truncation.h1_sandwich``
+passes each projection as a raw array); the single-mode checks
 differentiate n_j x R bases instead (``experiment._Run.single_mode``).
 
 Derivative transfer

@@ -49,5 +49,8 @@ def mode_product(values: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
             f"matrix shape {matrix.shape} does not contract mode {mode} "
             f"of size {values.shape[mode]}"
         )
-    out = np.tensordot(matrix, values, axes=(1, mode))
-    return np.moveaxis(out, 0, mode)
+    # one matmul over values as (rows, n, cols), which leaves the axes in place
+    shape = values.shape
+    rows, n, cols = prod(shape[:mode]), shape[mode], prod(shape[mode + 1 :])
+    out = values.reshape(rows, n) @ matrix.T if cols == 1 else matrix @ values.reshape(rows, n, cols)
+    return out.reshape(*shape[:mode], matrix.shape[0], *shape[mode + 1 :])

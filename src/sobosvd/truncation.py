@@ -59,22 +59,25 @@ def series_split(
     carry spectral weight below noise; they enter with their L2 mass only.
     Raises ModeError unless 0 <= r <= k_max.
     """
-    r = _check_rank(r, system.k_max)
+    r = int(r)
+    if not 0 <= r <= system.k_max:
+        raise ModeError(f"rank {r} out of range, decomposition has {system.k_max} directions")
+    return _split(_series_terms(system, *derivs), r)
+
+
+def _series_terms(system: SingularSystem, *derivs: DerivativeData) -> np.ndarray:
+    """The terms sigma_k^2 (1 + sum_i |dpsi_k|^2) that ``series_split`` sums."""
     factor = 1.0
     for deriv in derivs:
         dpsi = np.zeros(system.k_max)
         m = min(deriv.count, system.k_max)
         dpsi[:m] = deriv.dpsi_norms[:m]
         factor = factor + dpsi**2
-    terms = system.sigmas**2 * factor
+    return system.sigmas**2 * factor
+
+
+def _split(terms: np.ndarray, r: int) -> SeriesSplit:
     return SeriesSplit(float(np.sum(terms[:r])), float(np.sum(terms[r:])))
-
-
-def _check_rank(r: int, k_max: int) -> int:
-    r = int(r)
-    if not 0 <= r <= k_max:
-        raise ModeError(f"rank {r} out of range, decomposition has {k_max} directions")
-    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,18 +99,26 @@ def _leading_bases(systems, ranks) -> dict[int, np.ndarray]:
     return {s.mode: s.left_vectors[:, : min(r, s.k_max)] for s, r in zip(systems, ranks)}
 
 
-def _apply_projection(u: GridFunction, bases: dict[int, np.ndarray]) -> np.ndarray:
-    """Analysis then synthesis against weighted-orthonormal mode bases.
-
-    ``bases`` maps a mode to its basis; modes it does not name are kept.
-    Returns the projected values as a raw array on the grid of ``u``.
-    """
+def _analysis(u: GridFunction, bases: dict[int, np.ndarray]) -> np.ndarray:
+    """Coefficients of ``u`` in the weighted-orthonormal bases ``bases``
+    maps modes to; modes it does not name are kept."""
     vals = u.values
     for j, q in bases.items():
         vals = mode_product(vals, _analysis_map(u, q, j), j)
-    for j, q in bases.items():
-        vals = mode_product(vals, q, j)
     return vals
+
+
+def _synthesis(core: np.ndarray, bases: dict[int, np.ndarray]) -> np.ndarray:
+    """The grid values of coefficients ``core`` in the leading columns of
+    ``bases``, as many in each mode as ``core`` has entries there."""
+    for j, q in bases.items():
+        core = mode_product(core, q[:, : core.shape[j]], j)
+    return core
+
+
+def _apply_projection(u: GridFunction, bases: dict[int, np.ndarray]) -> np.ndarray:
+    """Analysis then synthesis: the projected values as a raw array."""
+    return _synthesis(_analysis(u, bases), bases)
 
 
 def _check_rank_vector(ranks, shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -138,11 +149,6 @@ def _per_mode(items, d: int, what: str):
     return items
 
 
-def _ranks_and_systems(u: GridFunction, ranks, systems):
-    """Validated rank vector and mode systems of ``u``."""
-    return _check_rank_vector(ranks, u.shape), _per_mode(systems, u.ndim, "systems")
-
-
 def hosvd_project(
     u: GridFunction, ranks, *, systems: tuple[SingularSystem, ...]
 ) -> TuckerApprox:
@@ -152,7 +158,7 @@ def hosvd_project(
     the projections commute, and the L2 error of the composition is bounded
     by the sum of per-mode discarded spectral weight.
     """
-    rv, systems = _ranks_and_systems(u, ranks, systems)
+    rv, systems = _check_rank_vector(ranks, u.shape), _per_mode(systems, u.ndim, "systems")
     bases = _leading_bases(systems, rv)
     projected = GridFunction(u.axes, _apply_projection(u, bases))
     return TuckerApprox(tuple(bases.values()), projected)
@@ -180,7 +186,7 @@ def hooi(
     """
     if max_iters < 1:
         raise SobosvdError(f"max_iters must be >= 1, got {max_iters}")
-    rv, systems = _ranks_and_systems(u, ranks, systems)
+    rv, systems = _check_rank_vector(ranks, u.shape), _per_mode(systems, u.ndim, "systems")
     d = u.ndim
     factors = _leading_bases(systems, rv)
     analyses = {j: _analysis_map(u, q, j) for j, q in factors.items()}
@@ -236,34 +242,45 @@ def bernstein_constant(
         raise InsufficientRankError(
             f"only {deriv.count} retained directions, requested {r}"
         )
+    return _top_ratio(_gamma_gram(system, deriv, r), r)
+
+
+def _gamma_gram(system: SingularSystem, deriv: DerivativeData, r: int) -> np.ndarray:
+    """Gamma^T W Gamma over the first r transferred derivatives."""
     g = deriv.gammas[:, :r]
-    b = np.eye(r) + g.T @ (system.row_weights[:, None] * g)
-    top = float(np.linalg.eigvalsh(b)[-1])
+    return g.T @ (system.row_weights[:, None] * g)
+
+
+def _top_ratio(gram: np.ndarray, r: int) -> float:
+    """sqrt of the top eigenvalue of I + gram[:r, :r], at least one."""
+    top = float(np.linalg.eigvalsh(np.eye(r) + gram[:r, :r])[-1])
     return float(np.sqrt(max(top, 1.0)))
 
 
 def h1_sandwich(
     u: GridFunction,
-    ranks,
+    rank_vectors,
     *,
     systems: tuple[SingularSystem, ...],
     derivs: tuple[DerivativeData, ...],
     slack: float | None = None,
-) -> dict:
-    """Measure a rank-vector truncation and evaluate all its bounds.
+) -> list[dict]:
+    """Measure the truncation at each rank vector and evaluate its bounds.
 
-    Builds the truncation and measures its Sobolev norms (in full and per
-    direction) and the norms of its residual on the grid with one
-    ``split_sq``: the residual is differentiated once per direction,
-    and the derivatives of the truncation follow from the D_j u that
-    ``derivs`` hold. Then evaluates the spectral series, the two-sided
-    Sobolev estimates and the per-mode norm-ratio constants.
+    The mode bases are nested, so the core of u at the componentwise
+    largest clamped ranks holds the core at each rank vector as a leading
+    sub-block (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal.
+    Appl. 21(4), 2000). So u is analysed once; each truncation is
+    synthesized from a slice and measured on the grid with one
+    ``split_sq`` (the residual differentiated once per direction, D_j u
+    read from ``derivs``); the series terms and each mode's Gram
+    Gamma^T W Gamma are formed once and sliced per rank vector.
 
     ``systems`` and ``derivs`` (one per mode, modes 0..d-1 in order, else
-    ModeError) are the caller's, read again at every rank of a sweep.
+    ModeError) are the caller's.
 
-    Returns the rank report, the JSON object ``report.json`` holds under
-    ``reports[]``:
+    Returns one rank report per rank vector, in order, each the JSON
+    object ``report.json`` holds under ``reports[]``:
 
     - ``rank_vector``;
     - ``measured``, grid norms: of the residual ``l2``, ``h1`` and ``ek``
@@ -310,69 +327,76 @@ def h1_sandwich(
     |u|_0^2. So with the default tolerances ``residual_l2.holds`` can
     read true where ``hosvd_bound`` fails, never the other way round.
     """
-    rv, systems = _ranks_and_systems(u, ranks, systems)
+    rvs = [_check_rank_vector(rv, u.shape) for rv in rank_vectors]
     d = u.ndim
-    derivs = _per_mode(derivs, d, "derivs")
+    systems, derivs = _per_mode(systems, d, "systems"), _per_mode(derivs, d, "derivs")
     if slack is None:
         u_sq = (inner_l2(u, u), *(dv.du_sq for dv in derivs))
         slack = _SANDWICH_RTOL * _root_sum(u_sq) ** 2
     slack = float(slack)
 
-    approx = hosvd_project(u, rv, systems=systems)
+    top = [max([min(rv[j], s.k_max) for rv in rvs], default=0) for j, s in enumerate(systems)]
+    bases = _leading_bases(systems, top)
+    core = _analysis(u, bases)
     du = {dv.mode: dv.du for dv in derivs}
-    approx_sq, resid_sq = split_sq(u, du, approx.projected.values)
-    approx_h1_sq = _root_sum(approx_sq) ** 2
-    l2, h1 = _root_sum(resid_sq[:1]), _root_sum(resid_sq)
+    # per mode: sigma^2 (1 + dpsi^2), plain sigma^2 and Gamma^T W Gamma
+    terms_w = [_series_terms(s, dv) for s, dv in zip(systems, derivs)]
+    terms_sq = [_series_terms(s) for s in systems]
+    grams = [_gamma_gram(s, dv, min(t, dv.count)) for s, dv, t in zip(systems, derivs, top)]
+    h1_terms = _series_terms(systems[0], *derivs) if d == 2 else None
 
-    # per mode, kept and tail: sum sigma^2 (1 + dpsi^2), and plain sigma^2
-    cut = [min(r, s.k_max) for r, s in zip(rv, systems)]
-    kept_w, tail_w = zip(*(series_split(s, r, dv) for s, r, dv in zip(systems, cut, derivs)))
-    kept_sq, tail_sq = zip(*(series_split(s, r) for s, r in zip(systems, cut)))
-    l2_tail_sq_sum, l2_floor = float(np.sum(tail_sq)), max(tail_sq)
+    def report(rv):
+        cut = [min(r, s.k_max) for r, s in zip(rv, systems)]
+        projected = _synthesis(core[tuple(slice(c) for c in cut)], bases)
+        approx_sq, resid_sq = split_sq(u, du, projected)
+        approx_h1_sq = _root_sum(approx_sq) ** 2
+        l2, h1 = _root_sum(resid_sq[:1]), _root_sum(resid_sq)
 
-    h1_series = SeriesSplit(None, None)  # the two-sided series needs d = 2
-    if d == 2:
-        h1_series = series_split(systems[0], min(*rv, systems[0].k_max), *derivs)
+        kept_w, tail_w = zip(*(_split(t, c) for t, c in zip(terms_w, cut)))
+        kept_sq, tail_sq = zip(*(_split(t, c) for t, c in zip(terms_sq, cut)))
+        l2_tail_sq_sum, l2_floor = float(np.sum(tail_sq)), max(tail_sq)
+        h1_series = SeriesSplit(None, None)  # the two-sided series needs d = 2
+        if d == 2:
+            h1_series = _split(h1_terms, min(*rv, systems[0].k_max))
+        r_g = [min(r, dv.count) for r, dv in zip(rv, derivs)]
+        bernstein = [_top_ratio(g, r) if r >= 1 else 1.0 for g, r in zip(grams, r_g)]
 
-    bernstein = []
-    for s, dv, r in zip(systems, derivs, rv):
-        r_g = min(r, dv.count)
-        bernstein.append(bernstein_constant(s, dv, r_g) if r_g >= 1 else 1.0)
+        bounds = {
+            "l2_tail_sq_sum": l2_tail_sq_sum,
+            "quasi_opt_reference": d * l2_floor,
+            "h1_lower": float(np.max(tail_w)),
+            "h1_upper": float(np.sum(tail_w) + l2_tail_sq_sum),
+            "norm_lower": max(0.0, kept_sq[0] + tail_sq[0] - l2_tail_sq_sum),
+            "norm_upper": float(np.sum(kept_w)),
+        }
+        triples = {
+            "approx_h1": (bounds["norm_lower"], approx_h1_sq, bounds["norm_upper"]),
+            "residual_h1": (bounds["h1_lower"], h1**2, bounds["h1_upper"]),
+            "residual_l2": (l2_floor, l2**2, l2_tail_sq_sum),
+            "quasi_opt": (l2_floor, l2**2, bounds["quasi_opt_reference"]),
+        }
+        return {
+            "rank_vector": list(rv),
+            "measured": {
+                "l2": l2,
+                "h1": h1,
+                "ek": [_root_sum((resid_sq[0], dsq)) for dsq in resid_sq[1:]],
+                "approx_h1_sq": approx_h1_sq,
+                "approx_ek_sq": [_root_sum((approx_sq[0], dsq)) ** 2 for dsq in approx_sq[1:]],
+            },
+            "series": {
+                "h1_norm_sq": h1_series.norm_sq,
+                "h1_error_sq": h1_series.error_sq,
+                "ek_norm_sq": list(kept_w),
+                "ek_error_sq": list(tail_w),
+            },
+            "bounds": bounds,
+            "bernstein": bernstein,
+            "slack": slack,
+            "checks": {
+                name: {"lower": lo, "value": v, "upper": hi, "holds": lo - slack <= v <= hi + slack}
+                for name, (lo, v, hi) in triples.items()
+            },
+        }
 
-    bounds = {
-        "l2_tail_sq_sum": l2_tail_sq_sum,
-        "quasi_opt_reference": d * l2_floor,
-        "h1_lower": float(np.max(tail_w)),
-        "h1_upper": float(np.sum(tail_w) + l2_tail_sq_sum),
-        "norm_lower": max(0.0, kept_sq[0] + tail_sq[0] - l2_tail_sq_sum),
-        "norm_upper": float(np.sum(kept_w)),
-    }
-    triples = {
-        "approx_h1": (bounds["norm_lower"], approx_h1_sq, bounds["norm_upper"]),
-        "residual_h1": (bounds["h1_lower"], h1**2, bounds["h1_upper"]),
-        "residual_l2": (l2_floor, l2**2, l2_tail_sq_sum),
-        "quasi_opt": (l2_floor, l2**2, bounds["quasi_opt_reference"]),
-    }
-    return {
-        "rank_vector": list(rv),
-        "measured": {
-            "l2": l2,
-            "h1": h1,
-            "ek": [_root_sum((resid_sq[0], dsq)) for dsq in resid_sq[1:]],
-            "approx_h1_sq": approx_h1_sq,
-            "approx_ek_sq": [_root_sum((approx_sq[0], dsq)) ** 2 for dsq in approx_sq[1:]],
-        },
-        "series": {
-            "h1_norm_sq": h1_series.norm_sq,
-            "h1_error_sq": h1_series.error_sq,
-            "ek_norm_sq": list(kept_w),
-            "ek_error_sq": list(tail_w),
-        },
-        "bounds": bounds,
-        "bernstein": bernstein,
-        "slack": slack,
-        "checks": {
-            name: {"lower": lo, "value": v, "upper": hi, "holds": lo - slack <= v <= hi + slack}
-            for name, (lo, v, hi) in triples.items()
-        },
-    }
+    return [report(rv) for rv in rvs]

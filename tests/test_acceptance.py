@@ -131,7 +131,7 @@ def test_criterion_5_sandwich_brackets(acc):
         sweep = range(1, 5 if u.ndim == 3 else 7)
         for r in sweep:
             rv = (r,) * u.ndim
-            rep = sv.h1_sandwich(u, rv, systems=systems, derivs=derivs, slack=slack)
+            rep = sv.h1_sandwich(u, [rv], systems=systems, derivs=derivs, slack=slack)[0]
             holds = all(c["holds"] for c in rep["checks"].values())
             assert holds, f"{name} {rv}: {rep['checks']}"
             checked += 1

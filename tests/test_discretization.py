@@ -215,15 +215,32 @@ def test_partial_derivative_matches_fd2_matrix():
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), j
 
 
-@pytest.mark.parametrize("shape", [(3,), (8,), (5, 3), (7, 9, 12)])
-def test_fd2_stencil_is_np_gradient_bit_for_bit(shape):
+def _laid_out(a: np.ndarray, layout: str) -> np.ndarray:
+    """A copy of ``a`` in C order, in F order, or as the leading columns of
+    a wider C array (a view that is neither C- nor F-contiguous)."""
+    if layout == "sliced":
+        wide = np.zeros(a.shape[:-1] + (a.shape[-1] + 2,))
+        wide[..., : a.shape[-1]] = a
+        return wide[..., : a.shape[-1]]
+    return np.array(a, order=layout)
+
+
+@pytest.mark.parametrize("shape", [(3,), (8,), (5, 3), (7, 9, 12), (4, 3, 5, 6)])
+@pytest.mark.parametrize("values_layout", ["C", "F", "sliced"])
+@pytest.mark.parametrize("out_layout", ["C", "F", "sliced"])
+def test_fd2_stencil_is_np_gradient_bit_for_bit(shape, values_layout, out_layout):
     # the stencil that partial_derivative and the measurement kernel share
-    # writes into a buffer; its result must be np.gradient's, bit for bit
+    # writes into a buffer; its result must be np.gradient's, bit for bit,
+    # on every axis and whatever the memory layout of the operand and of
+    # the buffer (the single-mode checks pass column slices of left
+    # vectors, and 2D mode 1's are F-ordered)
     rng = np.random.default_rng(7)
     v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+    values = _laid_out(v, values_layout)
     for j in range(len(shape)):
         h = rng.uniform(0.01, 2.0)
         want = np.gradient(v, h, axis=j, edge_order=2)
-        out = np.full(shape, np.nan)
-        assert _fd2(v, h, j, out) is out
+        out = _laid_out(np.full(shape, np.nan), out_layout)
+        assert _fd2(values, h, j, out) is out
         assert np.array_equal(out, want), j
+    assert np.array_equal(values, v)

@@ -34,6 +34,22 @@ def test_mode_product_matches_einsum():
     assert out.shape == (3, 6, 5)
 
 
+def test_mode_product_matches_einsum_on_every_mode_of_a_4_way_tensor():
+    # one matmul per call: the first, a middle and the last mode, in C and
+    # F order, and a matrix with no rows (an empty mode in the result)
+    rng = np.random.default_rng(4)
+    t = rng.standard_normal((2, 3, 4, 5))
+    letters = "abcd"
+    for values in (t, np.asfortranarray(t)):
+        for mode, rows in itertools.product(range(4), (0, 1, 6)):
+            a = rng.standard_normal((rows, t.shape[mode]))
+            spec = f"z{letters[mode]},{letters}->{letters.replace(letters[mode], 'z')}"
+            want = np.einsum(spec, a, t)
+            out = sv.mode_product(values, a, mode)
+            assert out.shape == want.shape, (mode, rows)
+            np.testing.assert_allclose(out, want, rtol=1e-13, atol=1e-13)
+
+
 def test_mode_product_identity_and_composition():
     rng = np.random.default_rng(2)
     t = rng.standard_normal((4, 5))

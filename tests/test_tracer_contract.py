@@ -28,8 +28,10 @@ def test_tracer_sees_every_verify_layer(tmp_path):
     config = sv.ExperimentConfig.from_dict(
         {"function": {"file": "samples.raw"}, "output": "out"}, base_dir=tmp_path
     )
+    # the verify path (edge cases on, as ``sobosvd verify`` runs it) is the
+    # one that calls hosvd_project; h1_sandwich measures without it
     with Tracer() as tracer:
-        result = sv.run_experiment(config)
+        result = sv.run_experiment(config, edge_cases=True)
     assert result.passed
     counts = summarize(tracer.spans)
     assert {name: counts[f"{name}.calls"] > 0 for name in LAYERS} == dict.fromkeys(LAYERS, True)

@@ -124,12 +124,12 @@ def test_given_systems_must_cover_every_mode_in_order():
         with pytest.raises(ModeError):
             sv.hooi(u, (1, 1, 1), systems=systems)
         with pytest.raises(ModeError):
-            sv.h1_sandwich(u, (1, 1, 1), systems=systems, derivs=(d0, d1, d2))
+            sv.h1_sandwich(u, [(1, 1, 1)], systems=systems, derivs=(d0, d1, d2))
     assert len(sv.hosvd_project(u, (1, 1, 1), systems=(s0, s1, s2)).factors) == 3
     # derivative data likewise: a repeated mode would drop a direction
     # from the measured residual
     with pytest.raises(ModeError):
-        sv.h1_sandwich(u, (1, 1, 1), systems=(s0, s1, s2), derivs=(d0, d0, d2))
+        sv.h1_sandwich(u, [(1, 1, 1)], systems=(s0, s1, s2), derivs=(d0, d0, d2))
 
 
 def test_hooi_never_worse_than_spectral_start():
@@ -171,7 +171,7 @@ def test_sandwich_balanced_brackets_hold(catalog):
     sweeps = {2: [(r, r) for r in range(1, 7)], 3: [(r, r, r) for r in range(1, 5)]}
     for name, (u, systems, derivs) in catalog.items():
         for rv in sweeps[u.ndim]:
-            rep = sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
+            rep = sv.h1_sandwich(u, [rv], systems=systems, derivs=derivs)[0]
             assert _all_hold(rep), f"{name} {rv}: {rep['checks']}"
 
 
@@ -182,7 +182,7 @@ def test_sandwich_d2_series_equals_measured(catalog):
     u, systems, derivs = catalog["BROWNIAN"]
     scale = sv.norm_h1(u) ** 2
     for r in (1, 2, 4):
-        rep = sv.h1_sandwich(u, (r, r), systems=systems, derivs=derivs)
+        rep = sv.h1_sandwich(u, [(r, r)], systems=systems, derivs=derivs)[0]
         assert abs(rep["measured"]["h1"] ** 2 - rep["series"]["h1_error_sq"]) / scale < 1e-12
 
 
@@ -192,7 +192,7 @@ def test_sandwich_unbalanced_upper_can_fail(catalog):
     # carry derivative mass in the untruncated direction that no mode
     # tail accounts for. The report must say so honestly.
     u, systems, derivs = catalog["SINSUM"]
-    rep = sv.h1_sandwich(u, (1, 3), systems=systems, derivs=derivs)
+    rep = sv.h1_sandwich(u, [(1, 3)], systems=systems, derivs=derivs)[0]
     checks = rep["checks"]
     assert not checks["residual_h1"]["holds"]
     assert checks["approx_h1"]["holds"]
@@ -219,7 +219,7 @@ def test_sandwich_approx_lower_bound_every_rank_vector(name, shape):
     failing = [
         rv
         for rv in itertools.product(range(6), repeat=u.ndim)
-        if not sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)["checks"]["approx_h1"][
+        if not sv.h1_sandwich(u, [rv], systems=systems, derivs=derivs)[0]["checks"]["approx_h1"][
             "holds"
         ]
     ]
@@ -228,7 +228,7 @@ def test_sandwich_approx_lower_bound_every_rank_vector(name, shape):
 
 def test_sandwich_slack_is_plumbed(catalog):
     u, systems, derivs = catalog["SINSUM"]
-    rep = sv.h1_sandwich(u, (1, 3), systems=systems, derivs=derivs, slack=1e9)
+    rep = sv.h1_sandwich(u, [(1, 3)], systems=systems, derivs=derivs, slack=1e9)[0]
     assert rep["slack"] == 1e9
     assert _all_hold(rep)
 
@@ -242,7 +242,7 @@ def test_sandwich_default_slack_is_scale_invariant():
         v = sv.GridFunction(u.axes, c * u.values)
         systems = sv.mode_svds(v)
         derivs = tuple(sv.derivative_data(v, s) for s in systems)
-        rep = sv.h1_sandwich(v, (1, 2), systems=systems, derivs=derivs)
+        rep = sv.h1_sandwich(v, [(1, 2)], systems=systems, derivs=derivs)[0]
         holds[c] = {k: b["holds"] for k, b in rep["checks"].items()}
     assert holds[1e-6] == holds[1.0] == holds[1e6], holds
 
@@ -268,7 +268,7 @@ def test_sandwich_quasi_ref_is_d_times_largest_tail(catalog):
     for name, (u, systems, derivs) in catalog.items():
         for rv in itertools.product((0, 1, 3, 70), repeat=u.ndim):
             rv = tuple(min(r, n) for r, n in zip(rv, u.shape))
-            rep = sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
+            rep = sv.h1_sandwich(u, [rv], systems=systems, derivs=derivs)[0]
             tails = [
                 sv.series_split(s, min(r, s.k_max)).error_sq for s, r in zip(systems, rv)
             ]
@@ -285,7 +285,7 @@ def test_sandwich_quasi_ref_is_the_2d_optimum(catalog):
             continue
         scale = sv.norm_l2(u) ** 2
         for rv in itertools.product(range(6), repeat=2):
-            rep = sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
+            rep = sv.h1_sandwich(u, [rv], systems=systems, derivs=derivs)[0]
             m = min(*rv, systems[0].k_max)
             optimum = 2.0 * float(np.sum(systems[0].sigmas[m:] ** 2))
             assert abs(rep["bounds"]["quasi_opt_reference"] - optimum) <= 1e-15 * scale, (name, rv)
@@ -308,16 +308,48 @@ def test_sandwich_quasi_ref_chain(name):
     systems = sv.mode_svds(u)
     derivs = tuple(sv.derivative_data(u, s) for s in systems)
     for rv in itertools.product(range(4), repeat=3):
-        rep = sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
+        rep = sv.h1_sandwich(u, [rv], systems=systems, derivs=derivs)[0]
         refined = sv.hooi(u, rv, systems=systems)
         ref, slack = rep["bounds"]["quasi_opt_reference"], rep["slack"]
         assert rep["measured"]["l2"] ** 2 - slack <= ref, rv
         assert ref <= 3 * min(refined.error_history) ** 2 + slack, rv
 
 
+@pytest.mark.parametrize(
+    "name, shape, rvs",
+    [
+        # k_max is 17 in both modes, so (17, 20) and (3, 23) ask mode 1 for more
+        ("BROWNIAN", (17, 23), [(0, 0), (1, 3), (4, 1), (0, 5), (17, 20), (3, 23), (2, 2)]),
+        ("SUM3D", (9, 11, 13), [(0, 0, 0), (1, 2, 3), (4, 0, 2), (9, 11, 13), (2, 7, 1)]),
+    ],
+)
+def test_sandwich_batch_is_the_single_calls(name, shape, rvs):
+    # one analysis at the largest ranks serves every rank vector: each
+    # report of a batch is the one-vector call's, the measured norms and
+    # norm-ratio constants up to roundoff
+    u = sv.sample_case(sv.get_case(name), shape)
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    batch = sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs)
+    singles = [sv.h1_sandwich(u, [rv], systems=systems, derivs=derivs)[0] for rv in rvs]
+    tol = 1e-14 * sv.norm_h1(u) ** 2
+    assert len(batch) == len(rvs)
+    for got, want in zip(batch, singles):
+        for key in ("rank_vector", "series", "bounds", "slack"):
+            assert got[key] == want[key], (got["rank_vector"], key)
+        m_got, m_want = got["measured"], want["measured"]
+        pairs = [(m_got[k] ** 2, m_want[k] ** 2) for k in ("l2", "h1")]
+        pairs += [(m_got["approx_h1_sq"], m_want["approx_h1_sq"])]
+        pairs += zip(np.square(m_got["ek"]), np.square(m_want["ek"]))
+        pairs += zip(m_got["approx_ek_sq"], m_want["approx_ek_sq"])
+        pairs += zip(got["bernstein"], want["bernstein"])
+        assert max(abs(a - b) for a, b in pairs) <= tol, got["rank_vector"]
+    assert sv.h1_sandwich(u, [], systems=systems, derivs=derivs) == []
+
+
 def test_sandwich_d3_has_no_h1_series(catalog):
     u, systems, derivs = catalog["SEP3D"]
-    rep = sv.h1_sandwich(u, (1, 1, 1), systems=systems, derivs=derivs)
+    rep = sv.h1_sandwich(u, [(1, 1, 1)], systems=systems, derivs=derivs)[0]
     assert rep["series"]["h1_norm_sq"] is None
     assert rep["series"]["h1_error_sq"] is None
     assert len(rep["measured"]["ek"]) == 3
@@ -328,7 +360,7 @@ def test_sandwich_report_is_strict_json(catalog):
     # h1_sandwich returns the report.json entry itself: JSON types only,
     # bool verdicts, and each holds the bracket with the stored slack
     u, systems, derivs = catalog["SEP1"]
-    rep = sv.h1_sandwich(u, (1, 1), systems=systems, derivs=derivs)
+    rep = sv.h1_sandwich(u, [(1, 1)], systems=systems, derivs=derivs)[0]
     assert set(rep) == {
         "rank_vector",
         "measured",
@@ -353,7 +385,7 @@ def test_sandwich_approx_ek_sq_is_the_ek_series(catalog):
         u, systems, derivs = catalog[name]
         u_sq = sv.norm_l2(u) ** 2
         for r in range(4):
-            rep = sv.h1_sandwich(u, (r, r), systems=systems, derivs=derivs)
+            rep = sv.h1_sandwich(u, [(r, r)], systems=systems, derivs=derivs)[0]
             for j in range(2):
                 scale = u_sq + derivs[j].du_sq
                 gap = abs(rep["measured"]["approx_ek_sq"][j] - rep["series"]["ek_norm_sq"][j])
@@ -365,7 +397,7 @@ def test_sandwich_bernstein_uses_effective_rank(catalog):
     # constant instead of raising
     u, systems, derivs = catalog["EXPXY"]
     big = min(systems[0].k_max, derivs[0].count + 3)
-    rep = sv.h1_sandwich(u, (big, big), systems=systems, derivs=derivs)
+    rep = sv.h1_sandwich(u, [(big, big)], systems=systems, derivs=derivs)[0]
     expected = sv.bernstein_constant(systems[0], derivs[0], derivs[0].count)
     assert rep["bernstein"][0] == pytest.approx(expected)
 
@@ -427,7 +459,7 @@ def test_tucker_functions_make_no_mode_svd(catalog, monkeypatch):
         rv = (3,) * u.ndim
         sv.hosvd_project(u, rv, systems=systems)
         sv.hooi(u, rv, systems=systems)
-        sv.h1_sandwich(u, rv, systems=systems, derivs=derivs)
+        sv.h1_sandwich(u, [rv], systems=systems, derivs=derivs)
     assert calls == []
 
 
@@ -436,8 +468,8 @@ def test_tucker_functions_require_the_mode_systems(catalog):
     for call in (
         lambda: sv.hosvd_project(u, (1, 1)),
         lambda: sv.hooi(u, (1, 1)),
-        lambda: sv.h1_sandwich(u, (1, 1)),
-        lambda: sv.h1_sandwich(u, (1, 1), systems=systems),
+        lambda: sv.h1_sandwich(u, [(1, 1)]),
+        lambda: sv.h1_sandwich(u, [(1, 1)], systems=systems),
     ):
         with pytest.raises(TypeError):
             call()
