@@ -14,8 +14,7 @@ import sobosvd as sv
 def main():
     rng = np.random.default_rng(5)
     base = sv.sample_case(sv.get_case("SUM3D"), (25, 25, 25))
-    noise = sv.GridFunction(base.axes, 0.02 * rng.standard_normal(base.shape))
-    u = base + noise
+    u = sv.GridFunction(base.axes, base.values + 0.02 * rng.standard_normal(base.shape))
 
     systems = sv.mode_svds(u)
     derivs = tuple(sv.derivative_data(u, s) for s in systems)

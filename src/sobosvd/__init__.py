@@ -15,7 +15,6 @@ _EXPORTS = {
         "AxisMismatchError",
         "ConfigError",
         "DegenerateDataError",
-        "InsufficientRankError",
         "InvalidAxisError",
         "ModeError",
         "SampleFileError",
@@ -55,7 +54,6 @@ _EXPORTS = {
     "truncation": (
         "SeriesSplit",
         "TuckerApprox",
-        "bernstein_constant",
         "h1_sandwich",
         "hooi",
         "hosvd_project",

@@ -39,18 +39,17 @@ def _line_fit(x: np.ndarray, y: np.ndarray):
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r2 = 1.0 if ss_tot <= 1e-30 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(coef[1]), float(r2)
+    return float(coef[0]), float(r2)
 
 
 @dataclass(frozen=True)
 class RateFit:
-    """A straight-line fit in log2-log2 coordinates: slope and intercept
-    of the fitted line, r2 its goodness. Only the points ``rate_fit``
-    kept (positive rank, y above FIT_FLOOR, both finite) enter the fit.
+    """A straight-line fit in log2-log2 coordinates: the slope of the
+    fitted line, r2 its goodness. Only the points ``rate_fit`` kept
+    (positive rank, y above FIT_FLOOR, both finite) enter the fit.
     """
 
     slope: float
-    intercept: float
     r2: float
 
 
@@ -70,8 +69,7 @@ def rate_fit(ranks, errors) -> RateFit:
             f"need at least 3 positive errors above {FIT_FLOOR}, "
             f"got {int(np.count_nonzero(usable))}"
         )
-    slope, intercept, r2 = _line_fit(np.log2(xs[usable]), np.log2(ys[usable]))
-    return RateFit(slope, intercept, r2)
+    return RateFit(*_line_fit(np.log2(xs[usable]), np.log2(ys[usable])))
 
 
 def h1_convergence_flag(partial_sums) -> str:
@@ -112,7 +110,7 @@ def h1_convergence_flag(partial_sums) -> str:
     idx = np.arange(1, s.size, dtype=float)
     usable = d > FIT_FLOOR * scale
     if np.count_nonzero(usable) >= 3:
-        slope, _, r2 = _line_fit(np.log2(idx[usable]), np.log2(d[usable]))
+        slope, r2 = _line_fit(np.log2(idx[usable]), np.log2(d[usable]))
         if slope <= SUMMABLE_SLOPE and r2 >= SUMMABLE_R2:
             return CONVERGED
     return UNDECIDED

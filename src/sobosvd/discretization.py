@@ -93,8 +93,8 @@ class GridFunction:
     """Point samples of a function on a tensor-product grid.
 
     ``values[i1, ..., id]`` is the sample at ``(axes[0].nodes[i1], ...)``.
-    Instances are immutable; the only arithmetic, ``+`` and ``-`` of two
-    grid functions on the same axes, returns new objects.
+    Instances are immutable; the only arithmetic is ``-`` of two grid
+    functions on the same axes, which returns a new object.
     """
 
     axes: tuple[Axis, ...]
@@ -125,10 +125,6 @@ class GridFunction:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        require_same_axes(self, other)
-        return GridFunction(self.axes, self.values + other.values)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         require_same_axes(self, other)

@@ -21,10 +21,6 @@ class ModeError(SobosvdError, IndexError):
     """Mode index missing or out of range, or too few axes to unfold."""
 
 
-class InsufficientRankError(SobosvdError, ValueError):
-    """Numerical rank too small for the requested diagnostic."""
-
-
 class DegenerateDataError(SobosvdError, ValueError):
     """Not enough usable data points for a fit."""
 

@@ -591,7 +591,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    function: GridFunction
     report: dict
     passed: bool
     report_path: Path | None = None
@@ -687,7 +686,7 @@ def run_experiment(
         _atomic_write_text(report_path, json.dumps(report, sort_keys=True) + "\n")
         _atomic_write_text(sigma_path, _sigma_csv(spectra))
 
-    return ExperimentResult(u, report, passed, report_path, sigma_path)
+    return ExperimentResult(report, passed, report_path, sigma_path)
 
 
 def _sigma_csv(spectra) -> str:

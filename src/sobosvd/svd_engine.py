@@ -36,7 +36,6 @@ DEFAULT_RANK_TOL = 1e-12
 # stay numerically meaningful for operations that divide by lambda_k.
 RETAIN_REL = 1e-14
 
-_VALIDATE_TOL = 1e-12  # SingularSystem.validate, orthonormality and reconstruction
 _REFINE_TRIGGER = 1e-3  # smallest retained sigma below this times sigma_1
 _REFINE_MAX_COLS = 64
 
@@ -118,11 +117,6 @@ def _refine_small_triplets(scaled, u, s, v):
     return u[:, order], sig[order], v[:, order]
 
 
-def _weighted_fro(matrix, row_weights, col_weights) -> float:
-    m = np.asarray(matrix, dtype=float)
-    return float(np.sqrt(row_weights @ (m * m) @ col_weights))
-
-
 def combined_weights(weight_vectors) -> np.ndarray:
     """Flatten per-mode weight vectors into one colexicographic vector.
 
@@ -142,7 +136,9 @@ class SingularSystem:
     row/column weighted inner products; sum_k sigmas[k] * outer(left_k,
     right_k) reconstructs the decomposed matrix. Sign convention: the
     largest-magnitude entry of each left vector is positive, ties broken
-    by lowest index.
+    by lowest index. The test suite checks this contract to 1e-12
+    (orthonormality entrywise, reconstruction in the weighted Frobenius
+    norm).
 
     ``mode`` records, for a system built by ``mode_svd``, the unfolded
     mode; it is None for a bare matrix.
@@ -163,35 +159,6 @@ class SingularSystem:
     @property
     def k_max(self) -> int:
         return int(self.sigmas.size)
-
-    def matrix(self) -> np.ndarray:
-        """Reconstruct the decomposed matrix from all triples."""
-        return (self.left_vectors * self.sigmas) @ self.right_vectors.T
-
-    def validate(self, matrix: np.ndarray | None = None) -> None:
-        """Check weighted orthonormality, and reconstruction if given the source.
-
-        Orthonormality is entrywise absolute; reconstruction is relative
-        in the weighted Frobenius norm; both to 1e-12. Raises
-        SobosvdError on violation.
-        """
-        gl = self.left_vectors.T @ (self.row_weights[:, None] * self.left_vectors)
-        gr = self.right_vectors.T @ (self.col_weights[:, None] * self.right_vectors)
-        eye = np.eye(self.k_max)
-        err_l = np.max(np.abs(gl - eye)) if self.k_max else 0.0
-        err_r = np.max(np.abs(gr - eye)) if self.k_max else 0.0
-        if max(err_l, err_r) > _VALIDATE_TOL:
-            raise SobosvdError(
-                f"weighted orthonormality violated: left {err_l:.3e}, right {err_r:.3e}"
-            )
-        if matrix is not None:
-            diff = self.matrix() - np.asarray(matrix, dtype=float)
-            wf_err = _weighted_fro(diff, self.row_weights, self.col_weights)
-            scale = _weighted_fro(matrix, self.row_weights, self.col_weights)
-            if wf_err > _VALIDATE_TOL * max(scale, np.finfo(float).tiny):
-                raise SobosvdError(
-                    f"reconstruction off by {wf_err:.3e} (scale {scale:.3e})"
-                )
 
 
 def _fix_signs(vectors: np.ndarray, partners: np.ndarray | None = None) -> None:

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .discretization import GridFunction, _sq_l2, inner_l2
-from .errors import InsufficientRankError, ModeError, SobosvdError
+from .errors import ModeError, SobosvdError
 from .sobolev import DerivativeData, _root_sum, norm_l2, split_sq
 from .svd_engine import SingularSystem, _fix_signs
 from .tensor_core import check_mode, matricize, mode_product
@@ -187,9 +187,7 @@ def hooi(
     if max_iters < 1:
         raise SobosvdError(f"max_iters must be >= 1, got {max_iters}")
     rv, systems = _check_rank_vector(ranks, u.shape), _per_mode(systems, u.ndim, "systems")
-    d = u.ndim
     factors = _leading_bases(systems, rv)
-    analyses = {j: _analysis_map(u, q, j) for j, q in factors.items()}
 
     def current_error() -> float:
         return _root_sum((_sq_l2(u.values - _apply_projection(u, factors), u.axes),))
@@ -200,12 +198,8 @@ def hooi(
     best = dict(factors)  # the update replaces bases and never writes into one
 
     for _ in range(max_iters):
-        for j in range(d):
-            b = u.values
-            for i in range(d):
-                if i != j:
-                    b = mode_product(b, analyses[i], i)
-            mat = matricize(b, j)
+        for j in range(u.ndim):
+            mat = matricize(_analysis(u, {i: q for i, q in factors.items() if i != j}), j)
             w = u.axes[j].quad_weights
             scaled = mat * np.sqrt(w)[:, None]
             q, _, _ = np.linalg.svd(scaled, full_matrices=False)
@@ -213,7 +207,6 @@ def hooi(
             new = q[:, :r_eff] / np.sqrt(w)[:, None]
             _fix_signs(new)
             factors[j] = new
-            analyses[j] = _analysis_map(u, new, j)
         err = current_error()
         improvement = history[-1] - err
         history.append(err)
@@ -224,25 +217,6 @@ def hooi(
 
     projected = GridFunction(u.axes, _apply_projection(u, best))
     return TuckerApprox(tuple(best.values()), projected, tuple(history))
-
-
-def bernstein_constant(
-    system: SingularSystem, deriv: DerivativeData, r: int
-) -> float:
-    """Largest one-direction Sobolev/L2 norm ratio over the leading span.
-
-    Over the span of the first r left vectors the squared ratio is the
-    top eigenvalue of I + Gram(dpsi_1..dpsi_r), computed with the axis
-    weights. Always at least one.
-    """
-    r = int(r)
-    if r < 1:
-        raise InsufficientRankError(f"need r >= 1, got {r}")
-    if r > deriv.count:
-        raise InsufficientRankError(
-            f"only {deriv.count} retained directions, requested {r}"
-        )
-    return _top_ratio(_gamma_gram(system, deriv, r), r)
 
 
 def _gamma_gram(system: SingularSystem, deriv: DerivativeData, r: int) -> np.ndarray:
@@ -290,8 +264,13 @@ def h1_sandwich(
     - ``series``, the exact spectral series: ``h1_norm_sq`` and
       ``h1_error_sq`` (two-sided, so null unless d = 2), ``ek_norm_sq``
       and ``ek_error_sq`` (one-direction, per mode);
-    - ``bounds``, the two-sided estimates, and ``bernstein``, the
-      norm-ratio constant of each mode;
+    - ``bounds``, the two-sided estimates, and ``bernstein``, per mode j
+      the norm-ratio (Bernstein) constant Gamma_j(r_j), the largest
+      |v|_{e_j} / |v|_0 over the span of the first r_j left vectors: the
+      square root of the top eigenvalue of I + Gamma^T W Gamma over the
+      first r_j transferred derivatives, r_j capped at the retained
+      count; at least one, and 1.0 at rank 0. The package computes it
+      here only;
     - ``slack`` and ``checks``: the triples ``lower``, ``value``,
       ``upper`` of ``approx_h1``, ``residual_h1``, ``residual_l2`` and
       ``quasi_opt``, each with ``holds``, lower - slack <= value <=

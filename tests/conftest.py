@@ -56,3 +56,46 @@ def fd2_matrix(axis):
     d[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
     d[-1, n - 3 :] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
     return d
+
+
+_SVD_TOL = 1e-12  # orthonormality (entrywise) and reconstruction (relative)
+
+
+def _weighted_fro(matrix, row_weights, col_weights) -> float:
+    m = np.asarray(matrix, dtype=float)
+    return float(np.sqrt(row_weights @ (m * m) @ col_weights))
+
+
+def assert_weighted_svd(system, matrix=None):
+    """Check a ``SingularSystem``'s contract: weighted orthonormality, and
+    reconstruction of ``matrix`` if given.
+
+    Orthonormality is entrywise absolute; reconstruction is relative in
+    the weighted Frobenius norm; both to 1e-12. Returns the matrix
+    sum_k sigma_k outer(left_k, right_k) the system reconstructs.
+    """
+    gl = system.left_vectors.T @ (system.row_weights[:, None] * system.left_vectors)
+    gr = system.right_vectors.T @ (system.col_weights[:, None] * system.right_vectors)
+    eye = np.eye(system.k_max)
+    err_l = np.max(np.abs(gl - eye)) if system.k_max else 0.0
+    err_r = np.max(np.abs(gr - eye)) if system.k_max else 0.0
+    assert max(err_l, err_r) <= _SVD_TOL, (
+        f"weighted orthonormality violated: left {err_l:.3e}, right {err_r:.3e}"
+    )
+    rebuilt = (system.left_vectors * system.sigmas) @ system.right_vectors.T
+    if matrix is not None:
+        wf_err = _weighted_fro(rebuilt - matrix, system.row_weights, system.col_weights)
+        scale = _weighted_fro(matrix, system.row_weights, system.col_weights)
+        assert wf_err <= _SVD_TOL * max(scale, np.finfo(float).tiny), (
+            f"reconstruction off by {wf_err:.3e} (scale {scale:.3e})"
+        )
+    return rebuilt
+
+
+def bernstein_constants(u, systems, derivs, j, ranks):
+    """Gamma_j(r) for each r in ``ranks``, read from ``h1_sandwich``'s
+    ``bernstein``; the other modes stay at rank 0, so no truncation is
+    synthesized."""
+    rvs = [[r if i == j else 0 for i in range(u.ndim)] for r in ranks]
+    reports = sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs)
+    return [rep["bernstein"][j] for rep in reports]

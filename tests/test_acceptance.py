@@ -14,7 +14,7 @@ import pytest
 import sobosvd as sv
 from sobosvd.diagnostics import CONVERGED, h1_convergence_flag, rate_fit
 
-from conftest import fd2_matrix
+from conftest import bernstein_constants, fd2_matrix
 
 ACC_GRIDS = {
     "SEP1": (129, 129),
@@ -141,21 +141,18 @@ def test_criterion_5_sandwich_brackets(acc):
 def test_criterion_6_norm_ratio_constants(acc):
     case = sv.get_case("SINSUM", coeffs=tuple(0.5**i for i in range(8)))
     u = sv.sample_case(case, (1025, 1025))
-    s = sv.mode_svd(u, 0)
-    d = sv.derivative_data(u, s)
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
     worst = 0.0
-    for r in range(1, 9):
-        got = sv.bernstein_constant(s, d, r) ** 2
+    for r, gamma in zip(range(1, 9), bernstein_constants(u, systems, derivs, 0, range(1, 9))):
+        got = gamma**2
         expect = 1.0 + (r * np.pi) ** 2
         worst = max(worst, abs(got - expect) / expect)
     assert worst <= 1e-3
 
     for name, (u, systems, derivs) in acc.items():
-        for system, deriv in zip(systems, derivs):
-            gammas = [
-                sv.bernstein_constant(system, deriv, r)
-                for r in range(1, deriv.count + 1)
-            ]
+        for j, deriv in enumerate(derivs):
+            gammas = bernstein_constants(u, systems, derivs, j, range(1, deriv.count + 1))
             assert all(g >= 1.0 for g in gammas), name
             assert all(b >= a for a, b in zip(gammas, gammas[1:])), name
     print(f"criterion 6: worst relative constant error {worst:.3e}, monotone on all cases")

@@ -650,8 +650,8 @@ def test_cli_rejects_sidecar_axes_whose_weight_products_overflow_or_underflow(
 ):
     # each axis passes make_axis, but mode j's column weights, products of
     # the other two axes' weights, are inf (1e200), 0 (1e-170) or
-    # subnormal (1e-160, about 4e-323), which the eigensolver of
-    # bernstein_constant does not survive
+    # subnormal (1e-160, about 4e-323), which the eigensolver behind
+    # h1_sandwich's Bernstein constants does not survive
     p = _cube_on(tmp_path, upper)
     with pytest.raises(SampleFileError, match="overflow or underflow"):
         load_samples(p)
@@ -1051,7 +1051,7 @@ def test_rank_report_has_one_representation(case, n, ranks):
         {"function": {"case": case}, "grid": {"n": [n]}, "ranks": ranks}
     )
     result = run_experiment(config)
-    u = result.function
+    u = sv.sample_case(sv.get_case(case), [n])
     systems = sv.mode_svds(u)
     derivs = tuple(sv.derivative_data(u, s) for s in systems)
     reports = result.report["reports"]

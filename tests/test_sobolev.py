@@ -7,7 +7,7 @@ import sobosvd as sv
 from sobosvd.errors import ModeError
 from sobosvd.sobolev import split_sq
 
-from conftest import fd2_matrix, weighted_norm
+from conftest import bernstein_constants, fd2_matrix, weighted_norm
 
 
 def test_norm_l2_known_value():
@@ -212,16 +212,16 @@ def test_bernstein_constant_on_sine_frame():
     u = sv.sample_case(
         sv.get_case("SINSUM", coeffs=tuple(0.5**i for i in range(8))), (513, 513)
     )
-    s = sv.mode_svd(u, 0)
-    dv = sv.derivative_data(u, s)
-    for r in (1, 2, 4, 8):
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    ranks = (1, 2, 4, 8)
+    for r, got in zip(ranks, bernstein_constants(u, systems, derivs, 0, ranks)):
         exact = np.sqrt(1.0 + (r * np.pi) ** 2)
-        assert sv.bernstein_constant(s, dv, r) == pytest.approx(exact, rel=1e-3)
+        assert got == pytest.approx(exact, rel=1e-3)
 
 
 def test_bernstein_constant_monotone_and_at_least_one(catalog):
     for name, (u, systems, derivs) in catalog.items():
-        s, dv = systems[0], derivs[0]
-        vals = [sv.bernstein_constant(s, dv, r) for r in range(1, dv.count + 1)]
+        vals = bernstein_constants(u, systems, derivs, 0, range(1, derivs[0].count + 1))
         assert all(v >= 1.0 for v in vals)
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))

@@ -7,6 +7,8 @@ import sobosvd as sv
 from sobosvd.errors import ModeError, SobosvdError
 from sobosvd.svd_engine import _refine_small_triplets, _refines
 
+from conftest import assert_weighted_svd
+
 
 def geometric_matrix(n, count, base, rng):
     """Matrix with known geometric spectrum under unit weights.
@@ -34,7 +36,7 @@ def test_weighted_svd_hand_case():
     np.testing.assert_allclose(s.sigmas, [3.0, 1.0])
     np.testing.assert_allclose(s.left_vectors, [[1.0, 0.0], [0.0, 2.0]], atol=1e-15)
     np.testing.assert_allclose(s.right_vectors, np.eye(2), atol=1e-15)
-    s.validate(matrix=m)
+    assert_weighted_svd(s, m)
 
 
 def test_weighted_svd_reconstruction_and_orthonormality():
@@ -43,10 +45,10 @@ def test_weighted_svd_reconstruction_and_orthonormality():
     wr = rng.uniform(0.5, 2.0, 12)
     wc = rng.uniform(0.5, 2.0, 8)
     s = sv.weighted_svd(m, wr, wc)
-    s.validate(matrix=m)
+    rebuilt = assert_weighted_svd(s, m)
     assert s.k_max == 8
     assert np.all(np.diff(s.sigmas) <= 0)
-    np.testing.assert_allclose(s.matrix(), m, atol=1e-12)
+    np.testing.assert_allclose(rebuilt, m, atol=1e-12)
 
 
 def test_weighted_svd_sign_convention():
@@ -68,7 +70,7 @@ def test_weighted_svd_sign_flips_pairs():
     np.testing.assert_allclose(a.sigmas, b.sigmas)
     np.testing.assert_allclose(a.left_vectors, b.left_vectors, atol=1e-12)
     np.testing.assert_allclose(a.right_vectors, -b.right_vectors, atol=1e-12)
-    b.validate(matrix=-m)
+    assert_weighted_svd(b, -m)
 
 
 def test_weighted_svd_input_validation():
@@ -92,8 +94,8 @@ def test_validate_rejects_tampering():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((6, 6))
     s = sv.weighted_svd(m, np.ones(6), np.ones(6))
-    with pytest.raises(SobosvdError, match="reconstruction"):
-        s.validate(matrix=m + 1e-6)
+    with pytest.raises(AssertionError, match="reconstruction"):
+        assert_weighted_svd(s, m + 1e-6)
 
 
 def test_numerical_rank_threshold():
@@ -117,7 +119,7 @@ def test_deep_spectrum_triplet_consistency():
     wr = np.full(200, 1.0 / 200)
     wc = np.full(200, 1.0 / 200)
     s = sv.weighted_svd(m, wr, wc)
-    s.validate(matrix=m)
+    assert_weighted_svd(s, m)
     ret = 8
     # weighted sigmas scale by the weight product; ratios are invariant
     np.testing.assert_allclose(s.sigmas[:ret] / s.sigmas[0], sig, rtol=1e-9)
@@ -168,7 +170,7 @@ def test_mode_svd_reconstructs_matricization():
     for mode in (0, 1):
         s = sv.mode_svd(u, mode)
         mat = matricize(u.values, mode)
-        s.validate(matrix=mat)
+        assert_weighted_svd(s, mat)
 
 
 def test_mode_svd_3d_column_weights():
@@ -199,7 +201,7 @@ def test_mode_svds_2d_mode_one_is_the_adjoint():
     ):
         assert np.array_equal(a, b)
 
-    s1.validate(matricize(u.values, 1))
+    assert_weighted_svd(s1, matricize(u.values, 1))
     assert s1.mode == 1
     assert s1.left_vectors.shape == (61, 61) and s1.right_vectors.shape == (97, 61)
     np.testing.assert_array_equal(s1.row_weights, u.axes[1].quad_weights)
@@ -233,7 +235,7 @@ def test_mode_svds_refines_the_adjoint_where_mode_zero_was_refined():
     u = sv.sample_case(sv.get_case("EXPXY"), (129, 129))
     s0, s1 = sv.mode_svds(u)
     assert _refines(s0.sigmas)
-    s1.validate(matricize(u.values, 1))
+    assert_weighted_svd(s1, matricize(u.values, 1))
     direct = sv.mode_svd(u, 1)
     assert image_gap(s1) <= 4 * image_gap(direct)
     assert np.max(np.abs(s1.sigmas - direct.sigmas)) <= 1e-14 * direct.sigmas[0]
@@ -277,6 +279,6 @@ def test_weighted_svd_random_property(m, n, seed):
     wr = rng.uniform(0.1, 3.0, m)
     wc = rng.uniform(0.1, 3.0, n)
     s = sv.weighted_svd(mat, wr, wc)
-    s.validate(matrix=mat)
+    assert_weighted_svd(s, mat)
     assert np.all(s.sigmas >= 0)
     assert np.all(np.diff(s.sigmas) <= 1e-15)

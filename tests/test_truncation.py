@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import sobosvd as sv
-from sobosvd.errors import InsufficientRankError, ModeError, SobosvdError
+from sobosvd.errors import ModeError, SobosvdError
+
+from conftest import bernstein_constants
 
 
 def _truncation(u, systems, r):
@@ -157,14 +159,6 @@ def test_hooi_validates_inputs():
     u = sv.sample_case(sv.get_case("SEP3D"), (9, 9, 9))
     with pytest.raises(SobosvdError):
         sv.hooi(u, (1, 1, 1), max_iters=0, systems=sv.mode_svds(u))
-
-
-def test_bernstein_constant_rank_errors(catalog):
-    u, systems, derivs = catalog["SINSUM"]
-    with pytest.raises(InsufficientRankError):
-        sv.bernstein_constant(systems[0], derivs[0], 0)
-    with pytest.raises(InsufficientRankError):
-        sv.bernstein_constant(systems[0], derivs[0], derivs[0].count + 1)
 
 
 def test_sandwich_balanced_brackets_hold(catalog):
@@ -398,7 +392,7 @@ def test_sandwich_bernstein_uses_effective_rank(catalog):
     u, systems, derivs = catalog["EXPXY"]
     big = min(systems[0].k_max, derivs[0].count + 3)
     rep = sv.h1_sandwich(u, [(big, big)], systems=systems, derivs=derivs)[0]
-    expected = sv.bernstein_constant(systems[0], derivs[0], derivs[0].count)
+    expected = bernstein_constants(u, systems, derivs, 0, [derivs[0].count])[0]
     assert rep["bernstein"][0] == pytest.approx(expected)
 
 
