@@ -144,7 +144,9 @@ def derivative_data(u: GridFunction, system: SingularSystem) -> DerivativeData:
     """Derivative transfer for every retained direction of a mode system.
 
     ``system`` is a ``mode_svd`` of ``u``; the derivative is taken along
-    its mode. Raises ModeError for a system that records no mode.
+    its mode. Only the retained right vectors are read, all that a system
+    of three or more variables holds. Raises ModeError for a system that
+    records no mode.
 
     M(u)^T W_r psi_k equals sigma_k phi_k for an exact singular triple,
     so gamma_k is computed as (1/sigma_k) M(d_mode u) W_c phi_k; the

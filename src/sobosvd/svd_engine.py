@@ -9,7 +9,8 @@ ones.
 
 ``mode_svd`` applies this to the mode-j unfolding of a grid function:
 the other modes are flattened colexicographically and their weights
-combined into a single column-weight vector.
+combined into a single column-weight vector. With three or more axes
+only the retained right vectors are formed (``_retained_svd``).
 
 ``mode_svds`` decomposes every mode. In two variables the mode-1
 unfolding is the transpose of the mode-0 one, with the row and column
@@ -108,13 +109,11 @@ def _refine_small_triplets(scaled, u, s, v):
     v = v.copy()
     u[:, :retained] = np.asarray(left, dtype=float)
     v[:, :retained] = np.asarray(right, dtype=float)
-    if retained < u.shape[1]:
-        ub = u[:, :retained]
-        vb = v[:, :retained]
-        u[:, retained:] -= ub @ (ub.T @ u[:, retained:])
-        v[:, retained:] -= vb @ (vb.T @ v[:, retained:])
-    order = np.argsort(-sig, kind="stable")
-    return u[:, order], sig[order], v[:, order]
+    for side in (u, v):  # a right block of the retained columns has no tail
+        block = side[:, :retained]
+        side[:, retained:] -= block @ (block.T @ side[:, retained:])
+    order = np.r_[np.argsort(-sig[:retained], kind="stable"), retained : sig.size]
+    return u[:, order], sig[order], v[:, order[: v.shape[1]]]
 
 
 def combined_weights(weight_vectors) -> np.ndarray:
@@ -134,11 +133,13 @@ class SingularSystem:
 
     left_vectors[:, k] and right_vectors[:, k] are orthonormal under the
     row/column weighted inner products; sum_k sigmas[k] * outer(left_k,
-    right_k) reconstructs the decomposed matrix. Sign convention: the
-    largest-magnitude entry of each left vector is positive, ties broken
-    by lowest index. The test suite checks this contract to 1e-12
-    (orthonormality entrywise, reconstruction in the weighted Frobenius
-    norm).
+    right_k) reconstructs the decomposed matrix M. A ``mode_svd`` of three
+    or more variables holds only the ``retained_count`` leading right
+    vectors; there the k_max left vectors reconstruct M as left left^T W_r M.
+    Sign convention: the largest-magnitude entry of each left vector is
+    positive, ties broken by lowest index. The test suite checks this
+    contract to 1e-12 (orthonormality entrywise, reconstruction in the
+    weighted Frobenius norm).
 
     ``mode`` records, for a system built by ``mode_svd``, the unfolded
     mode; it is None for a bare matrix.
@@ -164,14 +165,14 @@ class SingularSystem:
 def _fix_signs(vectors: np.ndarray, partners: np.ndarray | None = None) -> None:
     """Flip columns in place so each one's largest-magnitude entry is positive.
 
-    The matching columns of ``partners`` (the other side of the
-    decomposition) are flipped with them.
+    The matching columns of ``partners`` (the other side, which may hold
+    only the leading columns) are flipped with them.
     """
     pick = np.argmax(np.abs(vectors), axis=0)
     flip = vectors[pick, np.arange(vectors.shape[1])] < 0
     vectors[:, flip] *= -1.0
     if partners is not None:
-        partners[:, flip] *= -1.0
+        partners[:, flip[: partners.shape[1]]] *= -1.0
 
 
 def _system(left, sigmas, right, row_weights, col_weights, mode) -> SingularSystem:
@@ -205,6 +206,27 @@ def weighted_svd(
     row_weights, col_weights : ndarray
         Strictly positive quadrature weights for rows and columns.
     """
+    return _weighted_svd(matrix, row_weights, col_weights, mode, _thin_svd)
+
+
+def _thin_svd(scaled):
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    return u, s, vt.T
+
+
+def _retained_svd(scaled):
+    """U, sigma and the retained right vectors of ``scaled`` = R^T Q^T
+    (Chan's QR-preprocessed SVD): U and sigma are those of the small R^T,
+    and scaled^T U_m / sigma_m is orthonormalized by a thin QR with
+    diag(R) > 0, which keeps the transfer accurate at deep sigma_m."""
+    u, s, _ = np.linalg.svd(np.linalg.qr(scaled.T, mode="r").T, full_matrices=False)
+    m = _count_retained(s)
+    v, r = np.linalg.qr(scaled.T @ (u[:, :m] / s[:m]))
+    return u, s, v * np.where(np.diag(r) < 0, -1.0, 1.0)
+
+
+def _weighted_svd(matrix, row_weights, col_weights, mode, factor) -> SingularSystem:
+    """``weighted_svd`` with the scaled matrix factored by ``factor``."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ModeError(f"need a matrix, got ndim={m.ndim}")
@@ -220,8 +242,7 @@ def weighted_svd(
     sr = np.sqrt(wr)
     sc = np.sqrt(wc)
     scaled = m * sr[:, None] * sc[None, :]
-    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    u, s, v = _refine_small_triplets(scaled, u, s, vt.T)
+    u, s, v = _refine_small_triplets(scaled, *factor(scaled))
     return _system(u / sr[:, None], s, v / sc[:, None], wr, wc, mode)
 
 
@@ -236,7 +257,9 @@ def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
     mode = int(mode)
     wr = u.axes[mode].quad_weights
     wc = combined_weights([ax.quad_weights for j, ax in enumerate(u.axes) if j != mode])
-    return weighted_svd(mat, wr, wc, mode=mode)
+    if u.ndim == 2:
+        return weighted_svd(mat, wr, wc, mode=mode)
+    return _weighted_svd(mat, wr, wc, mode, _retained_svd)
 
 
 def mode_svds(u: GridFunction) -> tuple[SingularSystem, ...]:

@@ -38,6 +38,18 @@ def expxy_fine():
     return u, systems, derivs
 
 
+@pytest.fixture(scope="session")
+def minxy_3d():
+    """min(x, y)(1 + z) on 129 x 129 x 9: modes 0 and 1 retain 128 directions,
+    too many for the refinement, so the transfer rests on the right vectors
+    as the decomposition forms them."""
+    axes = tuple(sv.make_axis(n) for n in (129, 129, 9))
+    u = sv.sample(lambda x, y, z: np.minimum(x, y) * (1.0 + z), axes)
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    return u, systems, derivs
+
+
 def weighted_norm(weights, vec):
     return float(np.sqrt(np.sum(weights * np.asarray(vec) ** 2)))
 
@@ -70,25 +82,53 @@ def assert_weighted_svd(system, matrix=None):
     """Check a ``SingularSystem``'s contract: weighted orthonormality, and
     reconstruction of ``matrix`` if given.
 
+    The right block may hold only its leading columns (a d >= 3 mode
+    system holds the retained ones). The held columns must be orthonormal
+    and partner their left vectors, psi_k^T W_r M = sigma_k phi_k^T; the
+    complete left basis must reproduce M, psi psi^T W_r M = M, with the
+    Gram matrix psi^T W_r M W_c M^T W_r psi = diag(sigma^2).
+
     Orthonormality is entrywise absolute; reconstruction is relative in
-    the weighted Frobenius norm; both to 1e-12. Returns the matrix
-    sum_k sigma_k outer(left_k, right_k) the system reconstructs.
+    the weighted Frobenius norm (squared norm for the Gram matrix); all
+    to 1e-12. Returns the matrix sum_k sigma_k outer(left_k, right_k)
+    over the held right columns, which reconstructs ``matrix`` when the
+    right block is full.
     """
+    held = system.right_vectors.shape[1]
+    assert held <= system.k_max
     gl = system.left_vectors.T @ (system.row_weights[:, None] * system.left_vectors)
     gr = system.right_vectors.T @ (system.col_weights[:, None] * system.right_vectors)
-    eye = np.eye(system.k_max)
-    err_l = np.max(np.abs(gl - eye)) if system.k_max else 0.0
-    err_r = np.max(np.abs(gr - eye)) if system.k_max else 0.0
+    err_l = np.max(np.abs(gl - np.eye(system.k_max))) if system.k_max else 0.0
+    err_r = np.max(np.abs(gr - np.eye(held))) if held else 0.0
     assert max(err_l, err_r) <= _SVD_TOL, (
         f"weighted orthonormality violated: left {err_l:.3e}, right {err_r:.3e}"
     )
-    rebuilt = (system.left_vectors * system.sigmas) @ system.right_vectors.T
-    if matrix is not None:
-        wf_err = _weighted_fro(rebuilt - matrix, system.row_weights, system.col_weights)
-        scale = _weighted_fro(matrix, system.row_weights, system.col_weights)
-        assert wf_err <= _SVD_TOL * max(scale, np.finfo(float).tiny), (
+    rebuilt = (system.left_vectors[:, :held] * system.sigmas[:held]) @ system.right_vectors.T
+    if matrix is None:
+        return rebuilt
+    wr, wc = system.row_weights, system.col_weights
+    scale = max(_weighted_fro(matrix, wr, wc), np.finfo(float).tiny)
+    if held == system.k_max:
+        wf_err = _weighted_fro(rebuilt - matrix, wr, wc)
+        assert wf_err <= _SVD_TOL * scale, (
             f"reconstruction off by {wf_err:.3e} (scale {scale:.3e})"
         )
+        return rebuilt
+    psi = system.left_vectors
+    coeffs = psi.T @ (wr[:, None] * matrix)  # row k is psi_k^T W_r M
+    errs = {
+        "left basis": _weighted_fro(psi @ coeffs - matrix, wr, wc) / scale,
+        "held triplets": _weighted_fro(
+            coeffs[:held] - system.sigmas[:held, None] * system.right_vectors.T,
+            np.ones(held),
+            wc,
+        )
+        / scale,
+        "gram": np.linalg.norm(coeffs @ (wc[:, None] * coeffs.T) - np.diag(system.sigmas**2))
+        / scale**2,
+    }
+    for name, err in errs.items():
+        assert err <= _SVD_TOL, f"reconstruction ({name}) off by {err:.3e}"
     return rebuilt
 
 

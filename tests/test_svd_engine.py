@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 import sobosvd as sv
 from sobosvd.errors import ModeError, SobosvdError
-from sobosvd.svd_engine import _refine_small_triplets, _refines
+from sobosvd.svd_engine import _count_retained, _fix_signs, _refine_small_triplets, _refines
+from sobosvd.tensor_core import matricize
 
 from conftest import assert_weighted_svd
 
@@ -98,6 +101,16 @@ def test_validate_rejects_tampering():
         assert_weighted_svd(s, m + 1e-6)
 
 
+def test_validate_rejects_tampering_with_a_narrow_right_block():
+    u = sv.sample_case(sv.get_case("SUM3D"), (9, 9, 9))
+    s = sv.mode_svd(u, 0)
+    mat = matricize(u.values, 0)
+    assert s.right_vectors.shape[1] < s.k_max
+    assert_weighted_svd(s, mat)
+    with pytest.raises(AssertionError, match="reconstruction"):
+        assert_weighted_svd(s, mat + 1e-6)
+
+
 def test_numerical_rank_threshold():
     rng = np.random.default_rng(8)
     m, _ = geometric_matrix(20, 6, 1e-4, rng)
@@ -151,6 +164,34 @@ def test_refinement_skips_wide_retained_blocks():
     assert ru is u
 
 
+def test_refinement_sorts_only_the_held_right_columns():
+    # directions 1 and 2 come in swapped; the refinement keeps each
+    # triplet and the sort restores the order. A right block of only the
+    # retained columns comes out as those columns of the full block.
+    rng = np.random.default_rng(13)
+    scaled, _ = geometric_matrix(40, 6, 1e-2, rng)
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    swap = [0, 2, 1, *range(3, s.size)]
+    u, s, v = u[:, swap], s[swap], vt.T[:, swap]
+    assert _refines(s) and _count_retained(s) == 4
+    fu, fs, fv = _refine_small_triplets(scaled, u, s, v)
+    nu, ns, nv = _refine_small_triplets(scaled, u, s, v[:, :4].copy())
+    assert np.all(np.diff(fs[:4]) < 0)
+    assert nv.shape == (40, 4)
+    assert np.array_equal(nu, fu) and np.array_equal(ns, fs)
+    assert np.array_equal(nv, fv[:, :4])
+    np.testing.assert_allclose(scaled @ nv, nu[:, :4] * ns[:4], atol=1e-14)
+
+
+def test_fix_signs_flips_only_the_held_partner_columns():
+    # columns 0 and 2 flip; the partners hold columns 0 and 1 only
+    vectors = np.array([[1.0, 3.0, 0.5], [-2.0, 1.0, -1.0]])
+    partners = np.arange(1.0, 7.0).reshape(3, 2)
+    _fix_signs(vectors, partners)
+    np.testing.assert_array_equal(vectors, [[-1.0, 3.0, -0.5], [2.0, 1.0, 1.0]])
+    np.testing.assert_array_equal(partners, [[-1.0, 2.0], [-3.0, 4.0], [-5.0, 6.0]])
+
+
 def test_mode_svd_shapes_and_mode():
     u = sv.sample_case(sv.get_case("SEP1"), (17, 21))
     s0 = sv.mode_svd(u, 0)
@@ -181,6 +222,49 @@ def test_mode_svd_3d_column_weights():
         [u.axes[0].quad_weights, u.axes[2].quad_weights]
     )
     np.testing.assert_array_equal(s.col_weights, expected)
+
+
+_RECIPROCAL = sv.sample(
+    lambda x, y, z: 1.0 / (4.0 + x + y + z),
+    tuple(sv.make_axis(n, -1.0, 2.0) for n in (33, 41, 49)),
+)
+# rank deficient, with a tall mode-0 unfolding (41 x 9)
+_TALL = sv.sample(lambda x, y, z: (x + y) * np.exp(z), tuple(sv.make_axis(n) for n in (41, 3, 3)))
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        sv.sample_case(sv.get_case("SUM3D"), (33, 33, 33)),
+        sv.sample_case(sv.get_case("SEP3D"), (33, 33, 33)),
+        _RECIPROCAL,
+        _TALL,
+    ],
+    ids=["SUM3D", "SEP3D", "reciprocal", "tall"],
+)
+def test_mode_svd_3d_contract(u):
+    # in three variables a mode system holds only its retained right vectors
+    for j in range(3):
+        s = sv.mode_svd(u, j)
+        assert s.right_vectors.shape == (u.values.size // u.shape[j], sv.retained_count(s))
+        assert s.left_vectors.shape == (u.shape[j], s.k_max)
+        assert_weighted_svd(s, matricize(u.values, j))
+
+
+def test_mode_svd_3d_refines_a_narrow_block():
+    assert any(_refines(sv.mode_svd(_RECIPROCAL, j).sigmas) for j in range(3))
+
+
+def test_mode_svd_3d_zero_input():
+    # the all-zero input the edge-case check builds
+    axes = tuple(sv.make_axis(3) for _ in range(3))
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = sv.mode_svd(sv.GridFunction(axes, np.zeros((3, 3, 3))), 0)
+    assert s.right_vectors.shape == (9, 0)
+    assert s.left_vectors.shape == (3, 3)
+    assert sv.numerical_rank(s) == 0 and sv.retained_count(s) == 0
+    np.testing.assert_array_equal(s.sigmas, np.zeros(3))
 
 
 def _skewed_2d():
