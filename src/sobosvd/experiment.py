@@ -26,13 +26,14 @@ import numpy as np
 
 from .cases import _grid_sizes, get_case, sample_case
 from .diagnostics import h1_convergence_flag, rate_fit
-from .discretization import UNIFORM_TRAPEZOID_FD2, GridFunction, _fd2, inner_l2, make_axis
+from .discretization import UNIFORM_TRAPEZOID_FD2, GridFunction, _sq_l2, inner_l2, make_axis
 from .errors import ConfigError, DegenerateDataError, ModeError, SampleFileError, SobosvdError
 from .sobolev import _root_sum, derivative_data, norm_l2
 from .svd_engine import mode_svd, mode_svds, numerical_rank, retained_count
 from .tensor_core import matricize
 from .truncation import (
-    _SANDWICH_RTOL, _analysis_map, _check_rank_vector, h1_sandwich, hosvd_project, series_split
+    _SANDWICH_RTOL, _analysis_map, _check_rank_vector, _stencil_gram, h1_sandwich, hosvd_project,
+    series_split,
 )
 
 _TINY = 1e-300  # guards divisions for the all-zero input
@@ -256,11 +257,10 @@ class _Run:
         for j, (system, deriv) in enumerate(zip(self.systems, self.derivs)):
             ranks = sorted({min(rv[j], system.k_max) for rv in self.rvs})
             q = system.left_vectors[:, : ranks[-1]]
-            dq = _fd2(q, u.axes[j].spacing, 0, np.empty_like(q))
-            a, b = _analysis_map(u, q, j), _analysis_map(u, dq, j)
-            c = a @ matricize(u.values, j)
+            dq, g = _stencil_gram(u, q, j)
+            c = _analysis_map(u, q, j) @ matricize(u.values, j)
             cw = c * system.col_weights
-            h, g, e = cw @ c.T, b @ dq, b @ matricize(deriv.du, j)
+            h, e = cw @ c.T, _analysis_map(u, dq, j) @ matricize(deriv.du, j)
             kept = np.cumsum(np.r_[0.0, np.diag(h)])
             dkept = np.r_[0.0, np.diag(np.cumsum(np.cumsum(g * h, 0), 1))]
             cross = np.cumsum(np.r_[0.0, np.einsum("kc,kc->k", e, cw)])
@@ -418,15 +418,19 @@ def _check_edge_cases(run, tol):
     problems = []
     scale = max(run.l2, _TINY)
 
+    def resid_norm(projected):  # |u - P u|, squared in place: one grid temporary
+        diff = u.values - projected.values
+        return _root_sum((_sq_l2(diff, u.axes, diff),))
+
     full = tuple(numerical_rank(s) for s in systems)
-    resid = norm_l2(u - hosvd_project(u, full, systems=systems).projected)
+    resid = resid_norm(hosvd_project(u, full, systems=systems).projected)
     if resid > 1e-10 * scale:
         problems.append(f"full-rank projection leaves relative residual {resid / scale:.3e}")
 
     zero_rank = hosvd_project(u, (0,) * u.ndim, systems=systems).projected
     if norm_l2(zero_rank) != 0.0:
         problems.append("rank-zero projection is not identically zero")
-    if abs(norm_l2(u - zero_rank) - run.l2) > 1e-12 * scale:
+    if abs(resid_norm(zero_rank) - run.l2) > 1e-12 * scale:
         problems.append("rank-zero residual differs from the function norm")
 
     # the zero path does not depend on the grid size: 3 nodes per axis will do

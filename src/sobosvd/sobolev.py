@@ -15,15 +15,15 @@ right in the order above.
 
 Measuring a projection
 ----------------------
-``split_sq`` is the one kernel that measures a projection Pu of u on
-the grid: it returns the squared terms above for Pu and for u - Pu, in
-the directions it is given D_j u for. It differentiates only the
-residual, into one buffer reused for every direction, and takes
-D_j(Pu) = D_j u - D_j(u - Pu), exact because the stencil is linear.
-D_j u comes from ``derivative_data``, so a run differentiates u and
-each Tucker residual once per direction (``truncation.h1_sandwich``
-passes each projection as a raw array); the single-mode checks
-differentiate n_j x R bases instead (``experiment._Run.single_mode``).
+A run measures the kept side |Pu|^2, |D_j Pu|^2 of a Tucker projection
+from its core and small per-mode Grams (``truncation.h1_sandwich``), and
+measures a single-mode projection wholly in coefficient space, from the
+stencil Gram of its basis (``experiment._Run.single_mode``).
+``split_sq`` is the one kernel that measures a residual u - Pu on the
+grid: it overwrites a workspace holding Pu with u - Pu and
+differentiates that into one buffer reused for every direction. So a
+run differentiates u (in ``derivative_data``) and each Tucker residual
+once per direction, and allocates no grid-sized array per rank vector.
 
 Derivative transfer
 -------------------
@@ -86,30 +86,22 @@ def norm_h1(f: GridFunction) -> float:
     return _root_sum(sobolev_sq(f))
 
 
-def split_sq(
-    u: GridFunction, du: dict[int, np.ndarray], projected: np.ndarray
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Squared Sobolev terms of a projection of ``u`` and of its residual.
+def split_sq(u: GridFunction, projected: np.ndarray, deriv: np.ndarray) -> tuple[float, ...]:
+    """Squared Sobolev terms of the residual of a projection of ``u``.
 
-    ``projected`` holds Pu on the grid of ``u``; ``du`` maps each mode j
-    to measure to the array D_j u. Returns (|Pu|^2, |D_j Pu|^2, ...) and
-    (|u - Pu|^2, |D_j (u - Pu)|^2, ...), the derivative terms in the
-    order of ``du``. The residual is differentiated into one buffer that
-    every direction reuses and squared into a second, and D_j Pu is
-    D_j u - D_j (u - Pu); each term is the weighted sum ``inner_l2``
-    takes, so the residual terms equal those of ``sobolev_sq``.
+    ``projected`` holds Pu on the grid of ``u`` and is overwritten with
+    u - Pu; ``deriv``, an array of the grid's shape, receives each
+    direction's derivative of the residual and then its squares. Returns
+    (|u - Pu|^2, |D_0 (u - Pu)|^2, ...), each term the weighted sum
+    ``inner_l2`` takes, so the terms equal those of ``sobolev_sq`` of the
+    residual. With both arrays C-contiguous no grid-sized array is
+    allocated.
     """
-    resid = u.values - projected
-    deriv = np.empty_like(resid)
-    square = np.empty_like(resid)
-    axes = u.axes
-
-    kept, tail = [_sq_l2(projected, axes, square)], [_sq_l2(resid, axes, square)]
-    for j, du_j in du.items():
-        _fd2(resid, axes[j].spacing, j, deriv)
-        tail.append(_sq_l2(deriv, axes, square))
-        kept.append(_sq_l2(np.subtract(du_j, deriv, out=deriv), axes, square))
-    return tuple(kept), tuple(tail)
+    resid, axes = np.subtract(u.values, projected, out=projected), u.axes
+    terms = [_sq_l2(resid, axes, deriv)]
+    for j, ax in enumerate(axes):
+        terms.append(_sq_l2(_fd2(resid, ax.spacing, j, deriv), axes, deriv))
+    return tuple(terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,9 +115,9 @@ class DerivativeData:
     directions are kept; ``count`` says how many.
 
     ``du`` is the array D_mode u the transfer differentiates, and
-    ``du_sq`` its squared weighted norm |D_mode u|^2; ``split_sq`` and
-    the norm scales of a run read them instead of differentiating u
-    again.
+    ``du_sq`` its squared weighted norm |D_mode u|^2; the single-mode
+    measurements and the norm scales of a run read them instead of
+    differentiating u again.
     """
 
     mode: int

@@ -241,7 +241,8 @@ def _weighted_svd(matrix, row_weights, col_weights, mode, factor) -> SingularSys
 
     sr = np.sqrt(wr)
     sc = np.sqrt(wc)
-    scaled = m * sr[:, None] * sc[None, :]
+    scaled = m * sr[:, None]
+    scaled *= sc[None, :]
     u, s, v = _refine_small_triplets(scaled, *factor(scaled))
     return _system(u / sr[:, None], s, v / sc[:, None], wr, wc, mode)
 
@@ -291,7 +292,8 @@ def _adjoint(system: SingularSystem, u: GridFunction) -> SingularSystem:
     sigmas = system.sigmas
     if _refines(sigmas):
         sr, sc = np.sqrt(wr), np.sqrt(wc)
-        scaled = matricize(u.values, 1) * sr[:, None] * sc[None, :]
+        scaled = matricize(u.values, 1) * sr[:, None]
+        scaled *= sc[None, :]
         left, sigmas, right = _refine_small_triplets(
             scaled, left * sr[:, None], sigmas, right * sc[:, None]
         )

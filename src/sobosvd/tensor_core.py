@@ -49,8 +49,18 @@ def mode_product(values: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
             f"matrix shape {matrix.shape} does not contract mode {mode} "
             f"of size {values.shape[mode]}"
         )
+    return _mode_product(values, matrix, mode)
+
+
+def _mode_product(values: np.ndarray, matrix: np.ndarray, mode: int, out=None) -> np.ndarray:
+    """``mode_product`` without its checks, written into ``out`` if given,
+    a C-contiguous array of the result's shape."""
     # one matmul over values as (rows, n, cols), which leaves the axes in place
-    shape = values.shape
+    shape, m = values.shape, matrix.shape[0]
     rows, n, cols = prod(shape[:mode]), shape[mode], prod(shape[mode + 1 :])
-    out = values.reshape(rows, n) @ matrix.T if cols == 1 else matrix @ values.reshape(rows, n, cols)
-    return out.reshape(*shape[:mode], matrix.shape[0], *shape[mode + 1 :])
+    if cols == 1:
+        a, b, flat = values.reshape(rows, n), matrix.T, (rows, m)
+    else:
+        a, b, flat = matrix, values.reshape(rows, n, cols), (rows, m, cols)
+    res = np.matmul(a, b, out=None if out is None else out.reshape(flat))
+    return res.reshape(*shape[:mode], m, *shape[mode + 1 :])

@@ -29,11 +29,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretization import GridFunction, _sq_l2, inner_l2
+from .discretization import GridFunction, _fd2, _sq_l2, inner_l2
 from .errors import ModeError, SobosvdError
 from .sobolev import DerivativeData, _root_sum, norm_l2, split_sq
 from .svd_engine import SingularSystem, _fix_signs
-from .tensor_core import check_mode, matricize, mode_product
+from .tensor_core import _mode_product, check_mode, matricize, mode_product
 
 _HOOI_TOL = 1e-12  # hooi's stop rule, relative to the L2 norm of u
 _SANDWICH_RTOL = 1e-9  # h1_sandwich's default slack, relative to |u|_1^2
@@ -108,12 +108,36 @@ def _analysis(u: GridFunction, bases: dict[int, np.ndarray]) -> np.ndarray:
     return vals
 
 
-def _synthesis(core: np.ndarray, bases: dict[int, np.ndarray]) -> np.ndarray:
+def _synthesis(core: np.ndarray, bases: dict[int, np.ndarray], out=None) -> np.ndarray:
     """The grid values of coefficients ``core`` in the leading columns of
-    ``bases``, as many in each mode as ``core`` has entries there."""
-    for j, q in bases.items():
+    ``bases``, as many in each mode as ``core`` has entries there; the
+    last contraction writes into ``out`` if it is given (C-contiguous)."""
+    *first, (last, q_last) = bases.items()
+    for j, q in first:
         core = mode_product(core, q[:, : core.shape[j]], j)
-    return core
+    return _mode_product(core, q_last[:, : core.shape[last]], last, out)
+
+
+def _stencil_gram(u: GridFunction, q: np.ndarray, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """D q, the FD2 stencil along ``mode`` applied to the columns of the
+    mode basis ``q``, and its Gram (D q)^T W (D q)."""
+    dq = _fd2(q, u.axes[mode].spacing, 0, np.empty_like(q))
+    return dq, _analysis_map(u, dq, mode) @ dq
+
+
+def _core_sobolev_sq(core: np.ndarray, mass, stiff) -> list[float]:
+    """(|P u|^2, |D_0 P u|^2, ...) of the projection with coefficients
+    ``core``: <C x_i M_i, C>, then the same with G_j in place of M_j for
+    each j, with M_j = ``mass[j]`` and G_j = ``stiff[j]`` cut to the
+    leading block that ``core`` has entries for."""
+
+    def form(grams) -> float:
+        t = core
+        for j, g in enumerate(grams):
+            t = mode_product(t, g[: core.shape[j], : core.shape[j]], j)
+        return float(np.vdot(t, core))
+
+    return [form(mass), *(form([*mass[:j], g, *mass[j + 1 :]]) for j, g in enumerate(stiff))]
 
 
 def _apply_projection(u: GridFunction, bases: dict[int, np.ndarray]) -> np.ndarray:
@@ -244,11 +268,24 @@ def h1_sandwich(
     The mode bases are nested, so the core of u at the componentwise
     largest clamped ranks holds the core at each rank vector as a leading
     sub-block (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal.
-    Appl. 21(4), 2000). So u is analysed once; each truncation is
-    synthesized from a slice and measured on the grid with one
-    ``split_sq`` (the residual differentiated once per direction, D_j u
-    read from ``derivs``); the series terms and each mode's Gram
-    Gamma^T W Gamma are formed once and sliced per rank vector.
+    Appl. 21(4), 2000). So u is analysed once, and the kept side of each
+    truncation is measured from its slice C. With Q_j the leading left
+    vectors of mode j, M_j = Q_j^T W_j Q_j and G_j = (D_j Q_j)^T W_j (D_j Q_j)
+    (the FD2 stencil applied to the columns of Q_j), both formed once per
+    call and cut to the leading block C has entries for, P u = C x_i Q_i
+    and D_j acts on Q_j alone, so in the grid quadrature exactly
+
+        |P u|_0^2 = <C x_i M_i, C>,   |D_j P u|_0^2 = <C x_j G_j x_{i != j} M_i, C>.
+
+    M_j is computed rather than taken as the identity, so the kept side
+    does not lean on the orthonormality of the bases. Only the residual is
+    measured on the grid: P u is synthesized into one workspace, where
+    ``split_sq`` forms u - P u and differentiates it into a second buffer
+    per direction; the two are allocated once per call. The residual is
+    not taken as |u|^2 - |P u|^2, which would carry roundoff of about
+    eps |u|^2 into deep tails instead of eps |u - P u|^2. The series terms
+    and each mode's Gram Gamma^T W Gamma are formed once and sliced per
+    rank vector.
 
     ``systems`` and ``derivs`` (one per mode, modes 0..d-1 in order, else
     ModeError) are the caller's.
@@ -258,9 +295,9 @@ def h1_sandwich(
 
     - ``rank_vector``;
     - ``measured``, grid norms: of the residual ``l2``, ``h1`` and ``ek``
-      (per direction), of the truncation ``approx_h1_sq`` and
-      ``approx_ek_sq``, the measured |P u|_{e_j}^2 per direction j, the
-      kept counterpart of ``ek``; no check reads the last;
+      (per direction), of the truncation, from the core as above,
+      ``approx_h1_sq`` and ``approx_ek_sq``, |P u|_{e_j}^2 per direction
+      j, the kept counterpart of ``ek``; no check reads the last;
     - ``series``, the exact spectral series: ``h1_norm_sq`` and
       ``h1_error_sq`` (two-sided, so null unless d = 2), ``ek_norm_sq``
       and ``ek_error_sq`` (one-direction, per mode);
@@ -317,7 +354,10 @@ def h1_sandwich(
     top = [max([min(rv[j], s.k_max) for rv in rvs], default=0) for j, s in enumerate(systems)]
     bases = _leading_bases(systems, top)
     core = _analysis(u, bases)
-    du = {dv.mode: dv.du for dv in derivs}
+    # per mode: M_j and G_j, then the workspace every residual is measured in
+    mass = [_analysis_map(u, q, j) @ q for j, q in bases.items()]
+    stiff = [_stencil_gram(u, q, j)[1] for j, q in bases.items()]
+    work, deriv = np.empty(u.shape), np.empty(u.shape)
     # per mode: sigma^2 (1 + dpsi^2), plain sigma^2 and Gamma^T W Gamma
     terms_w = [_series_terms(s, dv) for s, dv in zip(systems, derivs)]
     terms_sq = [_series_terms(s) for s in systems]
@@ -326,8 +366,9 @@ def h1_sandwich(
 
     def report(rv):
         cut = [min(r, s.k_max) for r, s in zip(rv, systems)]
-        projected = _synthesis(core[tuple(slice(c) for c in cut)], bases)
-        approx_sq, resid_sq = split_sq(u, du, projected)
+        block = core[tuple(slice(c) for c in cut)]
+        approx_sq = _core_sobolev_sq(block, mass, stiff)
+        resid_sq = split_sq(u, _synthesis(block, bases, work), deriv)
         approx_h1_sq = _root_sum(approx_sq) ** 2
         l2, h1 = _root_sum(resid_sq[:1]), _root_sum(resid_sq)
 

@@ -50,6 +50,22 @@ def minxy_3d():
     return u, systems, derivs
 
 
+def smooth_random(rng, intervals, shape, terms=4):
+    """A sum of random separable cosines on a grid with the given intervals."""
+    axes = tuple(sv.make_axis(n, lo, hi) for n, (lo, hi) in zip(shape, intervals))
+
+    def f(*xs):
+        out = 0.0
+        for _ in range(terms):
+            term = rng.standard_normal()
+            for x in xs:
+                term = term * np.cos(rng.uniform(0.2, 3.0) * x + rng.uniform(0.0, np.pi))
+            out = out + term
+        return out
+
+    return sv.sample(f, axes)
+
+
 def weighted_norm(weights, vec):
     return float(np.sqrt(np.sum(weights * np.asarray(vec) ** 2)))
 

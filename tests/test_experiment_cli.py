@@ -839,12 +839,12 @@ def _recording_runs(monkeypatch):
 
 def test_single_mode_matches_grid_projections():
     # every entry, for each rank vector on its own and its report, equals
-    # a single-mode projection built on the grid and measured by split_sq
-    # in direction j; the keys are exactly the pairs the rank vector names. The
-    # catalog cases are symmetric, so 33x21 and 17x13x9 grids tell the
-    # modes apart.
+    # a single-mode projection and its residual built as grid functions and
+    # measured by sobolev_sq in direction j; the keys are exactly the pairs
+    # the rank vector names. The catalog cases are symmetric, so 33x21 and
+    # 17x13x9 grids tell the modes apart.
     import sobosvd.experiment as experiment
-    from sobosvd.sobolev import _root_sum, split_sq
+    from sobosvd.sobolev import _root_sum
     from sobosvd.truncation import _apply_projection, _leading_bases
 
     cases = [
@@ -864,9 +864,11 @@ def test_single_mode_matches_grid_projections():
         for j, system in enumerate(systems):
             scales = (sq[0], sq[0] + sq[1 + j], sq[0] + sq[1 + j])
             for r in range(min(6, system.k_max + 1)):
-                proj = _apply_projection(u, _leading_bases((system,), (r,)))
-                kept, tail = split_sq(u, {j: derivs[j].du}, proj)
-                values = [_root_sum(t) ** 2 for t in (tail[:1], kept, tail)]
+                pu = _apply_projection(u, _leading_bases((system,), (r,)))
+                proj = sv.GridFunction(u.axes, pu)
+                kept, tail = (sv.sobolev_sq(f) for f in (proj, u - proj))
+                ek = [(f[0], f[1 + j]) for f in (kept, tail)]
+                values = [_root_sum(t) ** 2 for t in (tail[:1], *ek)]
                 fresh[j, r] = list(zip(values, scales))
         for rv in itertools.product(range(6), repeat=len(shape)):
             reports = sv.h1_sandwich(u, [rv], systems=systems, derivs=derivs)

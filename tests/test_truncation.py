@@ -8,7 +8,7 @@ import pytest
 import sobosvd as sv
 from sobosvd.errors import ModeError, SobosvdError
 
-from conftest import bernstein_constants
+from conftest import bernstein_constants, smooth_random
 
 
 def _truncation(u, systems, r):
@@ -384,6 +384,39 @@ def test_sandwich_approx_ek_sq_is_the_ek_series(catalog):
                 scale = u_sq + derivs[j].du_sq
                 gap = abs(rep["measured"]["approx_ek_sq"][j] - rep["series"]["ek_norm_sq"][j])
                 assert gap <= 1e-9 * scale, (name, r, j)
+
+
+@pytest.mark.parametrize(
+    "intervals, shape, ranks",
+    [
+        (((-1.0, 2.0), (0.5, 3.0)), (13, 17), ((0, 1, 3, 5, 13), (0, 2, 4, 13, 15, 17))),
+        (
+            ((-2.0, 0.5), (1.0, 1.5), (0.0, 4.0)),
+            (15, 3, 4),
+            ((0, 2, 4, 12, 15), (0, 1, 3), (0, 2, 4)),
+        ),
+    ],
+)
+def test_sandwich_kept_side_is_the_built_projection(intervals, shape, ranks):
+    # h1_sandwich takes |Pu|^2 and |D_j Pu|^2 from the core and the mode
+    # Grams; they must be sobolev_sq of the projection built on the grid,
+    # at rank vectors with zero entries and with ranks above k_max (13 in
+    # mode 1 of the 13x17 grid, 12 in mode 0 of the 15x3x4 grid)
+    u = smooth_random(np.random.default_rng(1809), intervals, shape)
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    rvs = list(itertools.product(*ranks))
+    assert any(r > s.k_max for rv in rvs for r, s in zip(rv, systems))
+
+    def close(a, b):
+        return abs(a - b) <= 1e-13 * abs(b)
+
+    for rv, rep in zip(rvs, sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs)):
+        sq = sv.sobolev_sq(sv.hosvd_project(u, rv, systems=systems).projected)
+        measured = rep["measured"]
+        assert close(measured["approx_h1_sq"], sum(sq)), rv
+        for j, ek in enumerate(measured["approx_ek_sq"]):
+            assert close(ek, sq[0] + sq[1 + j]), (rv, j)
 
 
 def test_sandwich_bernstein_uses_effective_rank(catalog):
