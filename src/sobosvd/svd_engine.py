@@ -16,9 +16,8 @@ only the retained right vectors are formed (``_retained_svd``).
 unfolding is the transpose of the mode-0 one, with the row and column
 weights exchanged: it is the adjoint of the same operator, which has
 the same singular values with the left and right vectors swapped. So
-mode 1 is read off mode 0, and one SVD serves both; where mode 0's
-triplets were refined, the swapped ones are refined again in mode 1's
-own orientation.
+mode 1 is read off mode 0: one SVD serves both, and where the
+long-double refinement runs, one loop refines both modes' triplets.
 """
 from __future__ import annotations
 
@@ -59,7 +58,7 @@ def _refines(s: np.ndarray) -> bool:
     return 0 < retained <= _REFINE_MAX_COLS and s[retained - 1] < _REFINE_TRIGGER * s[0]
 
 
-def _refine_small_triplets(scaled, u, s, v):
+def _refine_small_triplets(scaled, u, s, v, adjoint=False):
     """Tighten triplet consistency for deeply decaying spectra.
 
     A double-precision SVD leaves residuals near eps times the largest
@@ -70,12 +69,16 @@ def _refine_small_triplets(scaled, u, s, v):
     provides one. The unrefined tail columns are re-orthogonalized
     against the refined block afterwards.
 
+    With ``adjoint`` it also returns the adjoint's block (sigmas, left,
+    right), or None: each refined image of phi_k, deflated and normalised,
+    is a right vector of scaled^T, and its image under scaled^T the left one.
+
     Degenerate clusters are safe: a vector may rotate within its
     cluster, but the returned partner and singular value are rebuilt
     from that same vector, and only their mutual consistency matters.
     """
     if not _refines(s):
-        return u, s, v
+        return (u, s, v, None) if adjoint else (u, s, v)
 
     retained = _count_retained(s)
     big = scaled.astype(np.longdouble)
@@ -85,35 +88,52 @@ def _refine_small_triplets(scaled, u, s, v):
     left = u[:, :retained].astype(np.longdouble)
     right = v[:, :retained].astype(np.longdouble)
     sig = s.copy()
+    # the adjoint's (sigmas, left, right), swapped until refined
+    adj_sig, adj_left, adj_right = s.copy(), right.copy(), left.copy()
     for k in range(retained):
-        vec = right[:, k].copy()
+        vec = right[:, k]
         # deflate and normalise; the first two passes then apply big^T big
         for step in range(3):
-            if k:
-                vec -= right[:, :k] @ (right[:, :k].T @ vec)
-            norm = np.sqrt(vec @ vec)
-            if norm == 0.0:
+            vec = _unit(vec, right[:, :k])
+            if vec is None:
                 break
-            vec = vec / norm
             image = np.dot(big, vec)
             if step < 2:
                 vec = np.dot(big_t, image)
         else:
             sigma = np.sqrt(image @ image)
             if sigma != 0.0:
-                right[:, k] = vec
-                left[:, k] = image / sigma
-                sig[k] = float(sigma)
+                right[:, k], left[:, k], sig[k] = vec, image / sigma, float(sigma)
+        vec = _unit(left[:, k], adj_right[:, :k]) if adjoint else None
+        if vec is not None:
+            image = np.dot(big_t, vec)
+            sigma = np.sqrt(image @ image)
+            if sigma != 0.0:
+                adj_right[:, k], adj_left[:, k], adj_sig[k] = vec, image / sigma, float(sigma)
+    del big, big_t
+    first = _splice(u, v, sig, left, right)
+    return (*first, (adj_sig, adj_left, adj_right)) if adjoint else first
 
-    u = u.copy()
-    v = v.copy()
+
+def _unit(vec, basis):
+    """``vec`` deflated against orthonormal ``basis`` columns and normalised, or None."""
+    vec = vec - basis @ (basis.T @ vec)
+    norm = np.sqrt(vec @ vec)
+    return vec / norm if norm != 0.0 else None
+
+
+def _splice(u, v, s, left, right):
+    """(u, s, v) with the refined block (left, right) in front, the tails
+    re-orthogonalized against it, sorted by the refined sigmas ``s``."""
+    retained = left.shape[1]
+    u, v = u.copy(), v.copy()
     u[:, :retained] = np.asarray(left, dtype=float)
     v[:, :retained] = np.asarray(right, dtype=float)
     for side in (u, v):  # a right block of the retained columns has no tail
         block = side[:, :retained]
         side[:, retained:] -= block @ (block.T @ side[:, retained:])
-    order = np.r_[np.argsort(-sig[:retained], kind="stable"), retained : sig.size]
-    return u[:, order], sig[order], v[:, order[: v.shape[1]]]
+    order = np.r_[np.argsort(-s[:retained], kind="stable"), retained : s.size]
+    return u[:, order], s[order], v[:, order[: v.shape[1]]]
 
 
 def combined_weights(weight_vectors) -> np.ndarray:
@@ -147,7 +167,7 @@ class SingularSystem:
     The system of the adjoint (the transposed matrix, weights exchanged)
     has the same sigmas with left and right vectors swapped; this is how
     ``mode_svds`` builds mode 1 of a bivariate function from mode 0
-    (refining the swapped triplets again where mode 0's were refined).
+    (where mode 0 is refined, the same loop refines mode 1's triplets).
     """
 
     sigmas: np.ndarray
@@ -225,8 +245,9 @@ def _retained_svd(scaled):
     return u, s, v * np.where(np.diag(r) < 0, -1.0, 1.0)
 
 
-def _weighted_svd(matrix, row_weights, col_weights, mode, factor) -> SingularSystem:
-    """``weighted_svd`` with the scaled matrix factored by ``factor``."""
+def _weighted_svd(matrix, row_weights, col_weights, mode, factor, adjoint=False):
+    """``weighted_svd`` with the scaled matrix factored by ``factor``; with
+    ``adjoint``, paired with the adjoint's refined block, or None."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ModeError(f"need a matrix, got ndim={m.ndim}")
@@ -243,8 +264,9 @@ def _weighted_svd(matrix, row_weights, col_weights, mode, factor) -> SingularSys
     sc = np.sqrt(wc)
     scaled = m * sr[:, None]
     scaled *= sc[None, :]
-    u, s, v = _refine_small_triplets(scaled, *factor(scaled))
-    return _system(u / sr[:, None], s, v / sc[:, None], wr, wc, mode)
+    u, s, v, *refined = _refine_small_triplets(scaled, *factor(scaled), adjoint)
+    first = _system(u / sr[:, None], s, v / sc[:, None], wr, wc, mode)
+    return (first, *refined) if adjoint else first
 
 
 def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
@@ -271,32 +293,25 @@ def mode_svds(u: GridFunction) -> tuple[SingularSystem, ...]:
     """
     if u.ndim != 2:
         return tuple(mode_svd(u, j) for j in range(u.ndim))
-    first = mode_svd(u, 0)
-    return first, _adjoint(first, u)
+    wr, wc = (ax.quad_weights for ax in u.axes)
+    first, refined = _weighted_svd(u.values, wr, wc, 0, _thin_svd, adjoint=True)
+    return first, _adjoint(first, refined)
 
 
-def _adjoint(system: SingularSystem, u: GridFunction) -> SingularSystem:
-    """The mode-1 system of a bivariate ``u`` from its mode-0 ``system``.
-
-    The same sigmas, the left and right vectors swapped (copied, then
-    signs fixed by the one convention) and the weights exchanged. Where
-    ``weighted_svd`` refined mode 0, it polished the right vectors and
-    took the left ones as their images; ``derivative_data`` divides by
-    sigma_k through the right vectors of mode 1, which are those images,
-    so the swapped triplets are refined again in mode 1's orientation,
-    with no second SVD.
+def _adjoint(system: SingularSystem, refined) -> SingularSystem:
+    """The mode-1 system of a bivariate function from its mode-0 ``system``:
+    the same sigmas, the left and right vectors swapped (copied, then signs
+    fixed by the one convention) and the weights exchanged. Where mode 0 was
+    refined, the adjoint's ``refined`` block from the same long-double loop
+    is spliced in (``derivative_data`` divides by mode 1's sigma_k).
     """
     wr, wc = system.col_weights, system.row_weights
     left = system.right_vectors.copy()
     right = system.left_vectors.copy()
     sigmas = system.sigmas
-    if _refines(sigmas):
+    if refined is not None:
         sr, sc = np.sqrt(wr), np.sqrt(wc)
-        scaled = matricize(u.values, 1) * sr[:, None]
-        scaled *= sc[None, :]
-        left, sigmas, right = _refine_small_triplets(
-            scaled, left * sr[:, None], sigmas, right * sc[:, None]
-        )
+        left, sigmas, right = _splice(left * sr[:, None], right * sc[:, None], *refined)
         left, right = left / sr[:, None], right / sc[:, None]
     return _system(left, sigmas, right, wr, wc, 1)
 

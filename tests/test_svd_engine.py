@@ -303,11 +303,11 @@ def test_mode_svds_2d_mode_one_is_the_adjoint():
 
 def test_mode_svds_refines_the_adjoint_where_mode_zero_was_refined():
     # EXPXY decays fast enough for the long-double refinement, which
-    # makes mode 0's left vectors the images of its right ones. Mode 1's
-    # right vectors are those images; refined again in mode 1's
-    # orientation, its left vectors are their images as closely as in a
-    # separate mode_svd(u, 1). Swapped without it, the gap was 560 times
-    # wider (2.7e-8 against 4.9e-11).
+    # makes mode 0's left vectors the images of its right ones. The same
+    # loop deflates and normalises each image into a right vector of
+    # mode 1 and takes that vector's image as its left one, so mode 1's
+    # left vectors are the images of its right ones as closely as in a
+    # separate mode_svd(u, 1).
     from sobosvd.tensor_core import matricize
 
     def image_gap(s):
@@ -323,6 +323,23 @@ def test_mode_svds_refines_the_adjoint_where_mode_zero_was_refined():
     direct = sv.mode_svd(u, 1)
     assert image_gap(s1) <= 4 * image_gap(direct)
     assert np.max(np.abs(s1.sigmas - direct.sigmas)) <= 1e-14 * direct.sigmas[0]
+
+
+def test_mode_svds_refines_both_modes_in_one_long_double_loop(monkeypatch):
+    import sobosvd.svd_engine as svd_engine
+
+    calls = []
+    real = svd_engine._refine_small_triplets
+
+    def spy(scaled, *args):
+        calls.append(scaled.shape)
+        return real(scaled, *args)
+
+    monkeypatch.setattr(svd_engine, "_refine_small_triplets", spy)
+    u = sv.sample_case(sv.get_case("EXPXY"), (129, 129))
+    s0, _ = sv.mode_svds(u)
+    assert _refines(s0.sigmas)
+    assert calls == [(129, 129)]
 
 
 def test_mode_svds_3d_is_mode_svd_per_mode():
