@@ -18,12 +18,14 @@ Measuring a projection
 A run measures the kept side |Pu|^2, |D_j Pu|^2 of a Tucker projection
 from its core and small per-mode Grams (``truncation.h1_sandwich``), and
 measures a single-mode projection wholly in coefficient space, from the
-stencil Gram of its basis (``experiment._Run.single_mode``).
-``split_sq`` is the one kernel that measures a residual u - Pu on the
-grid: it overwrites a workspace holding Pu with u - Pu and
-differentiates that into one buffer reused for every direction. So a
-run differentiates u (in ``derivative_data``) and each Tucker residual
-once per direction, and allocates no grid-sized array per rank vector.
+stencil Gram of its basis (``experiment._Run.single_mode``). The one
+grid measurement of a residual is in ``h1_sandwich``: it forms u - P'u
+for the projection P' at the largest ranks of the call in one
+workspace, differentiates it into one buffer reused for every
+direction, and gets every other rank vector's residual from that one
+and the core's entries outside the rank vector's block. So a run
+differentiates u (in ``derivative_data``) and one residual once per
+direction, and allocates no grid-sized array per rank vector.
 
 Derivative transfer
 -------------------
@@ -45,7 +47,6 @@ import numpy as np
 
 from .discretization import (
     GridFunction,
-    _fd2,
     _sq_l2,
     check_mode,
     inner_l2,
@@ -84,24 +85,6 @@ def sobolev_sq(f: GridFunction) -> tuple[float, ...]:
 def norm_h1(f: GridFunction) -> float:
     """First-order Sobolev norm: value plus every first derivative."""
     return _root_sum(sobolev_sq(f))
-
-
-def split_sq(u: GridFunction, projected: np.ndarray, deriv: np.ndarray) -> tuple[float, ...]:
-    """Squared Sobolev terms of the residual of a projection of ``u``.
-
-    ``projected`` holds Pu on the grid of ``u`` and is overwritten with
-    u - Pu; ``deriv``, an array of the grid's shape, receives each
-    direction's derivative of the residual and then its squares. Returns
-    (|u - Pu|^2, |D_0 (u - Pu)|^2, ...), each term the weighted sum
-    ``inner_l2`` takes, so the terms equal those of ``sobolev_sq`` of the
-    residual. With both arrays C-contiguous no grid-sized array is
-    allocated.
-    """
-    resid, axes = np.subtract(u.values, projected, out=projected), u.axes
-    terms = [_sq_l2(resid, axes, deriv)]
-    for j, ax in enumerate(axes):
-        terms.append(_sq_l2(_fd2(resid, ax.spacing, j, deriv), axes, deriv))
-    return tuple(terms)
 
 
 @dataclass(frozen=True, eq=False)

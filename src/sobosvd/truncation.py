@@ -31,7 +31,7 @@ import numpy as np
 
 from .discretization import GridFunction, _fd2, _sq_l2, inner_l2
 from .errors import ModeError, SobosvdError
-from .sobolev import DerivativeData, _root_sum, norm_l2, split_sq
+from .sobolev import DerivativeData, _root_sum, norm_l2
 from .svd_engine import SingularSystem, _fix_signs
 from .tensor_core import _mode_product, check_mode, matricize, mode_product
 
@@ -99,10 +99,11 @@ def _leading_bases(systems, ranks) -> dict[int, np.ndarray]:
     return {s.mode: s.left_vectors[:, : min(r, s.k_max)] for s, r in zip(systems, ranks)}
 
 
-def _analysis(u: GridFunction, bases: dict[int, np.ndarray]) -> np.ndarray:
-    """Coefficients of ``u`` in the weighted-orthonormal bases ``bases``
-    maps modes to; modes it does not name are kept."""
-    vals = u.values
+def _analysis(u: GridFunction, bases: dict[int, np.ndarray], values=None) -> np.ndarray:
+    """Coefficients of ``values``, an array on the grid of ``u`` (by
+    default u's own), against the bases ``bases`` maps modes to, each
+    through its weighted transpose; modes it does not name are kept."""
+    vals = u.values if values is None else values
     for j, q in bases.items():
         vals = mode_product(vals, _analysis_map(u, q, j), j)
     return vals
@@ -125,6 +126,23 @@ def _stencil_gram(u: GridFunction, q: np.ndarray, mode: int) -> tuple[np.ndarray
     return dq, _analysis_map(u, dq, mode) @ dq
 
 
+def _grid_residual(u: GridFunction, core: np.ndarray, bases, dq) -> tuple[list, list]:
+    """The residual a = u - P u of the projection with coefficients
+    ``core`` in ``bases``, measured on the grid: ([A, B_0, ...], [|a|^2,
+    |D_0 a|^2, ...]), A the coefficients of a in ``bases`` and B_j those
+    of D_j a with ``dq[j]`` = D_j Q_j in mode j. P u is synthesized into
+    one workspace, overwritten with a and differentiated into a second
+    buffer reused for every direction; no other grid-sized array."""
+    work, deriv = np.empty(u.shape), np.empty(u.shape)
+    resid = np.subtract(u.values, _synthesis(core, bases, work), out=work)
+    coeffs, terms = [_analysis(u, bases, resid)], [_sq_l2(resid, u.axes, deriv)]
+    for j, ax in enumerate(u.axes):
+        dres = _fd2(resid, ax.spacing, j, deriv)
+        coeffs.append(_analysis(u, {**bases, j: dq[j]}, dres))
+        terms.append(_sq_l2(dres, u.axes, deriv))
+    return coeffs, terms
+
+
 def _core_sobolev_sq(core: np.ndarray, mass, stiff) -> list[float]:
     """(|P u|^2, |D_0 P u|^2, ...) of the projection with coefficients
     ``core``: <C x_i M_i, C>, then the same with G_j in place of M_j for
@@ -134,7 +152,7 @@ def _core_sobolev_sq(core: np.ndarray, mass, stiff) -> list[float]:
     def form(grams) -> float:
         t = core
         for j, g in enumerate(grams):
-            t = mode_product(t, g[: core.shape[j], : core.shape[j]], j)
+            t = _mode_product(t, g[: core.shape[j], : core.shape[j]], j)
         return float(np.vdot(t, core))
 
     return [form(mass), *(form([*mass[:j], g, *mass[j + 1 :]]) for j, g in enumerate(stiff))]
@@ -278,14 +296,31 @@ def h1_sandwich(
         |P u|_0^2 = <C x_i M_i, C>,   |D_j P u|_0^2 = <C x_j G_j x_{i != j} M_i, C>.
 
     M_j is computed rather than taken as the identity, so the kept side
-    does not lean on the orthonormality of the bases. Only the residual is
-    measured on the grid: P u is synthesized into one workspace, where
-    ``split_sq`` forms u - P u and differentiates it into a second buffer
-    per direction; the two are allocated once per call. The residual is
-    not taken as |u|^2 - |P u|^2, which would carry roundoff of about
-    eps |u|^2 into deep tails instead of eps |u - P u|^2. The series terms
-    and each mode's Gram Gamma^T W Gamma are formed once and sliced per
-    rank vector.
+    does not lean on the orthonormality of the bases.
+
+    The residual is measured on the grid once per call, at the largest
+    ranks. With P' that projection, C' = u x_i Q_i^T W_i its core (the
+    one above) and a = u - P' u: P' u is synthesized into one workspace,
+    overwritten with a and differentiated into a second buffer reused
+    for every direction (``_grid_residual``), which gives |a|_0^2, |D_j a|_0^2 and the coefficients A of
+    a (Q_i^T W_i in every mode) and B_j of D_j a ((D_j Q_j)^T W_j in mode
+    j, Q_i^T W_i elsewhere). With X the core C' with the block C set to
+    zero, u - P u = a + X x_i Q_i: the leading columns are nested, so
+    P u = C x_i Q_i is C' x_i Q_i with the entries outside C dropped. No
+    orthonormality enters, and exactly, in the grid quadrature,
+
+        |u - P u|_0^2       = |a|_0^2 + 2 <A, X> + <X x_i M_i, X>,
+        |D_j (u - P u)|_0^2 = |D_j a|_0^2 + 2 <B_j, X> + <X x_j G_j x_{i != j} M_i, X>.
+
+    So each rank vector costs only coefficient-space work of the core's
+    size, and the grid work does not grow with the number of rank
+    vectors. The identity subtracts no large terms: |a|_0^2 is the
+    smallest residual of the call, A is roundoff for orthonormal bases
+    (C' x_i M_i = C') and the X terms sum over the entries outside C, so
+    the roundoff stays at the grid measurement's eps |u| |u - P u|. (The
+    form |u|^2 - |P u|^2 would carry about eps |u|^2 into deep tails.)
+    The series terms and each mode's Gram Gamma^T W Gamma are formed once
+    and sliced per rank vector.
 
     ``systems`` and ``derivs`` (one per mode, modes 0..d-1 in order, else
     ModeError) are the caller's.
@@ -346,18 +381,20 @@ def h1_sandwich(
     rvs = [_check_rank_vector(rv, u.shape) for rv in rank_vectors]
     d = u.ndim
     systems, derivs = _per_mode(systems, d, "systems"), _per_mode(derivs, d, "derivs")
+    if not rvs:
+        return []
     if slack is None:
         u_sq = (inner_l2(u, u), *(dv.du_sq for dv in derivs))
         slack = _SANDWICH_RTOL * _root_sum(u_sq) ** 2
     slack = float(slack)
 
-    top = [max([min(rv[j], s.k_max) for rv in rvs], default=0) for j, s in enumerate(systems)]
+    top = [max(min(rv[j], s.k_max) for rv in rvs) for j, s in enumerate(systems)]
     bases = _leading_bases(systems, top)
     core = _analysis(u, bases)
-    # per mode: M_j and G_j, then the workspace every residual is measured in
+    # per mode: M_j, D_j Q_j and G_j
     mass = [_analysis_map(u, q, j) @ q for j, q in bases.items()]
-    stiff = [_stencil_gram(u, q, j)[1] for j, q in bases.items()]
-    work, deriv = np.empty(u.shape), np.empty(u.shape)
+    dq, stiff = zip(*(_stencil_gram(u, q, j) for j, q in bases.items()))
+    top_coeffs, top_sq = _grid_residual(u, core, bases, dq)
     # per mode: sigma^2 (1 + dpsi^2), plain sigma^2 and Gamma^T W Gamma
     terms_w = [_series_terms(s, dv) for s, dv in zip(systems, derivs)]
     terms_sq = [_series_terms(s) for s in systems]
@@ -366,9 +403,14 @@ def h1_sandwich(
 
     def report(rv):
         cut = [min(r, s.k_max) for r, s in zip(rv, systems)]
-        block = core[tuple(slice(c) for c in cut)]
-        approx_sq = _core_sobolev_sq(block, mass, stiff)
-        resid_sq = split_sq(u, _synthesis(block, bases, work), deriv)
+        block = tuple(slice(c) for c in cut)
+        approx_sq = _core_sobolev_sq(core[block], mass, stiff)
+        comp = core.copy()  # X, the core outside the block
+        comp[block] = 0.0
+        quad = _core_sobolev_sq(comp, mass, stiff)
+        resid_sq = [
+            t + 2.0 * float(np.vdot(c, comp)) + q for t, c, q in zip(top_sq, top_coeffs, quad)
+        ]
         approx_h1_sq = _root_sum(approx_sq) ** 2
         l2, h1 = _root_sum(resid_sq[:1]), _root_sum(resid_sq)
 

@@ -3,9 +3,8 @@ import pytest
 
 import sobosvd as sv
 from sobosvd.errors import ModeError
-from sobosvd.sobolev import split_sq
 
-from conftest import bernstein_constants, fd2_matrix, smooth_random, weighted_norm
+from conftest import bernstein_constants, fd2_matrix, weighted_norm
 
 
 def test_norm_l2_known_value():
@@ -33,37 +32,6 @@ def test_norm_ek_checks_mode():
     u = sv.sample_case(sv.get_case("SEP1"), (17, 17))
     with pytest.raises(ModeError):
         sv.norm_ek(u, 2)
-
-
-@pytest.mark.parametrize(
-    "intervals, shape, ranks",
-    [
-        (((-1.0, 2.0), (0.5, 3.0)), (13, 17), (2, 3)),
-        (((-2.0, 0.5), (1.0, 1.5), (0.0, 4.0)), (9, 11, 7), (2, 2, 3)),
-    ],
-)
-def test_split_sq_matches_norms_of_built_grid_functions(intervals, shape, ranks):
-    # the kernel overwrites the buffer holding Pu with u - Pu and measures
-    # that residual in every direction; its terms must be the weighted sums
-    # sobolev_sq takes of u - Pu built as a grid function and agree with
-    # the norms of that grid function differentiated directly
-    rng = np.random.default_rng(1809)
-    u = smooth_random(rng, intervals, shape)
-    proj = sv.hosvd_project(u, ranks, systems=sv.mode_svds(u)).projected
-    resid = u - proj
-    d = u.ndim
-
-    def close(a, b):
-        return abs(a - b) <= 1e-14 * abs(b)
-
-    work, deriv = proj.values.copy(), np.empty(shape)
-    tail = split_sq(u, work, deriv)
-    np.testing.assert_array_equal(work, resid.values)
-    assert tail == sv.sobolev_sq(resid)
-    assert close(np.sqrt(tail[0]), sv.norm_l2(resid))
-    for j in range(d):
-        assert close(np.sqrt(tail[0] + tail[1 + j]), sv.norm_ek(resid, j)), j
-    assert close(np.sqrt(sum(tail)), sv.norm_h1(resid))
 
 
 def test_retained_count_boundary():

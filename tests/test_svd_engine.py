@@ -183,6 +183,33 @@ def test_refinement_sorts_only_the_held_right_columns():
     np.testing.assert_allclose(scaled @ nv, nu[:, :4] * ns[:4], atol=1e-14)
 
 
+def test_refinement_reads_the_long_double_operator_in_c_order(monkeypatch):
+    # the unfoldings of three or more variables are F-ordered; the
+    # refinement builds its long-double operator C-ordered either way, and
+    # the same matrix in C and F order refines to the same triplets
+    rng = np.random.default_rng(17)
+    qa, _ = np.linalg.qr(rng.standard_normal((30, 6)))
+    qb, _ = np.linalg.qr(rng.standard_normal((90, 6)))
+    scaled = (qa * 1e-2 ** np.arange(6)) @ qb.T
+    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+    assert _refines(s)
+    layouts = []
+    dot = np.dot
+
+    def spy(a, b, *args):
+        if a.dtype == np.longdouble and a.ndim == 2:
+            layouts.append(a.flags.c_contiguous)
+        return dot(a, b, *args)
+
+    monkeypatch.setattr(np, "dot", spy)
+    c_order = _refine_small_triplets(scaled, u, s, vt.T)
+    f_order = _refine_small_triplets(np.asfortranarray(scaled), u, s, vt.T)
+    monkeypatch.undo()
+    assert layouts and all(layouts)
+    for a, b in zip(c_order, f_order):
+        assert np.array_equal(a, b)
+
+
 def test_fix_signs_flips_only_the_held_partner_columns():
     # columns 0 and 2 flip; the partners hold columns 0 and 1 only
     vectors = np.array([[1.0, 3.0, 0.5], [-2.0, 1.0, -1.0]])

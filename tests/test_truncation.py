@@ -419,6 +419,119 @@ def test_sandwich_kept_side_is_the_built_projection(intervals, shape, ranks):
             assert close(ek, sq[0] + sq[1 + j]), (rv, j)
 
 
+@pytest.mark.parametrize(
+    "intervals, shape, ranks",
+    [
+        (((-1.0, 2.0), (0.5, 3.0)), (13, 17), (2, 3)),
+        (((-2.0, 0.5), (1.0, 1.5), (0.0, 4.0)), (9, 11, 7), (2, 2, 3)),
+    ],
+)
+def test_sandwich_top_residual_is_measured_on_the_grid(intervals, shape, ranks):
+    # at the largest ranks of a call h1_sandwich measures u - Pu on the
+    # grid; its terms must be the weighted sums sobolev_sq takes of u - Pu
+    # built as a grid function and agree with the norms of that grid
+    # function differentiated directly
+    rng = np.random.default_rng(1809)
+    u = smooth_random(rng, intervals, shape)
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    resid = u - sv.hosvd_project(u, ranks, systems=systems).projected
+    d = u.ndim
+
+    def close(a, b):
+        return abs(a - b) <= 1e-14 * abs(b)
+
+    measured = sv.h1_sandwich(u, [ranks], systems=systems, derivs=derivs)[0]["measured"]
+    tail = sv.sobolev_sq(resid)
+    assert measured["l2"] == np.sqrt(tail[0])
+    assert measured["h1"] == np.sqrt(sum(tail))
+    assert measured["ek"] == [np.sqrt(tail[0] + tail[1 + j]) for j in range(d)]
+    assert close(measured["l2"], sv.norm_l2(resid))
+    for j in range(d):
+        assert close(measured["ek"][j], sv.norm_ek(resid, j)), j
+    assert close(measured["h1"], sv.norm_h1(resid))
+
+
+@pytest.mark.parametrize(
+    "intervals, shape, ranks",
+    [
+        (((-1.0, 2.0), (0.5, 3.0)), (13, 17), ((0, 1, 3, 5, 13), (0, 2, 4, 13, 15, 17))),
+        (
+            ((-2.0, 0.5), (1.0, 1.5), (0.0, 4.0)),
+            (15, 3, 4),
+            ((0, 2, 4, 12, 15), (0, 1, 3), (0, 2, 4)),
+        ),
+    ],
+)
+def test_sandwich_residual_side_is_the_built_residual(intervals, shape, ranks):
+    # h1_sandwich measures u - Pu on the grid only at the largest ranks
+    # and gets every other residual from the core outside the rank
+    # vector's block; its squares must be sobolev_sq of u - Pu built on
+    # the grid, at rank vectors with zero entries and ranks above k_max.
+    # Those reach the full rank, where the measured residual is roundoff;
+    # the data have rank 4 in mode 0, so a second call on the rank vectors
+    # up to 2 measures a residual that is not. The scale is absolute:
+    # residuals past k_max are roundoff
+    u = smooth_random(np.random.default_rng(1809), intervals, shape)
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    rvs = list(itertools.product(*ranks))
+    assert any(r > s.k_max for rv in rvs for r, s in zip(rv, systems))
+    tol = 1e-13 * sv.norm_h1(u) ** 2
+
+    for batch in (rvs, [rv for rv in rvs if max(rv) <= 2]):
+        for rv, rep in zip(batch, sv.h1_sandwich(u, batch, systems=systems, derivs=derivs)):
+            sq = sv.sobolev_sq(u - sv.hosvd_project(u, rv, systems=systems).projected)
+            measured = rep["measured"]
+            assert abs(measured["l2"] ** 2 - sq[0]) <= tol, rv
+            assert abs(measured["h1"] ** 2 - sum(sq)) <= tol, rv
+            for j, ek in enumerate(measured["ek"]):
+                assert abs(ek**2 - (sq[0] + sq[1 + j])) <= tol, (rv, j)
+
+
+def test_sandwich_grid_work_is_per_call(monkeypatch):
+    # the grid is differentiated d times per call for the residual plus
+    # once per mode basis for the stencil Grams, however many rank
+    # vectors, and not at all without one; and the 64-vector call's
+    # working memory stays within one grid array of the one-vector call
+    # at the same largest ranks
+    import tracemalloc
+
+    import sobosvd.truncation as truncation
+
+    u = sv.sample_case(sv.get_case("BROWNIAN"), (65, 65))
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    sweep = [(r, r) for r in range(1, 65)]
+    calls = []
+    fd2 = truncation._fd2
+
+    def spy(*args):
+        calls.append(args[2])
+        return fd2(*args)
+
+    monkeypatch.setattr(truncation, "_fd2", spy)
+    counts = []
+    for rvs in ([], [sweep[-1]], sweep):
+        calls.clear()
+        sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs)
+        counts.append(len(calls))
+    assert counts == [0, 2 * u.ndim, 2 * u.ndim]
+    monkeypatch.undo()
+
+    def transient(rvs) -> int:
+        tracemalloc.start()
+        try:
+            reports = sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == len(rvs)
+        return peak - held
+
+    assert transient(sweep) <= transient([sweep[-1]]) + u.values.nbytes
+
+
 def test_sandwich_bernstein_uses_effective_rank(catalog):
     # ranks past the retained block fall back to the deepest available
     # constant instead of raising
