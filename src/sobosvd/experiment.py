@@ -16,7 +16,6 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 from numbers import Number
 from pathlib import Path
@@ -30,11 +29,7 @@ from .discretization import UNIFORM_TRAPEZOID_FD2, GridFunction, _sq_l2, inner_l
 from .errors import ConfigError, DegenerateDataError, ModeError, SampleFileError, SobosvdError
 from .sobolev import _root_sum, derivative_data, norm_l2
 from .svd_engine import mode_svd, mode_svds, numerical_rank, retained_count
-from .tensor_core import matricize
-from .truncation import (
-    _SANDWICH_RTOL, _analysis_map, _check_rank_vector, _stencil_gram, h1_sandwich, hosvd_project,
-    series_split,
-)
+from .truncation import _SANDWICH_RTOL, _check_rank_vector, h1_sandwich, hosvd_project
 
 _TINY = 1e-300  # guards divisions for the all-zero input
 
@@ -236,40 +231,6 @@ class _Run:
     def h1(self) -> float:
         return _root_sum(self.sq)
 
-    @cached_property
-    def single_mode(self) -> dict:
-        """(j, r) -> |u - P u|^2, |P u|_ej^2 and |u - P u|_ej^2, with P the
-        projection of mode j onto its first r left vectors (r clamped to
-        k_max); built on first use, one entry per pair the ranks name.
-
-        Measured in coefficient space, one pass per mode, with M the
-        mode-j unfolding. Q holds the first R left vectors (R the largest
-        rank named), DQ = D_j Q, C = Q^T W_j M(u), E = DQ^T W_j M(D_j u),
-        G = DQ^T W_j DQ and H = C W_c C^T. Summed over k, l < r they give
-        |P u|^2 = sum H_kk, |D_j P u|^2 = sum G_kl H_kl and <D_j u, D_j P u>
-        = sum (E W_c C^T)_kk. The residual terms are |u|^2 - |P u|^2 and
-        |D_j u|^2 - 2 <D_j u, D_j P u> + |D_j P u|^2, from ``sq``: the
-        subtraction costs about eps |u|^2, which the checks divide out.
-        No sigma or transferred derivative enters, so the checks still
-        compare two independent computations.
-        """
-        u, out = self.u, {}
-        for j, (system, deriv) in enumerate(zip(self.systems, self.derivs)):
-            ranks = sorted({min(rv[j], system.k_max) for rv in self.rvs})
-            q = system.left_vectors[:, : ranks[-1]]
-            dq, g = _stencil_gram(u, q, j)
-            c = _analysis_map(u, q, j) @ matricize(u.values, j)
-            cw = c * system.col_weights
-            h, e = cw @ c.T, _analysis_map(u, dq, j) @ matricize(deriv.du, j)
-            kept = np.cumsum(np.r_[0.0, np.diag(h)])
-            dkept = np.r_[0.0, np.diag(np.cumsum(np.cumsum(g * h, 0), 1))]
-            cross = np.cumsum(np.r_[0.0, np.einsum("kc,kc->k", e, cw)])
-            u_sq, du_sq = self.sq[0], self.sq[1 + j]
-            for r in ranks:
-                tail = (u_sq - kept[r], du_sq - 2.0 * cross[r] + dkept[r])
-                out[j, r] = tuple(_root_sum(t) ** 2 for t in (tail[:1], (kept[r], dkept[r]), tail))
-        return out
-
 
 def _verdict(defects, tol, detail):
     """Status, worst defect and detail of a check.
@@ -284,17 +245,24 @@ def _verdict(defects, tol, detail):
     return ("pass" if worst <= tol else "fail"), worst, detail.format(worst=worst)
 
 
-def _check_eckart_young(run, tol):
-    scale = max(run.l2**2, _TINY)
-    defects = [
-        abs(measured - series_split(run.systems[j], r).error_sq) / scale
-        for (j, r), (measured, _, _) in run.single_mode.items()
+def _single_mode_defects(run, keys, scales) -> list[float]:
+    """The gaps between each rank report's single-mode entries ``keys``
+    and the series entries of those names, mode j's over ``scales[j]``."""
+    return [
+        abs(m - s) / c
+        for rep in run.reports
+        for key in keys
+        for m, s, c in zip(rep["measured"]["single_mode"][key], rep["series"][key], scales)
     ]
+
+
+def _check_eckart_young(run, tol):
+    scales = [max(run.l2**2, _TINY)] * run.u.ndim
     detail = (
         "worst relative gap {worst:.3e} between measured single-mode "
         "truncation error and the spectral tail"
     )
-    return _verdict(defects, tol, detail)
+    return _verdict(_single_mode_defects(run, ["l2_error_sq"], scales), tol, detail)
 
 
 def _check_h1_identity(run, tol):
@@ -314,12 +282,7 @@ def _check_h1_identity(run, tol):
 
 def _check_ek_identity(run, tol):
     scales = [max(_root_sum((run.sq[0], dsq)) ** 2, _TINY) for dsq in run.sq[1:]]
-    defects = []
-    for rv, rep in zip(run.rvs, run.reports):
-        for j, system in enumerate(run.systems):
-            _, kept, tail = run.single_mode[j, min(rv[j], system.k_max)]
-            defects.append(abs(kept - rep["series"]["ek_norm_sq"][j]) / scales[j])
-            defects.append(abs(tail - rep["series"]["ek_error_sq"][j]) / scales[j])
+    defects = _single_mode_defects(run, ["ek_norm_sq", "ek_error_sq"], scales)
     detail = "worst relative defect {worst:.3e} in the one-direction series"
     return _verdict(defects, tol, detail)
 

@@ -15,17 +15,13 @@ right in the order above.
 
 Measuring a projection
 ----------------------
-A run measures the kept side |Pu|^2, |D_j Pu|^2 of a Tucker projection
-from its core and small per-mode Grams (``truncation.h1_sandwich``), and
-measures a single-mode projection wholly in coefficient space, from the
-stencil Gram of its basis (``experiment._Run.single_mode``). The one
-grid measurement of a residual is in ``h1_sandwich``: it forms u - P'u
-for the projection P' at the largest ranks of the call in one
-workspace, differentiates it into one buffer reused for every
-direction, and gets every other rank vector's residual from that one
-and the core's entries outside the rank vector's block. So a run
-differentiates u (in ``derivative_data``) and one residual once per
-direction, and allocates no grid-sized array per rank vector.
+``truncation.h1_sandwich`` measures every projection a run checks: the
+kept side of each Tucker projection and each single-mode projection in
+coefficient space, from small per-mode Grams, and the residual on the
+grid once per call, at the largest ranks, in one workspace and one
+derivative buffer. So a run differentiates u (in ``derivative_data``)
+and one residual once per direction, and allocates no grid-sized array
+per rank vector.
 
 Derivative transfer
 -------------------
@@ -98,9 +94,9 @@ class DerivativeData:
     directions are kept; ``count`` says how many.
 
     ``du`` is the array D_mode u the transfer differentiates, and
-    ``du_sq`` its squared weighted norm |D_mode u|^2; the single-mode
-    measurements and the norm scales of a run read them instead of
-    differentiating u again.
+    ``du_sq`` its squared weighted norm |D_mode u|^2; ``h1_sandwich``'s
+    single-mode measurements read both, and its default slack and a
+    run's norm scales ``du_sq``, instead of differentiating u again.
     """
 
     mode: int

@@ -126,6 +126,24 @@ def _stencil_gram(u: GridFunction, q: np.ndarray, mode: int) -> tuple[np.ndarray
     return dq, _analysis_map(u, dq, mode) @ dq
 
 
+def _single_mode_sq(u: GridFunction, system, deriv, q, dq, g, u_sq: float) -> dict:
+    """|u - P u|^2, |P u|_e^2 and |u - P u|_e^2, each a list over r = 0, 1,
+    ..., P the projection of the system's mode e onto the first r columns
+    of ``q``: ``h1_sandwich``'s single-mode pass, with D q and its Gram in
+    ``dq`` and ``g``, D u and |D u|^2 in ``deriv`` and |u|^2 in ``u_sq``."""
+    j = system.mode
+    c = _analysis_map(u, q, j) @ matricize(u.values, j)
+    cw = c * system.col_weights
+    h, e = cw @ c.T, _analysis_map(u, dq, j) @ matricize(deriv.du, j)
+    kept = np.cumsum(np.r_[0.0, np.diag(h)])
+    dkept = np.r_[0.0, np.diag(np.cumsum(np.cumsum(g * h, 0), 1))]
+    cross = np.cumsum(np.r_[0.0, np.einsum("kc,kc->k", e, cw)])
+    tails = list(zip(u_sq - kept, deriv.du_sq - 2.0 * cross + dkept))
+    sums = ([t[:1] for t in tails], zip(kept, dkept), tails)
+    keys = ("l2_error_sq", "ek_norm_sq", "ek_error_sq")
+    return {key: [_root_sum(t) ** 2 for t in terms] for key, terms in zip(keys, sums)}
+
+
 def _grid_residual(u: GridFunction, core: np.ndarray, bases, dq) -> tuple[list, list]:
     """The residual a = u - P u of the projection with coefficients
     ``core`` in ``bases``, measured on the grid: ([A, B_0, ...], [|a|^2,
@@ -300,14 +318,14 @@ def h1_sandwich(
 
     The residual is measured on the grid once per call, at the largest
     ranks. With P' that projection, C' = u x_i Q_i^T W_i its core (the
-    one above) and a = u - P' u: P' u is synthesized into one workspace,
-    overwritten with a and differentiated into a second buffer reused
-    for every direction (``_grid_residual``), which gives |a|_0^2, |D_j a|_0^2 and the coefficients A of
-    a (Q_i^T W_i in every mode) and B_j of D_j a ((D_j Q_j)^T W_j in mode
-    j, Q_i^T W_i elsewhere). With X the core C' with the block C set to
-    zero, u - P u = a + X x_i Q_i: the leading columns are nested, so
-    P u = C x_i Q_i is C' x_i Q_i with the entries outside C dropped. No
-    orthonormality enters, and exactly, in the grid quadrature,
+    one above) and a = u - P' u, ``_grid_residual`` synthesizes P' u into
+    one workspace, overwrites it with a and differentiates it into a
+    second buffer reused for every direction: |a|_0^2, |D_j a|_0^2 and
+    the coefficients A of a (Q_i^T W_i in every mode) and B_j of D_j a
+    ((D_j Q_j)^T W_j in mode j, Q_i^T W_i elsewhere). With X the core C'
+    with the block C set to zero, u - P u = a + X x_i Q_i, as the leading
+    columns are nested. No orthonormality enters, and exactly, in the
+    grid quadrature,
 
         |u - P u|_0^2       = |a|_0^2 + 2 <A, X> + <X x_i M_i, X>,
         |D_j (u - P u)|_0^2 = |D_j a|_0^2 + 2 <B_j, X> + <X x_j G_j x_{i != j} M_i, X>.
@@ -320,7 +338,18 @@ def h1_sandwich(
     the roundoff stays at the grid measurement's eps |u| |u - P u|. (The
     form |u|^2 - |P u|^2 would carry about eps |u|^2 into deep tails.)
     The series terms and each mode's Gram Gamma^T W Gamma are formed once
-    and sliced per rank vector.
+    and sliced per rank vector, and each Bernstein constant is computed
+    once per mode and clamped rank the call names.
+
+    The same pass measures each single-mode projection P_j, onto the
+    first r_j left vectors of mode j, in coefficient space: with M the
+    mode-j unfolding, W_c its column weights, F = Q_j^T W_j M(u), E =
+    (D_j Q_j)^T W_j M(D_j u) and H = F W_c F^T, summed over k, l < r_j,
+    |P_j u|^2 = sum H_kk, |D_j P_j u|^2 = sum (G_j)_kl H_kl and <D_j u,
+    D_j P_j u> = sum (E W_c F^T)_kk. The residual terms follow as |u|^2 -
+    |P_j u|^2 and |D_j u|^2 - 2 <D_j u, D_j P_j u> + |D_j P_j u|^2, a
+    subtraction that costs about eps |u|^2, which the identity checks
+    divide out. No sigma or transferred derivative enters.
 
     ``systems`` and ``derivs`` (one per mode, modes 0..d-1 in order, else
     ModeError) are the caller's.
@@ -330,12 +359,15 @@ def h1_sandwich(
 
     - ``rank_vector``;
     - ``measured``, grid norms: of the residual ``l2``, ``h1`` and ``ek``
-      (per direction), of the truncation, from the core as above,
-      ``approx_h1_sq`` and ``approx_ek_sq``, |P u|_{e_j}^2 per direction
-      j, the kept counterpart of ``ek``; no check reads the last;
+      (per direction); of the truncation, from the core as above,
+      ``approx_h1_sq`` and ``approx_ek_sq`` (|P u|_{e_j}^2 per direction
+      j, which no check reads); and ``single_mode``, per mode j,
+      ``l2_error_sq``, ``ek_norm_sq`` and ``ek_error_sq``: |u - P_j u|_0^2,
+      |P_j u|_{e_j}^2 and |u - P_j u|_{e_j}^2 (r_j capped at k_max);
     - ``series``, the exact spectral series: ``h1_norm_sq`` and
       ``h1_error_sq`` (two-sided, so null unless d = 2), ``ek_norm_sq``
-      and ``ek_error_sq`` (one-direction, per mode);
+      and ``ek_error_sq`` (one-direction, per mode) and ``l2_error_sq``
+      (per mode, tail_j below);
     - ``bounds``, the two-sided estimates, and ``bernstein``, per mode j
       the norm-ratio (Bernstein) constant Gamma_j(r_j), the largest
       |v|_{e_j} / |v|_0 over the span of the first r_j left vectors: the
@@ -383,8 +415,8 @@ def h1_sandwich(
     systems, derivs = _per_mode(systems, d, "systems"), _per_mode(derivs, d, "derivs")
     if not rvs:
         return []
+    u_sq = (inner_l2(u, u), *(dv.du_sq for dv in derivs))
     if slack is None:
-        u_sq = (inner_l2(u, u), *(dv.du_sq for dv in derivs))
         slack = _SANDWICH_RTOL * _root_sum(u_sq) ** 2
     slack = float(slack)
 
@@ -395,11 +427,18 @@ def h1_sandwich(
     mass = [_analysis_map(u, q, j) @ q for j, q in bases.items()]
     dq, stiff = zip(*(_stencil_gram(u, q, j) for j, q in bases.items()))
     top_coeffs, top_sq = _grid_residual(u, core, bases, dq)
+    args = zip(systems, derivs, bases.values(), dq, stiff)
+    single = [_single_mode_sq(u, s, dv, q, dqj, g, u_sq[0]) for s, dv, q, dqj, g in args]
     # per mode: sigma^2 (1 + dpsi^2), plain sigma^2 and Gamma^T W Gamma
     terms_w = [_series_terms(s, dv) for s, dv in zip(systems, derivs)]
     terms_sq = [_series_terms(s) for s in systems]
     grams = [_gamma_gram(s, dv, min(t, dv.count)) for s, dv, t in zip(systems, derivs, top)]
     h1_terms = _series_terms(systems[0], *derivs) if d == 2 else None
+    # per mode: Gamma_j at each clamped rank the call names
+    bernstein = [
+        {r: _top_ratio(g, r) if r >= 1 else 1.0 for r in {min(rv[j], dv.count) for rv in rvs}}
+        for j, (g, dv) in enumerate(zip(grams, derivs))
+    ]
 
     def report(rv):
         cut = [min(r, s.k_max) for r, s in zip(rv, systems)]
@@ -420,8 +459,6 @@ def h1_sandwich(
         h1_series = SeriesSplit(None, None)  # the two-sided series needs d = 2
         if d == 2:
             h1_series = _split(h1_terms, min(*rv, systems[0].k_max))
-        r_g = [min(r, dv.count) for r, dv in zip(rv, derivs)]
-        bernstein = [_top_ratio(g, r) if r >= 1 else 1.0 for g, r in zip(grams, r_g)]
 
         bounds = {
             "l2_tail_sq_sum": l2_tail_sq_sum,
@@ -445,15 +482,17 @@ def h1_sandwich(
                 "ek": [_root_sum((resid_sq[0], dsq)) for dsq in resid_sq[1:]],
                 "approx_h1_sq": approx_h1_sq,
                 "approx_ek_sq": [_root_sum((approx_sq[0], dsq)) ** 2 for dsq in approx_sq[1:]],
+                "single_mode": {k: [s[k][c] for s, c in zip(single, cut)] for k in single[0]},
             },
             "series": {
                 "h1_norm_sq": h1_series.norm_sq,
                 "h1_error_sq": h1_series.error_sq,
                 "ek_norm_sq": list(kept_w),
                 "ek_error_sq": list(tail_w),
+                "l2_error_sq": list(tail_sq),
             },
             "bounds": bounds,
-            "bernstein": bernstein,
+            "bernstein": [b[min(r, dv.count)] for b, r, dv in zip(bernstein, rv, derivs)],
             "slack": slack,
             "checks": {
                 name: {"lower": lo, "value": v, "upper": hi, "holds": lo - slack <= v <= hi + slack}

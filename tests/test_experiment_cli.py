@@ -794,20 +794,21 @@ _UNEQUAL_RANKS = {"explicit": [[1, 2], [3, 1], [2, 2], [4, 4]]}
 
 
 def test_run_experiment_differentiates_each_projection_once(monkeypatch):
-    # per mode: u, in the derivative transfer; per rank vector and mode:
-    # the Tucker residual (the derivatives of the projection follow from
-    # those of u). The single-mode checks differentiate bases, not grids.
+    # per mode: u, in the derivative transfer, and the one residual that
+    # h1_sandwich measures at the largest ranks; every rank vector's
+    # residual and the single-mode projections follow in coefficient
+    # space, from stencils applied to bases, not grids
     d, n_ranks = 2, 4
     config = _config("BROWNIAN", [33, 33], {"sweep": {"from": 1, "to": n_ranks}})
     calls, result = _stencil_calls(monkeypatch, config)
     assert result.passed
-    assert calls <= d + d * n_ranks
+    assert calls == 2 * d
 
 
 def test_run_experiment_unequal_ranks_differentiate_each_projection_once(monkeypatch):
-    d, n_ranks = 2, len(_UNEQUAL_RANKS["explicit"])
+    d = 2
     calls, _ = _stencil_calls(monkeypatch, _config("BROWNIAN", [33, 33], _UNEQUAL_RANKS))
-    assert calls <= d + d * n_ranks
+    assert calls == 2 * d
 
 
 def test_run_experiment_3d_differentiates_each_projection_once(monkeypatch):
@@ -815,31 +816,28 @@ def test_run_experiment_3d_differentiates_each_projection_once(monkeypatch):
     config = _config("SUM3D", [9, 9, 9], {"sweep": {"from": 1, "to": n_ranks}})
     calls, result = _stencil_calls(monkeypatch, config)
     assert result.passed
-    assert calls <= d + d * n_ranks
+    assert calls == 2 * d
 
 
-def _recording_runs(monkeypatch):
-    """The ``_Run`` of every run made while the patch is in place."""
-    import sobosvd.experiment as experiment
+_SINGLE_MODE_KEYS = ("l2_error_sq", "ek_norm_sq", "ek_error_sq")
 
-    runs = []
 
-    class Recording(experiment._Run):
-        def __init__(self, *args):
-            super().__init__(*args)
-            runs.append(self)
-
-    monkeypatch.setattr(experiment, "_Run", Recording)
-    return runs
+def _single_mode_entries(rep) -> list[tuple]:
+    """Per mode j, the (l2_error_sq, ek_norm_sq, ek_error_sq) of the rank
+    report ``rep``: the projection of mode j onto its first min(r_j, k_max)
+    left vectors. The report holds exactly these keys, one entry per mode."""
+    single = rep["measured"]["single_mode"]
+    assert set(single) == set(_SINGLE_MODE_KEYS)
+    assert len({len(v) for v in single.values()} | {len(rep["rank_vector"])}) == 1
+    return list(zip(*(single[k] for k in _SINGLE_MODE_KEYS)))
 
 
 def test_single_mode_matches_grid_projections():
-    # every entry, for each rank vector on its own and its report, equals
-    # a single-mode projection and its residual built as grid functions and
-    # measured by sobolev_sq in direction j; the keys are exactly the pairs
-    # the rank vector names. The catalog cases are symmetric, so 33x21 and
+    # every single-mode entry of each rank vector's report, the vector on
+    # its own, equals a single-mode projection and its residual built as
+    # grid functions and measured by sobolev_sq in direction j, at
+    # min(r_j, k_max). The catalog cases are symmetric, so 33x21 and
     # 17x13x9 grids tell the modes apart.
-    import sobosvd.experiment as experiment
     from sobosvd.sobolev import _root_sum
     from sobosvd.truncation import _apply_projection, _leading_bases
 
@@ -867,36 +865,35 @@ def test_single_mode_matches_grid_projections():
                 values = [_root_sum(t) ** 2 for t in (tail[:1], *ek)]
                 fresh[j, r] = list(zip(values, scales))
         for rv in itertools.product(range(6), repeat=len(shape)):
-            reports = sv.h1_sandwich(u, [rv], systems=systems, derivs=derivs)
-            cached = experiment._Run(u, systems, derivs, (rv,), reports, sq).single_mode
-            named = {(j, min(r, s.k_max)) for j, (r, s) in enumerate(zip(rv, systems))}
-            assert set(cached) == named, (name, shape, rv)
-            for key, got in cached.items():
+            (rep,) = sv.h1_sandwich(u, [rv], systems=systems, derivs=derivs)
+            for j, got in enumerate(_single_mode_entries(rep)):
+                key = (j, min(rv[j], systems[j].k_max))
                 for g, (want, scale) in zip(got, fresh[key]):
                     assert abs(g - want) <= 1e-13 * scale, (name, shape, rv, key)
 
 
-def test_single_mode_explicit_ranks(monkeypatch):
-    runs = _recording_runs(monkeypatch)
+def test_single_mode_explicit_ranks():
     result = run_experiment(_config("BROWNIAN", [33, 33], _UNEQUAL_RANKS), edge_cases=True)
     statuses = {c["name"]: c["status"] for c in result.report["checks"]}
     # sandwich fails on the unequal vectors through the residual_h1
     # upper bracket (ROADMAP item 3), which no single-mode entry enters
     assert statuses.pop("sandwich") == "fail"
     assert set(statuses.values()) == {"pass"}, statuses
-    (run,) = runs
-    k_max = [s.k_max for s in run.systems]
-    named = {(j, min(rv[j], k_max[j])) for rv in _UNEQUAL_RANKS["explicit"] for j in range(2)}
-    assert set(run.single_mode) == named
+    # one entry per mode per report, the same wherever a pair recurs
+    k_max = [len(s["sigmas"]) for s in result.report["spectra"]]
+    seen = {}
+    for rv, rep in zip(_UNEQUAL_RANKS["explicit"], result.report["reports"]):
+        for j, entry in enumerate(_single_mode_entries(rep)):
+            assert seen.setdefault((j, min(rv[j], k_max[j])), entry) == entry, (rv, j)
+    assert len(seen) == 7
 
 
 @pytest.mark.parametrize("name", ["EXPXY", "BROWNIAN", "SINSUM"])
 @pytest.mark.parametrize("shape", [(17, 25), (33, 21)], ids=["17x25", "33x21"])
-def test_run_experiment_mode_swap_equivariance(monkeypatch, tmp_path, name, shape):
+def test_run_experiment_mode_swap_equivariance(tmp_path, name, shape):
     # u and its transpose, run from sample files with their axes and
-    # ranks swapped, get the same statuses, and the single-mode entry
-    # (j, r) of one is the entry (1 - j, r) of the other
-    runs = _recording_runs(monkeypatch)
+    # ranks swapped, get the same statuses, and each report's single-mode
+    # entry of mode j is the other run's entry of mode 1 - j
     u = sv.sample_case(sv.get_case(name), shape)
     ranks = [[1, 2], [3, 1], [2, 2], [0, 3], [5, 5]]
     results = []
@@ -912,13 +909,14 @@ def test_run_experiment_mode_swap_equivariance(monkeypatch, tmp_path, name, shap
         results.append(run_experiment(cfg, edge_cases=True))
     statuses = [[c["status"] for c in res.report["checks"]] for res in results]
     assert statuses[0] == statuses[1]
-    run, swapped = runs
-    assert {(1 - j, r) for j, r in run.single_mode} == set(swapped.single_mode)
-    for (j, r), entry in run.single_mode.items():
-        ek_scale = run.sq[0] + run.sq[1 + j]
-        scales = (run.sq[0], ek_scale, ek_scale)
-        for got, want, scale in zip(entry, swapped.single_mode[1 - j, r], scales):
-            assert abs(got - want) <= 1e-12 * scale, (j, r)
+    sq = sv.sobolev_sq(u)
+    reports, swapped = (res.report["reports"] for res in results)
+    for rv, rep, rep_t in zip(ranks, reports, swapped):
+        entries, entries_t = _single_mode_entries(rep), _single_mode_entries(rep_t)[::-1]
+        for j, (entry, entry_t) in enumerate(zip(entries, entries_t)):
+            ek_scale = sq[0] + sq[1 + j]
+            for got, want, scale in zip(entry, entry_t, (sq[0], ek_scale, ek_scale)):
+                assert abs(got - want) <= 1e-12 * scale, (rv, j)
 
 
 @pytest.mark.parametrize(

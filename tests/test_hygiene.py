@@ -277,6 +277,18 @@ def test_fd2_stencil_lives_in_discretization_only():
     assert found == []
 
 
+def test_experiment_only_judges_the_rank_reports():
+    # truncation.h1_sandwich measures every projection a check reads;
+    # experiment.py binds no projection, stencil or series kernel
+    names = set()
+    for node in ast.walk(_tree("experiment.py")):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.asname or alias.name for alias in node.names}
+        names |= {getattr(node, "id", None), getattr(node, "attr", None)}
+    kernels = {"_analysis_map", "_stencil_gram", "_fd2", "matricize", "mode_product", "series_split"}
+    assert names & kernels == set()
+
+
 def _loops_mode_svd_over_modes(tree: ast.AST) -> bool:
     """Whether a comprehension over ``range(...)`` calls ``mode_svd``."""
     for node in ast.walk(tree):

@@ -336,6 +336,8 @@ def test_sandwich_batch_is_the_single_calls(name, shape, rvs):
         pairs += [(m_got["approx_h1_sq"], m_want["approx_h1_sq"])]
         pairs += zip(np.square(m_got["ek"]), np.square(m_want["ek"]))
         pairs += zip(m_got["approx_ek_sq"], m_want["approx_ek_sq"])
+        for k in ("l2_error_sq", "ek_norm_sq", "ek_error_sq"):
+            pairs += zip(m_got["single_mode"][k], m_want["single_mode"][k])
         pairs += zip(got["bernstein"], want["bernstein"])
         assert max(abs(a - b) for a, b in pairs) <= tol, got["rank_vector"]
     assert sv.h1_sandwich(u, [], systems=systems, derivs=derivs) == []
@@ -540,6 +542,31 @@ def test_sandwich_bernstein_uses_effective_rank(catalog):
     rep = sv.h1_sandwich(u, [(big, big)], systems=systems, derivs=derivs)[0]
     expected = bernstein_constants(u, systems, derivs, 0, [derivs[0].count])[0]
     assert rep["bernstein"][0] == pytest.approx(expected)
+
+
+def test_sandwich_bernstein_once_per_mode_and_rank(monkeypatch):
+    # a call computes Gamma_j(r) once per distinct mode and clamped rank
+    # its rank vectors name, and none at rank 0: on SUM3D 17^3 over
+    # {0..5}^3, 6 eigenproblems for 216 rank vectors
+    import sobosvd.truncation as truncation
+
+    u = sv.sample_case(sv.get_case("SUM3D"), (17, 17, 17))
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    rvs = list(itertools.product(range(6), repeat=3))
+    want = [rep["bernstein"] for rep in sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs)]
+    calls = []
+    real = truncation._top_ratio
+
+    def counting(gram, r):
+        calls.append(r)
+        return real(gram, r)
+
+    monkeypatch.setattr(truncation, "_top_ratio", counting)
+    reports = sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs)
+    named = {(j, min(r, dv.count)) for rv in rvs for j, (r, dv) in enumerate(zip(rv, derivs))}
+    assert len(calls) == len({(j, r) for j, r in named if r >= 1}) == 6
+    assert [rep["bernstein"] for rep in reports] == want
 
 
 def _random_cube(seed=7, n=12):
