@@ -25,7 +25,7 @@ import numpy as np
 
 from .cases import _grid_sizes, get_case, sample_case
 from .diagnostics import h1_convergence_flag, rate_fit
-from .discretization import UNIFORM_TRAPEZOID_FD2, GridFunction, _sq_l2, inner_l2, make_axis
+from .discretization import UNIFORM_TRAPEZOID_FD2, GridFunction, _sq_l2, make_axis
 from .errors import ConfigError, DegenerateDataError, ModeError, SampleFileError, SobosvdError
 from .sobolev import _root_sum, derivative_data, norm_l2
 from .svd_engine import mode_svd, mode_svds, numerical_rank, retained_count
@@ -442,6 +442,14 @@ def _is(x, name: str) -> bool:
     return isinstance(x, types[name])
 
 
+def _mistyped(values: list, s):
+    """Yield (i, message) for each ``values[i]`` of none of the types ``s`` names."""
+    names = [s] if isinstance(s, str) else s
+    for i, x in enumerate(values):
+        if not _is(x, names[0]) and not any(_is(x, t) for t in names[1:]):
+            yield i, f"{x!r} is not of type {', '.join(map(repr, names))}"
+
+
 def _schema_errors(x, schema: dict, root: dict, path: tuple):
     """Yield (path, message) for each way ``x`` at ``path`` breaks ``schema``,
     in the order and words of jsonschema's Draft 2020-12 validator. Reads the
@@ -452,9 +460,7 @@ def _schema_errors(x, schema: dict, root: dict, path: tuple):
         if key == "$ref":
             yield from _schema_errors(x, root["$defs"][s.removeprefix("#/$defs/")], root, path)
         elif key == "type":
-            names = [s] if isinstance(s, str) else s
-            if not any(_is(x, t) for t in names):
-                yield path, f"{x!r} is not of type {', '.join(map(repr, names))}"
+            yield from ((path, msg) for _, msg in _mistyped([x], s))
         elif key == "const" and x != s:
             yield path, f"{s!r} was expected"
         elif key == "enum" and x not in s:
@@ -482,6 +488,8 @@ def _schema_errors(x, schema: dict, root: dict, path: tuple):
                 yield path, f"Additional properties are not allowed ({listed} unexpected)"
             for k in extra if isinstance(s, dict) else ():
                 yield from _schema_errors(x[k], s, root, (*path, k))
+        elif key == "items" and isinstance(x, list) and s.keys() == {"type"}:
+            yield from (((*path, i), msg) for i, msg in _mistyped(x, s["type"]))
         elif key == "items" and isinstance(x, list):
             for i, item in enumerate(x):
                 yield from _schema_errors(item, s, root, (*path, i))
@@ -598,7 +606,7 @@ def run_experiment(
             }
         )
 
-    u_sq = (inner_l2(u, u), *(dv.du_sq for dv in derivs))
+    u_sq = (derivs[0].u_sq, *(dv.du_sq for dv in derivs))
     sandwich_slack = config.tolerance("sandwich") * _root_sum(u_sq) ** 2
     reports = h1_sandwich(u, rvs, systems=systems, derivs=derivs, slack=sandwich_slack)
     run = _Run(u, systems, derivs, rvs, reports, u_sq)

@@ -93,10 +93,10 @@ class DerivativeData:
     (1/lambda_k) |u| |d_j u|. Only the ``retained_count`` leading
     directions are kept; ``count`` says how many.
 
-    ``du`` is the array D_mode u the transfer differentiates, and
-    ``du_sq`` its squared weighted norm |D_mode u|^2; ``h1_sandwich``'s
-    single-mode measurements read both, and its default slack and a
-    run's norm scales ``du_sq``, instead of differentiating u again.
+    ``du`` is the array D_mode u the transfer differentiates, ``du_sq``
+    its squared weighted norm |D_mode u|^2 and ``u_sq`` |u|^2. The
+    single-mode measurements, default slack and norm scales of a run read
+    them instead of measuring u or differentiating it again.
     """
 
     mode: int
@@ -105,6 +105,7 @@ class DerivativeData:
     bound_values: np.ndarray
     du: np.ndarray
     du_sq: float
+    u_sq: float
 
     @property
     def count(self) -> int:
@@ -138,9 +139,8 @@ def derivative_data(u: GridFunction, system: SingularSystem) -> DerivativeData:
     ) / system.sigmas[:m][None, :]
 
     dpsi = np.sqrt(np.maximum(np.einsum("ik,i,ik->k", gammas, w, gammas), 0.0))
-    u_norm = norm_l2(u)
-    du_sq = inner_l2(du, du)
-    du_norm = float(np.sqrt(max(du_sq, 0.0)))
+    u_sq, du_sq = _sq_l2(u.values, u.axes), inner_l2(du, du)
+    u_norm, du_norm = (float(np.sqrt(max(sq, 0.0))) for sq in (u_sq, du_sq))
     lam = system.sigmas[:m] ** 2
     bounds = u_norm * du_norm / lam
     return DerivativeData(
@@ -150,4 +150,5 @@ def derivative_data(u: GridFunction, system: SingularSystem) -> DerivativeData:
         bound_values=bounds,
         du=du.values,
         du_sq=du_sq,
+        u_sq=u_sq,
     )

@@ -185,16 +185,16 @@ class SingularSystem:
 
 
 def _fix_signs(vectors: np.ndarray, partners: np.ndarray | None = None) -> None:
-    """Flip columns in place so each one's largest-magnitude entry is positive.
+    """Flip columns in place (times -1.0, exact) so each one's largest-magnitude entry is positive.
 
     The matching columns of ``partners`` (the other side, which may hold
     only the leading columns) are flipped with them.
     """
     pick = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[pick, np.arange(vectors.shape[1])] < 0
-    vectors[:, flip] *= -1.0
+    sign = np.where(vectors[pick, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    vectors *= sign
     if partners is not None:
-        partners[:, flip[: partners.shape[1]]] *= -1.0
+        partners *= sign[: partners.shape[1]]
 
 
 def _system(left, sigmas, right, row_weights, col_weights, mode) -> SingularSystem:

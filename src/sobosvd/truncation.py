@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretization import GridFunction, _fd2, _sq_l2, inner_l2
+from .discretization import GridFunction, _fd2, _sq_l2
 from .errors import ModeError, SobosvdError
 from .sobolev import DerivativeData, _root_sum, norm_l2
 from .svd_engine import SingularSystem, _fix_signs
@@ -57,27 +57,25 @@ def series_split(
     Sobolev series of the rank-r truncation and its error; none, the
     plain squared spectrum. Directions dropped by the retain threshold
     carry spectral weight below noise; they enter with their L2 mass only.
-    Raises ModeError unless 0 <= r <= k_max.
+    Kept terms are summed forward from k = 0, the tail from the far end
+    (never as total minus kept). Raises ModeError unless 0 <= r <= k_max.
     """
     r = int(r)
     if not 0 <= r <= system.k_max:
         raise ModeError(f"rank {r} out of range, decomposition has {system.k_max} directions")
-    return _split(_series_terms(system, *derivs), r)
+    return SeriesSplit(*(sums[r] for sums in _series_sums(system, *derivs)))
 
 
-def _series_terms(system: SingularSystem, *derivs: DerivativeData) -> np.ndarray:
-    """The terms sigma_k^2 (1 + sum_i |dpsi_k|^2) that ``series_split`` sums."""
+def _series_sums(system: SingularSystem, *derivs: DerivativeData) -> tuple[list, list]:
+    """The sums ``series_split`` reads, (kept, tail), each over r = 0..k_max."""
     factor = 1.0
     for deriv in derivs:
         dpsi = np.zeros(system.k_max)
         m = min(deriv.count, system.k_max)
         dpsi[:m] = deriv.dpsi_norms[:m]
         factor = factor + dpsi**2
-    return system.sigmas**2 * factor
-
-
-def _split(terms: np.ndarray, r: int) -> SeriesSplit:
-    return SeriesSplit(float(np.sum(terms[:r])), float(np.sum(terms[r:])))
+    t = system.sigmas**2 * factor
+    return np.cumsum(np.r_[0.0, t]).tolist(), np.cumsum(np.r_[0.0, t[::-1]])[::-1].tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +124,11 @@ def _stencil_gram(u: GridFunction, q: np.ndarray, mode: int) -> tuple[np.ndarray
     return dq, _analysis_map(u, dq, mode) @ dq
 
 
-def _single_mode_sq(u: GridFunction, system, deriv, q, dq, g, u_sq: float) -> dict:
+def _single_mode_sq(u: GridFunction, system, deriv, q, dq, g) -> dict:
     """|u - P u|^2, |P u|_e^2 and |u - P u|_e^2, each a list over r = 0, 1,
     ..., P the projection of the system's mode e onto the first r columns
     of ``q``: ``h1_sandwich``'s single-mode pass, with D q and its Gram in
-    ``dq`` and ``g``, D u and |D u|^2 in ``deriv`` and |u|^2 in ``u_sq``."""
+    ``dq`` and ``g``, and D u, |D u|^2 and |u|^2 in ``deriv``."""
     j = system.mode
     c = _analysis_map(u, q, j) @ matricize(u.values, j)
     cw = c * system.col_weights
@@ -138,7 +136,7 @@ def _single_mode_sq(u: GridFunction, system, deriv, q, dq, g, u_sq: float) -> di
     kept = np.cumsum(np.r_[0.0, np.diag(h)])
     dkept = np.r_[0.0, np.diag(np.cumsum(np.cumsum(g * h, 0), 1))]
     cross = np.cumsum(np.r_[0.0, np.einsum("kc,kc->k", e, cw)])
-    tails = list(zip(u_sq - kept, deriv.du_sq - 2.0 * cross + dkept))
+    tails = list(zip(deriv.u_sq - kept, deriv.du_sq - 2.0 * cross + dkept))
     sums = ([t[:1] for t in tails], zip(kept, dkept), tails)
     keys = ("l2_error_sq", "ek_norm_sq", "ek_error_sq")
     return {key: [_root_sum(t) ** 2 for t in terms] for key, terms in zip(keys, sums)}
@@ -165,15 +163,14 @@ def _core_sobolev_sq(core: np.ndarray, mass, stiff) -> list[float]:
     """(|P u|^2, |D_0 P u|^2, ...) of the projection with coefficients
     ``core``: <C x_i M_i, C>, then the same with G_j in place of M_j for
     each j, with M_j = ``mass[j]`` and G_j = ``stiff[j]`` cut to the
-    leading block that ``core`` has entries for."""
-
-    def form(grams) -> float:
-        t = core
-        for j, g in enumerate(grams):
-            t = _mode_product(t, g[: core.shape[j], : core.shape[j]], j)
-        return float(np.vdot(t, core))
-
-    return [form(mass), *(form([*mass[:j], g, *mass[j + 1 :]]) for j, g in enumerate(stiff))]
+    leading block that ``core`` has entries for; paired as in ``h1_sandwich``."""
+    k, n = core.ndim - 1, core.shape
+    m, g = ([a[: n[j], : n[j]] for j, a in enumerate(grams)] for grams in (mass, stiff))
+    heads = [core]  # M_i in every mode so far, then G_j in mode j
+    for j in range(k):
+        heads = [_mode_product(h, m[j], j) for h in heads] + [_mode_product(heads[0], g[j], j)]
+    tm, tg = (_mode_product(core, a[k].T, k) for a in (m, g))
+    return [float(np.vdot(h, tm)) for h in heads] + [float(np.vdot(heads[0], tg))]
 
 
 def _apply_projection(u: GridFunction, bases: dict[int, np.ndarray]) -> np.ndarray:
@@ -314,7 +311,11 @@ def h1_sandwich(
         |P u|_0^2 = <C x_i M_i, C>,   |D_j P u|_0^2 = <C x_j G_j x_{i != j} M_i, C>.
 
     M_j is computed rather than taken as the identity, so the kept side
-    does not lean on the orthonormality of the bases.
+    does not lean on the orthonormality of the bases. Each form is paired
+    exactly, <C x_i A_i, C> = <C x_{i<l} A_i, C x_l A_l^T> with l = d - 1:
+    C x_l M_l^T and C x_l G_l^T are formed once per core, and the heads
+    over the other modes share prefixes (4 mode products in 2D, 7 in 3D,
+    not 6 and 12). The transpose stays: M_l, G_l are symmetric to roundoff.
 
     The residual is measured on the grid once per call, at the largest
     ranks. With P' that projection, C' = u x_i Q_i^T W_i its core (the
@@ -337,9 +338,10 @@ def h1_sandwich(
     (C' x_i M_i = C') and the X terms sum over the entries outside C, so
     the roundoff stays at the grid measurement's eps |u| |u - P u|. (The
     form |u|^2 - |P u|^2 would carry about eps |u|^2 into deep tails.)
-    The series terms and each mode's Gram Gamma^T W Gamma are formed once
-    and sliced per rank vector, and each Bernstein constant is computed
-    once per mode and clamped rank the call names.
+    Each mode's series are summed once per call into prefix sums by the
+    kernel of ``series_split``, so the two agree bit for bit: kept sums
+    forward, tails from the far end. Each Gamma^T W Gamma is formed once
+    per mode, each Bernstein constant once per mode and clamped rank.
 
     The same pass measures each single-mode projection P_j, onto the
     first r_j left vectors of mode j, in coefficient space: with M the
@@ -415,9 +417,8 @@ def h1_sandwich(
     systems, derivs = _per_mode(systems, d, "systems"), _per_mode(derivs, d, "derivs")
     if not rvs:
         return []
-    u_sq = (inner_l2(u, u), *(dv.du_sq for dv in derivs))
     if slack is None:
-        slack = _SANDWICH_RTOL * _root_sum(u_sq) ** 2
+        slack = _SANDWICH_RTOL * _root_sum((derivs[0].u_sq, *(dv.du_sq for dv in derivs))) ** 2
     slack = float(slack)
 
     top = [max(min(rv[j], s.k_max) for rv in rvs) for j, s in enumerate(systems)]
@@ -428,12 +429,12 @@ def h1_sandwich(
     dq, stiff = zip(*(_stencil_gram(u, q, j) for j, q in bases.items()))
     top_coeffs, top_sq = _grid_residual(u, core, bases, dq)
     args = zip(systems, derivs, bases.values(), dq, stiff)
-    single = [_single_mode_sq(u, s, dv, q, dqj, g, u_sq[0]) for s, dv, q, dqj, g in args]
-    # per mode: sigma^2 (1 + dpsi^2), plain sigma^2 and Gamma^T W Gamma
-    terms_w = [_series_terms(s, dv) for s, dv in zip(systems, derivs)]
-    terms_sq = [_series_terms(s) for s in systems]
+    single = [_single_mode_sq(u, s, dv, q, dqj, g) for s, dv, q, dqj, g in args]
+    # per mode: prefix sums of sigma^2 (1 + dpsi^2) and of sigma^2, and Gamma^T W Gamma
+    sums_w = [_series_sums(s, dv) for s, dv in zip(systems, derivs)]
+    sums_sq = [_series_sums(s) for s in systems]
     grams = [_gamma_gram(s, dv, min(t, dv.count)) for s, dv, t in zip(systems, derivs, top)]
-    h1_terms = _series_terms(systems[0], *derivs) if d == 2 else None
+    h1_sums = _series_sums(systems[0], *derivs) if d == 2 else None
     # per mode: Gamma_j at each clamped rank the call names
     bernstein = [
         {r: _top_ratio(g, r) if r >= 1 else 1.0 for r in {min(rv[j], dv.count) for rv in rvs}}
@@ -453,12 +454,12 @@ def h1_sandwich(
         approx_h1_sq = _root_sum(approx_sq) ** 2
         l2, h1 = _root_sum(resid_sq[:1]), _root_sum(resid_sq)
 
-        kept_w, tail_w = zip(*(_split(t, c) for t, c in zip(terms_w, cut)))
-        kept_sq, tail_sq = zip(*(_split(t, c) for t, c in zip(terms_sq, cut)))
+        kept_w, tail_w = ([a[c] for a, c in zip(side, cut)] for side in zip(*sums_w))
+        kept_sq, tail_sq = ([a[c] for a, c in zip(side, cut)] for side in zip(*sums_sq))
         l2_tail_sq_sum, l2_floor = float(np.sum(tail_sq)), max(tail_sq)
-        h1_series = SeriesSplit(None, None)  # the two-sided series needs d = 2
+        h1_norm_sq = h1_error_sq = None  # the two-sided series needs d = 2
         if d == 2:
-            h1_series = _split(h1_terms, min(*rv, systems[0].k_max))
+            h1_norm_sq, h1_error_sq = (a[min(*rv, systems[0].k_max)] for a in h1_sums)
 
         bounds = {
             "l2_tail_sq_sum": l2_tail_sq_sum,
@@ -485,11 +486,11 @@ def h1_sandwich(
                 "single_mode": {k: [s[k][c] for s, c in zip(single, cut)] for k in single[0]},
             },
             "series": {
-                "h1_norm_sq": h1_series.norm_sq,
-                "h1_error_sq": h1_series.error_sq,
-                "ek_norm_sq": list(kept_w),
-                "ek_error_sq": list(tail_w),
-                "l2_error_sq": list(tail_sq),
+                "h1_norm_sq": h1_norm_sq,
+                "h1_error_sq": h1_error_sq,
+                "ek_norm_sq": kept_w,
+                "ek_error_sq": tail_w,
+                "l2_error_sq": tail_sq,
             },
             "bounds": bounds,
             "bernstein": [b[min(r, dv.count)] for b, r, dv in zip(bernstein, rv, derivs)],

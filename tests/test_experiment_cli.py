@@ -819,6 +819,28 @@ def test_run_experiment_3d_differentiates_each_projection_once(monkeypatch):
     assert calls == 2 * d
 
 
+@pytest.mark.parametrize("case, n", [("BROWNIAN", [33, 33]), ("SUM3D", [9, 9, 9])])
+def test_run_experiment_sums_u_squared_in_the_derivative_transfer_only(monkeypatch, case, n):
+    # |u|^2 is measured with each mode's derivative data, d grid sums of
+    # u^2 per run; the run's norm scales and h1_sandwich read derivs' u_sq
+    import sobosvd.discretization as discretization
+
+    u = sv.sample_case(sv.get_case(case), tuple(n))
+    real, u_squared, sums = discretization._weighted_sum, u.values * u.values, []
+
+    def counting(values, axes):
+        if values.shape == u.shape and np.array_equal(values, u_squared):
+            sums.append(values.shape)
+        return real(values, axes)
+
+    monkeypatch.setattr(discretization, "_weighted_sum", counting)
+    result = run_experiment(_config(case, n, {"sweep": {"from": 1, "to": 3}}))
+    assert result.passed
+    assert len(sums) == u.ndim
+    derivs = [sv.derivative_data(u, s) for s in sv.mode_svds(u)]
+    assert all(dv.u_sq == sv.inner_l2(u, u) for dv in derivs)
+
+
 _SINGLE_MODE_KEYS = ("l2_error_sq", "ek_norm_sq", "ek_error_sq")
 
 

@@ -301,6 +301,11 @@ def _report_mutations(report: dict):
     for field, value in [("sigmas", [True]), ("mode", -1), ("retained", 1.5), ("extra", 1)]:
         yield {**report, "spectra": [{**report["spectra"][0], field: value}]}
     yield {**report, "spectra": [{k: v for k, v in report["spectra"][0].items() if k != "mode"}]}
+    # a bool, a string and a null inside a number array, past its first entry
+    sigmas = report["spectra"][0]["sigmas"]
+    for bad in (True, "0.5", None):
+        spectrum = {**report["spectra"][0], "sigmas": [*sigmas[:1], bad, *sigmas[1:]]}
+        yield {**report, "spectra": [spectrum, *report["spectra"][1:]]}
     yield {**report, "reports": [[]]}
 
 

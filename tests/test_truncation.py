@@ -90,6 +90,71 @@ def test_series_split_rank_range(catalog):
             sv.series_split(s, r, *derivs)
 
 
+@pytest.mark.parametrize(
+    "shape, top", [((5, 7), (8, 9)), ((4, 0), (6, 3)), ((4, 3, 5), (6, 4, 7)), ((2, 0, 3), (3, 2, 4))]
+)
+def test_core_sobolev_sq_is_the_nested_definition(shape, top):
+    # the paired forms <C x_{i<l} A_i, C x_l A_l^T> are the nested forms
+    # <C x_0 A_0 ... x_l A_l, C>, on Grams larger than the core (cut to its
+    # block) and not symmetric, so that a dropped transpose fails
+    from sobosvd.tensor_core import mode_product
+    from sobosvd.truncation import _core_sobolev_sq
+
+    rng = np.random.default_rng(27)
+    core = rng.standard_normal(shape)
+    mass, stiff = ([rng.standard_normal((n, n)) for n in top] for _ in range(2))
+
+    def nested(grams, c):
+        t = c
+        for j, g in enumerate(grams):
+            t = mode_product(t, g[: c.shape[j], : c.shape[j]], j)
+        return float(np.vdot(t, c))
+
+    def forms(grams_m, grams_g, c=core):
+        return [nested(grams_m, c)] + [
+            nested([*grams_m[:j], g, *grams_m[j + 1 :]], c) for j, g in enumerate(grams_g)
+        ]
+
+    want = forms(mass, stiff)
+    tol = 1e-14 * max(forms([np.abs(m) for m in mass], [np.abs(g) for g in stiff], np.abs(core)))
+    got = _core_sobolev_sq(core, mass, stiff)
+    assert len(got) == core.ndim + 1
+    assert max(abs(a - b) for a, b in zip(got, want)) <= tol
+    if core.size:
+        # the last mode's Grams transposed: what dropping the transpose gives
+        flipped = [[*grams[:-1], grams[-1].T] for grams in (mass, stiff)]
+        wrong = _core_sobolev_sq(core, *flipped)
+        assert max(abs(a - b) for a, b in zip(wrong, want)) > 1e6 * tol
+
+
+@pytest.mark.parametrize(
+    "name, shape, ranks",
+    [
+        # k_max is 17 in both modes, so 20 and 23 ask mode 1 for more
+        ("BROWNIAN", (17, 23), ((0, 1, 4, 16, 17), (0, 2, 17, 20, 23))),
+        ("SUM3D", (9, 11, 13), ((0, 1, 9), (0, 3, 11), (0, 5, 13))),
+    ],
+)
+def test_sandwich_series_is_series_split_bit_for_bit(name, shape, ranks):
+    # every series entry of a rank report is series_split at the clamped
+    # rank, bit for bit: one prefix-sum kernel, r = 0 and r = k_max included
+    u = sv.sample_case(sv.get_case(name), shape)
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    rvs = list(itertools.product(*ranks))
+    if u.ndim == 2:
+        rvs += [(r, r) for r in range(systems[0].k_max + 1)]
+    for rv, rep in zip(rvs, sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs)):
+        series, cut = rep["series"], [min(r, s.k_max) for r, s in zip(rv, systems)]
+        for j, (s, dv, c) in enumerate(zip(systems, derivs, cut)):
+            ek = sv.series_split(s, c, dv)
+            assert (series["ek_norm_sq"][j], series["ek_error_sq"][j]) == ek, (rv, j)
+            assert series["l2_error_sq"][j] == sv.series_split(s, c).error_sq, (rv, j)
+        if u.ndim == 2:
+            h1 = sv.series_split(systems[0], min(*rv, systems[0].k_max), *derivs)
+            assert (series["h1_norm_sq"], series["h1_error_sq"]) == h1, rv
+
+
 def test_hosvd_project_caps_rank():
     u = sv.sample_case(sv.get_case("SEP3D"), (9, 9, 9))
     systems = sv.mode_svds(u)
