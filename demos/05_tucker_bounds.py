@@ -4,11 +4,15 @@ For more than two variables the truncated decomposition of each mode
 composes into a Tucker-type projection. Its L2 error is controlled by
 the sum of the spectral tails, alternating refinement can only improve
 it, and the Sobolev report brackets both the approximation and the
-residual between computable bounds.
+residual between computable bounds, which a run's checks then judge.
 """
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 import sobosvd as sv
+from sobosvd.experiment import ExperimentConfig, run_experiment, save_samples
 
 
 def main():
@@ -29,16 +33,36 @@ def main():
         tail = np.sqrt(sum(float(np.sum(s.sigmas[r:] ** 2)) for s in systems))
         print(f"{r:>4}   {e_s:12.6f}   {e_h:12.6f}   {tail:12.6f}")
 
-    print("\nSobolev report at rank (2, 2, 2):")
+    print("\nSobolev report at rank (2, 2, 2): lower <= measured <= upper")
     (rep,) = sv.h1_sandwich(u, [(2, 2, 2)], systems=systems, derivs=derivs)
-    for name, check in rep["checks"].items():
-        print(
-            f"  {name:12} {check['lower']:12.6f} <= {check['value']:12.6f} "
-            f"<= {check['upper']:12.6f}   holds: {check['holds']}"
-        )
-    print(f"  all brackets hold: {all(c['holds'] for c in rep['checks'].values())}")
+    bounds, measured = rep["bounds"], rep["measured"]
+    floor = max(rep["series"]["l2_error_sq"])  # the largest per-mode L2 tail
+    brackets = {
+        "|Pu|_1^2": (bounds["norm_lower"], measured["approx_h1_sq"], bounds["norm_upper"]),
+        "|u-Pu|_1^2": (bounds["h1_lower"], measured["h1"] ** 2, bounds["h1_upper"]),
+        "|u-Pu|_0^2": (floor, measured["l2"] ** 2, bounds["l2_tail_sq_sum"]),
+        "quasi-opt": (floor, measured["l2"] ** 2, bounds["quasi_opt_reference"]),
+    }
+    for name, (lower, value, upper) in brackets.items():
+        print(f"  {name:12} {lower:12.6f} <= {value:12.6f} <= {upper:12.6f}")
     print(f"  norm ratio constants per mode: {[round(g, 3) for g in rep['bernstein']]}")
 
+    # the report holds no verdict: a run's checks judge the brackets
+    with tempfile.TemporaryDirectory() as tmp:
+        save_samples(u, Path(tmp) / "u.raw")
+        config = ExperimentConfig.from_dict(
+            {
+                "function": {"file": "u.raw"},
+                "ranks": {"explicit": [[2, 2, 2]]},
+                "checks": ["hosvd_bound", "quasi_opt", "sandwich"],
+            },
+            base_dir=tmp,
+        )
+        result = run_experiment(config)
+    print("\nrun verdict at rank (2, 2, 2):")
+    for check in result.report["checks"]:
+        print(f"  {check['name']:12} {check['status']}   worst {check['worst']:.3e}")
+    print(f"  passed: {result.passed}")
 
 if __name__ == "__main__":
     main()

@@ -95,8 +95,8 @@ class DerivativeData:
 
     ``du`` is the array D_mode u the transfer differentiates, ``du_sq``
     its squared weighted norm |D_mode u|^2 and ``u_sq`` |u|^2. The
-    single-mode measurements, default slack and norm scales of a run read
-    them instead of measuring u or differentiating it again.
+    single-mode measurements and the norm scales of a run read them
+    instead of measuring u or differentiating it again.
     """
 
     mode: int

@@ -36,7 +36,6 @@ from .svd_engine import SingularSystem, _fix_signs
 from .tensor_core import _mode_product, check_mode, matricize, mode_product
 
 _HOOI_TOL = 1e-12  # hooi's stop rule, relative to the L2 norm of u
-_SANDWICH_RTOL = 1e-9  # h1_sandwich's default slack, relative to |u|_1^2
 
 
 class SeriesSplit(NamedTuple):
@@ -294,7 +293,6 @@ def h1_sandwich(
     *,
     systems: tuple[SingularSystem, ...],
     derivs: tuple[DerivativeData, ...],
-    slack: float | None = None,
 ) -> list[dict]:
     """Measure the truncation at each rank vector and evaluate its bounds.
 
@@ -314,8 +312,8 @@ def h1_sandwich(
     does not lean on the orthonormality of the bases. Each form is paired
     exactly, <C x_i A_i, C> = <C x_{i<l} A_i, C x_l A_l^T> with l = d - 1:
     C x_l M_l^T and C x_l G_l^T are formed once per core, and the heads
-    over the other modes share prefixes (4 mode products in 2D, 7 in 3D,
-    not 6 and 12). The transpose stays: M_l, G_l are symmetric to roundoff.
+    over the other modes share prefixes (4 mode products in 2D, 7 in
+    3D). The transpose stays: M_l, G_l are symmetric to roundoff.
 
     The residual is measured on the grid once per call, at the largest
     ranks. With P' that projection, C' = u x_i Q_i^T W_i its core (the
@@ -376,11 +374,10 @@ def h1_sandwich(
       square root of the top eigenvalue of I + Gamma^T W Gamma over the
       first r_j transferred derivatives, r_j capped at the retained
       count; at least one, and 1.0 at rank 0. The package computes it
-      here only;
-    - ``slack`` and ``checks``: the triples ``lower``, ``value``,
-      ``upper`` of ``approx_h1``, ``residual_h1``, ``residual_l2`` and
-      ``quasi_opt``, each with ``holds``, lower - slack <= value <=
-      upper + slack.
+      here only.
+
+    A report judges nothing: the run's checks read its brackets
+    (``experiment._brackets``) and give the one verdict.
 
     ``bounds.norm_lower`` is |u|_0^2 minus the per-mode L2 tail sum,
     floored at zero: for the orthogonal projection P, |P u|_1^2 >=
@@ -394,32 +391,20 @@ def h1_sandwich(
 
     the last step because the mode-j unfolding of u* has rank <= r_j, so
     |u - u*|_0^2 >= tail_j by Eckart-Young. The check thus follows from
-    the ``residual_l2`` bracket up to slack; it still compares a grid
+    the ``residual_l2`` bracket up to tolerance; it still compares a grid
     measurement with a spectral quantity. In 2D it is d times the exact
     optimum, the tail of the rank-min(r_0, r_1) truncation.
 
-    Both L2 triples have the lower side max_j tail_j: with P_{-j} the
+    Both L2 brackets have the lower side max_j tail_j: with P_{-j} the
     projection on the modes other than j, u - P u = (u - P_j u) +
     P_j (u - P_{-j} u), two orthogonal terms, so |u - P u|_0^2 >= tail_j;
     in 2D this is an equality (Eckart-Young).
-
-    ``slack`` widens every bracket; the default is ``_SANDWICH_RTOL``
-    times |u|_1^2, so the verdicts do not depend on the scale of u.
-    |u|_1^2 is summed from |u|^2 and the |D_j u|^2 in ``derivs``. The
-    one slack is H1-scaled in all four ``holds``, the two L2 brackets
-    included, while a run's ``hosvd_bound`` and ``quasi_opt`` checks
-    judge those triples at their own tolerance, by default 1e-10
-    |u|_0^2. So with the default tolerances ``residual_l2.holds`` can
-    read true where ``hosvd_bound`` fails, never the other way round.
     """
     rvs = [_check_rank_vector(rv, u.shape) for rv in rank_vectors]
     d = u.ndim
     systems, derivs = _per_mode(systems, d, "systems"), _per_mode(derivs, d, "derivs")
     if not rvs:
         return []
-    if slack is None:
-        slack = _SANDWICH_RTOL * _root_sum((derivs[0].u_sq, *(dv.du_sq for dv in derivs))) ** 2
-    slack = float(slack)
 
     top = [max(min(rv[j], s.k_max) for rv in rvs) for j, s in enumerate(systems)]
     bases = _leading_bases(systems, top)
@@ -451,37 +436,21 @@ def h1_sandwich(
         resid_sq = [
             t + 2.0 * float(np.vdot(c, comp)) + q for t, c, q in zip(top_sq, top_coeffs, quad)
         ]
-        approx_h1_sq = _root_sum(approx_sq) ** 2
-        l2, h1 = _root_sum(resid_sq[:1]), _root_sum(resid_sq)
 
         kept_w, tail_w = ([a[c] for a, c in zip(side, cut)] for side in zip(*sums_w))
         kept_sq, tail_sq = ([a[c] for a, c in zip(side, cut)] for side in zip(*sums_sq))
-        l2_tail_sq_sum, l2_floor = float(np.sum(tail_sq)), max(tail_sq)
+        l2_tail_sq_sum = float(np.sum(tail_sq))
         h1_norm_sq = h1_error_sq = None  # the two-sided series needs d = 2
         if d == 2:
             h1_norm_sq, h1_error_sq = (a[min(*rv, systems[0].k_max)] for a in h1_sums)
 
-        bounds = {
-            "l2_tail_sq_sum": l2_tail_sq_sum,
-            "quasi_opt_reference": d * l2_floor,
-            "h1_lower": float(np.max(tail_w)),
-            "h1_upper": float(np.sum(tail_w) + l2_tail_sq_sum),
-            "norm_lower": max(0.0, kept_sq[0] + tail_sq[0] - l2_tail_sq_sum),
-            "norm_upper": float(np.sum(kept_w)),
-        }
-        triples = {
-            "approx_h1": (bounds["norm_lower"], approx_h1_sq, bounds["norm_upper"]),
-            "residual_h1": (bounds["h1_lower"], h1**2, bounds["h1_upper"]),
-            "residual_l2": (l2_floor, l2**2, l2_tail_sq_sum),
-            "quasi_opt": (l2_floor, l2**2, bounds["quasi_opt_reference"]),
-        }
         return {
             "rank_vector": list(rv),
             "measured": {
-                "l2": l2,
-                "h1": h1,
+                "l2": _root_sum(resid_sq[:1]),
+                "h1": _root_sum(resid_sq),
                 "ek": [_root_sum((resid_sq[0], dsq)) for dsq in resid_sq[1:]],
-                "approx_h1_sq": approx_h1_sq,
+                "approx_h1_sq": _root_sum(approx_sq) ** 2,
                 "approx_ek_sq": [_root_sum((approx_sq[0], dsq)) ** 2 for dsq in approx_sq[1:]],
                 "single_mode": {k: [s[k][c] for s, c in zip(single, cut)] for k in single[0]},
             },
@@ -492,13 +461,15 @@ def h1_sandwich(
                 "ek_error_sq": tail_w,
                 "l2_error_sq": tail_sq,
             },
-            "bounds": bounds,
-            "bernstein": [b[min(r, dv.count)] for b, r, dv in zip(bernstein, rv, derivs)],
-            "slack": slack,
-            "checks": {
-                name: {"lower": lo, "value": v, "upper": hi, "holds": lo - slack <= v <= hi + slack}
-                for name, (lo, v, hi) in triples.items()
+            "bounds": {
+                "l2_tail_sq_sum": l2_tail_sq_sum,
+                "quasi_opt_reference": d * max(tail_sq),
+                "h1_lower": float(np.max(tail_w)),
+                "h1_upper": float(np.sum(tail_w) + l2_tail_sq_sum),
+                "norm_lower": max(0.0, kept_sq[0] + tail_sq[0] - l2_tail_sq_sum),
+                "norm_upper": float(np.sum(kept_w)),
             },
+            "bernstein": [b[min(r, dv.count)] for b, r, dv in zip(bernstein, rv, derivs)],
         }
 
     return [report(rv) for rv in rvs]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sobosvd as sv
+from sobosvd.experiment import _brackets
 
 _GRIDS = {
     "SEP1": (65, 65),
@@ -146,6 +147,13 @@ def assert_weighted_svd(system, matrix=None):
     for name, err in errs.items():
         assert err <= _SVD_TOL, f"reconstruction ({name}) off by {err:.3e}"
     return rebuilt
+
+
+def bracket_holds(rep, slack):
+    """Bracket name -> whether lower - slack <= value <= upper + slack, for
+    each bracket of the rank report ``rep`` as ``experiment._brackets``
+    reads it: a test's own verdict, at the slack the test chooses."""
+    return {name: lo - slack <= v <= hi + slack for name, (lo, v, hi) in _brackets(rep).items()}
 
 
 def bernstein_constants(u, systems, derivs, j, ranks):

@@ -21,6 +21,8 @@ from sobosvd.experiment import (
     save_samples,
 )
 
+from conftest import bracket_holds
+
 _ENV_VARS = (
     "SOBOSVD_THREADS",
     "OMP_NUM_THREADS",
@@ -319,8 +321,7 @@ def test_run_experiment_catalog_case(tmp_path):
     assert result.report_path is not None and result.report_path.exists()
     on_disk = json.loads(result.report_path.read_text("utf-8"))
     assert on_disk["passed"] is True
-    flags = [c["holds"] for rep in on_disk["reports"] for c in rep["checks"].values()]
-    assert flags and all(type(f) is bool for f in flags), flags
+    assert on_disk == result.report
     assert not list((tmp_path / "out").glob("*.tmp"))
 
 
@@ -392,7 +393,7 @@ def test_run_experiment_from_sample_file(tmp_path):
 
 def test_report_holds_flags_scale_invariant(tmp_path):
     # EXPXY (1, 2) violates the residual H1 bracket at every scale; the
-    # per-report flags must say so as the sandwich check does
+    # sandwich check, the one verdict, must say so at each of them
     u = sv.sample_case(sv.get_case("EXPXY"), (33, 33))
     seen = {}
     for c in (1e-6, 1.0, 1e6):
@@ -405,12 +406,8 @@ def test_report_holds_flags_scale_invariant(tmp_path):
             },
             base_dir=tmp_path,
         )
-        report = run_experiment(cfg).report
-        seen[c] = (
-            [{k: ch["holds"] for k, ch in rep["checks"].items()} for rep in report["reports"]],
-            [ch["status"] for ch in report["checks"]],
-        )
-    assert seen[1e-6] == seen[1.0] == seen[1e6], seen
+        seen[c] = [ch["status"] for ch in run_experiment(cfg).report["checks"]]
+    assert seen[1e-6] == seen[1.0] == seen[1e6] == ["fail"], seen
 
 
 def test_run_experiment_config_errors(tmp_path):
@@ -993,9 +990,9 @@ def test_diagnostics_bernstein_slope_needs_three_retained_ranks():
     "check, path",
     [
         ("h1_identity", "measured.h1"),
-        ("hosvd_bound", "checks.residual_l2.value"),
-        ("quasi_opt", "checks.quasi_opt.value"),
-        ("sandwich", "checks.residual_h1.value"),
+        ("hosvd_bound", "measured.l2"),
+        ("quasi_opt", "measured.l2"),
+        ("sandwich", "measured.h1"),
     ],
 )
 def test_check_with_nan_defect_fails(check, path):
@@ -1032,7 +1029,7 @@ def test_check_with_nan_defect_fails(check, path):
 @pytest.mark.parametrize("case, n", [("SINSUM", 17), ("SUM3D", 9)])
 def test_l2_bracket_floor_is_judged(case, n):
     # both L2 checks judge the lower side max_j tail_j: a measured
-    # |u - Pu|^2 (the value of both triples) pushed below it by twice
+    # |u - Pu|^2 (the value of both brackets) pushed below it by twice
     # the tolerance, relative to |u|^2, fails hosvd_bound and quasi_opt
     import sobosvd.experiment as experiment
 
@@ -1046,13 +1043,56 @@ def test_l2_bracket_floor_is_judged(case, n):
     tol = 1e-10
     assert all(check(run, tol)[0] == "pass" for check in checks.values())
 
-    pushed = reps[1]["checks"]["residual_l2"]["lower"] - 2 * tol * sv.norm_l2(u) ** 2
-    for key in ("residual_l2", "quasi_opt"):
-        reps[1]["checks"][key]["value"] = pushed
+    # at rank 1, where the floor is far above 2 tol |u|^2 in both cases
+    pushed = max(reps[0]["series"]["l2_error_sq"]) - 2 * tol * sv.norm_l2(u) ** 2
+    reps[0]["measured"]["l2"] = pushed**0.5
     for name, check in checks.items():
         status, worst, _ = check(run, tol)
         assert status == "fail", name
         assert worst == pytest.approx(2 * tol, rel=1e-6), name
+
+
+@pytest.mark.parametrize("case, n", [("SINSUM", 17), ("SUM3D", 9)])
+def test_each_bracket_is_judged_by_its_check(case, n):
+    # a bracket's upper side moved below its value by twice the owning
+    # check's default tolerance, relative to that check's norm scale,
+    # fails exactly that check. The upper side moves, not the value:
+    # measured.l2 is the value of both L2 brackets, and h1_identity reads
+    # measured.h1 and approx_h1_sq too, while each bounds key is one
+    # bracket's side only
+    import copy
+
+    import sobosvd.experiment as experiment
+
+    analytic = sv.get_case(case)
+    u = sv.sample_case(analytic, (n,) * analytic.dim)
+    systems = sv.mode_svds(u)
+    derivs = tuple(sv.derivative_data(u, s) for s in systems)
+    rvs = [(r,) * u.ndim for r in (1, 2)]
+    good = sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs)
+    run = experiment._Run(u, systems, derivs, tuple(rvs), good, sv.sobolev_sq(u))
+
+    def failing(reps):
+        bad_run = dataclasses.replace(run, reports=reps)
+        table = experiment._CHECKS.items()
+        return [name for name, (check, tol) in table if check(bad_run, tol)[0] == "fail"]
+
+    assert failing(good) == []
+    owners = {
+        "approx_h1": ("sandwich", "norm_upper", "h1"),
+        "residual_h1": ("sandwich", "h1_upper", "h1"),
+        "residual_l2": ("hosvd_bound", "l2_tail_sq_sum", "l2"),
+        "quasi_opt": ("quasi_opt", "quasi_opt_reference", "l2"),
+    }
+    for bracket, (owner, key, norm) in owners.items():
+        excess = 2 * experiment.DEFAULT_TOLERANCES[owner] * getattr(run, norm) ** 2
+        bad = copy.deepcopy(good)
+        bad[1]["bounds"][key] = experiment._brackets(bad[1])[bracket][1] - excess
+        assert failing(bad) == [owner], bracket
+        if norm == "l2":
+            # an L2 excess of 2e-10 |u|_0^2 lies within the H1-scaled
+            # sandwich slack 1e-9 |u|_1^2, and still fails its L2 check
+            assert bracket_holds(bad[1], 1e-9 * run.h1**2)[bracket], bracket
 
 
 @pytest.mark.parametrize(
@@ -1064,7 +1104,7 @@ def test_l2_bracket_floor_is_judged(case, n):
 )
 def test_rank_report_has_one_representation(case, n, ranks):
     # the report's entries are the objects h1_sandwich returns, called
-    # with the run's rank vectors, mode systems and slack
+    # with the run's rank vectors and mode systems
     config = ExperimentConfig.from_dict(
         {"function": {"case": case}, "grid": {"n": [n]}, "ranks": ranks}
     )
@@ -1074,9 +1114,4 @@ def test_rank_report_has_one_representation(case, n, ranks):
     derivs = tuple(sv.derivative_data(u, s) for s in systems)
     reports = result.report["reports"]
     assert [rep["rank_vector"] for rep in reports] == ranks["explicit"]
-    slack = config.tolerance("sandwich") * sv.norm_h1(u) ** 2
-    assert [rep["slack"] for rep in reports] == [pytest.approx(slack, rel=1e-12)] * len(reports)
-    direct = sv.h1_sandwich(
-        u, ranks["explicit"], systems=systems, derivs=derivs, slack=reports[0]["slack"]
-    )
-    assert direct == reports
+    assert sv.h1_sandwich(u, ranks["explicit"], systems=systems, derivs=derivs) == reports
