@@ -16,8 +16,9 @@ only the retained right vectors are formed (``_retained_svd``).
 unfolding is the transpose of the mode-0 one, with the row and column
 weights exchanged: it is the adjoint of the same operator, which has
 the same singular values with the left and right vectors swapped. So
-mode 1 is read off mode 0: one SVD serves both, and where the
-long-double refinement runs, one loop refines both modes' triplets.
+mode 1 is read off mode 0: one SVD serves both. Where the long-double
+refinement runs, one loop refines both modes' triplets, and mode 1's block
+is spliced, in place, into the scaled vectors mode 0 was unscaled from.
 """
 from __future__ import annotations
 
@@ -66,8 +67,9 @@ def _refine_small_triplets(scaled, u, s, v, adjoint=False):
     below sigma_1 (the derivative transfer does) turn that into a
     visible relative error, so the retained triplets are polished with
     two deflated power steps in extended precision, where the platform
-    provides one. The unrefined tail columns are re-orthogonalized
-    against the refined block afterwards.
+    provides one. The refined block, and the unrefined tail columns
+    re-orthogonalized against it, overwrite ``u`` and ``v``, which must be
+    the factor's fresh outputs (see ``_splice``).
 
     With ``adjoint`` it also returns the adjoint's block (sigmas, left,
     right), or None: each refined image of phi_k, deflated and normalised,
@@ -125,15 +127,18 @@ def _unit(vec, basis):
 
 
 def _splice(u, v, s, left, right):
-    """(u, s, v) with the refined block (left, right) in front, the tails
-    re-orthogonalized against it, sorted by the refined sigmas ``s``."""
+    """(u, s, v) with the refined block (left, right) in front and the tails
+    re-orthogonalized against it, written into u and v in place (so a right
+    block may stay F-ordered); columns are gathered into new arrays only
+    where the refined sigmas ``s`` come out of order."""
     retained = left.shape[1]
-    u, v = u.copy(), v.copy()
     u[:, :retained] = np.asarray(left, dtype=float)
     v[:, :retained] = np.asarray(right, dtype=float)
     for side in (u, v):  # a right block of the retained columns has no tail
         block = side[:, :retained]
         side[:, retained:] -= block @ (block.T @ side[:, retained:])
+    if np.all(np.diff(s[:retained]) <= 0):
+        return u, s, v
     order = np.r_[np.argsort(-s[:retained], kind="stable"), retained : s.size]
     return u[:, order], s[order], v[:, order[: v.shape[1]]]
 
@@ -168,8 +173,8 @@ class SingularSystem:
 
     The system of the adjoint (the transposed matrix, weights exchanged)
     has the same sigmas with left and right vectors swapped; this is how
-    ``mode_svds`` builds mode 1 of a bivariate function from mode 0
-    (where mode 0 is refined, the same loop refines mode 1's triplets).
+    ``mode_svds`` builds mode 1 of a bivariate function from mode 0 (where
+    mode 0 is refined, from the same loop's triplets, spliced in place).
     """
 
     sigmas: np.ndarray
@@ -249,7 +254,8 @@ def _retained_svd(scaled):
 
 def _weighted_svd(matrix, row_weights, col_weights, mode, factor, adjoint=False):
     """``weighted_svd`` with the scaled matrix factored by ``factor``; with
-    ``adjoint``, paired with the adjoint's refined block, or None."""
+    ``adjoint``, paired with the adjoint's system where the refinement ran,
+    its block spliced into mode 0's scaled vectors, swapped, or else None."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ModeError(f"need a matrix, got ndim={m.ndim}")
@@ -266,9 +272,14 @@ def _weighted_svd(matrix, row_weights, col_weights, mode, factor, adjoint=False)
     sc = np.sqrt(wc)
     scaled = m * sr[:, None]
     scaled *= sc[None, :]
-    u, s, v, *refined = _refine_small_triplets(scaled, *factor(scaled), adjoint)
+    u, s, v, *block = _refine_small_triplets(scaled, *factor(scaled), adjoint)
     first = _system(u / sr[:, None], s, v / sc[:, None], wr, wc, mode)
-    return (first, *refined) if adjoint else first
+    if not adjoint or block[0] is None:
+        return (first, None) if adjoint else first
+    left, sigmas, right = _splice(v, u, *block[0])
+    left /= sc[:, None]
+    right /= sr[:, None]
+    return first, _system(left, sigmas, right, wc, wr, 1)
 
 
 def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
@@ -291,31 +302,19 @@ def mode_svds(u: GridFunction) -> tuple[SingularSystem, ...]:
     """The weighted SVD of every mode of ``u``, modes 0, ..., d-1 in order.
 
     Each is the ``mode_svd`` of its mode, except that with two axes only
-    mode 0 is decomposed and mode 1 is its adjoint (see ``_adjoint``).
+    mode 0 is decomposed and mode 1 is its adjoint, the weights exchanged:
+    refined in mode 0's loop (``derivative_data`` divides by its sigma_k),
+    or else mode 0's vectors swapped, copied once the factor's outputs are
+    released, and their signs fixed by the one convention.
     """
     if u.ndim != 2:
         return tuple(mode_svd(u, j) for j in range(u.ndim))
     wr, wc = (ax.quad_weights for ax in u.axes)
-    first, refined = _weighted_svd(u.values, wr, wc, 0, _thin_svd, adjoint=True)
-    return first, _adjoint(first, refined)
-
-
-def _adjoint(system: SingularSystem, refined) -> SingularSystem:
-    """The mode-1 system of a bivariate function from its mode-0 ``system``:
-    the same sigmas, the left and right vectors swapped (copied, then signs
-    fixed by the one convention) and the weights exchanged. Where mode 0 was
-    refined, the adjoint's ``refined`` block from the same long-double loop
-    is spliced in (``derivative_data`` divides by mode 1's sigma_k).
-    """
-    wr, wc = system.col_weights, system.row_weights
-    left = system.right_vectors.copy()
-    right = system.left_vectors.copy()
-    sigmas = system.sigmas
-    if refined is not None:
-        sr, sc = np.sqrt(wr), np.sqrt(wc)
-        left, sigmas, right = _splice(left * sr[:, None], right * sc[:, None], *refined)
-        left, right = left / sr[:, None], right / sc[:, None]
-    return _system(left, sigmas, right, wr, wc, 1)
+    first, second = _weighted_svd(u.values, wr, wc, 0, _thin_svd, adjoint=True)
+    if second is None:
+        left, right = first.right_vectors.copy(), first.left_vectors.copy()
+        second = _system(left, first.sigmas, right, first.col_weights, first.row_weights, 1)
+    return first, second
 
 
 def numerical_rank(system: SingularSystem) -> int:

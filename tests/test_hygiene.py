@@ -193,6 +193,7 @@ def _top_level_names(tree: ast.Module) -> list[str]:
         "InsufficientRankError",
         "MatShape",
         "_SANDWICH_RTOL",
+        "_adjoint",
         "bernstein_constant",
         "bernstein_exponent",
         "dematricize",

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 
 import sobosvd as sv
 from sobosvd.errors import ModeError, SobosvdError
-from sobosvd.svd_engine import _count_retained, _fix_signs, _refine_small_triplets, _refines
+from sobosvd.svd_engine import (
+    _count_retained,
+    _fix_signs,
+    _refine_small_triplets,
+    _refines,
+    _thin_svd,
+    _weighted_svd,
+)
 from sobosvd.tensor_core import matricize
 
 from conftest import assert_weighted_svd
@@ -174,8 +182,8 @@ def test_refinement_sorts_only_the_held_right_columns():
     swap = [0, 2, 1, *range(3, s.size)]
     u, s, v = u[:, swap], s[swap], vt.T[:, swap]
     assert _refines(s) and _count_retained(s) == 4
-    fu, fs, fv = _refine_small_triplets(scaled, u, s, v)
-    nu, ns, nv = _refine_small_triplets(scaled, u, s, v[:, :4].copy())
+    fu, fs, fv = _refine_small_triplets(scaled, u.copy(), s, np.copy(v))
+    nu, ns, nv = _refine_small_triplets(scaled, u.copy(), s, v[:, :4].copy())
     assert np.all(np.diff(fs[:4]) < 0)
     assert nv.shape == (40, 4)
     assert np.array_equal(nu, fu) and np.array_equal(ns, fs)
@@ -202,12 +210,50 @@ def test_refinement_reads_the_long_double_operator_in_c_order(monkeypatch):
         return dot(a, b, *args)
 
     monkeypatch.setattr(np, "dot", spy)
-    c_order = _refine_small_triplets(scaled, u, s, vt.T)
-    f_order = _refine_small_triplets(np.asfortranarray(scaled), u, s, vt.T)
+    c_order = _refine_small_triplets(scaled, u.copy(), s, vt.copy().T)
+    f_order = _refine_small_triplets(np.asfortranarray(scaled), u.copy(), s, vt.copy().T)
     monkeypatch.undo()
     assert layouts and all(layouts)
     for a, b in zip(c_order, f_order):
         assert np.array_equal(a, b)
+
+
+def _image_gap(s, matrix):
+    """Largest weighted gap between a retained left vector and the image of
+    its right vector, matrix W_c phi_k / sigma_k."""
+    n = sv.retained_count(s)
+    images = matrix @ (s.col_weights[:, None] * s.right_vectors[:, :n])
+    gap = images / s.sigmas[:n] - s.left_vectors[:, :n]
+    return np.max(np.sqrt(s.row_weights @ gap**2))
+
+
+def test_adjoint_refinement_gathers_both_modes_out_of_order():
+    # the factor hands directions 1 and 2 over swapped, so both refined
+    # blocks come out of order and each splice gathers its columns. The
+    # pair is close (0.5 and 0.49), as in a near-degenerate spectrum: the
+    # power steps keep each direction and only the order is wrong. Mode 1
+    # is spliced into mode 0's scaled vectors; the caller's matrix stays.
+    rng = np.random.default_rng(13)
+    qa, _ = np.linalg.qr(rng.standard_normal((40, 6)))
+    qb, _ = np.linalg.qr(rng.standard_normal((40, 6)))
+    wr, wc = rng.uniform(0.5, 2.0, 40), rng.uniform(0.5, 2.0, 40)
+    sig = np.array([1.0, 0.5, 0.49, 1e-4, 1e-6, 1e-8])
+    m = ((qa * sig) @ qb.T) / np.sqrt(np.outer(wr, wc))
+    held = m.copy()
+
+    def swapped(scaled):
+        u, s, v = _thin_svd(scaled)
+        swap = [0, 2, 1, *range(3, s.size)]
+        return u[:, swap], s[swap], v[:, swap]
+
+    first, second = _weighted_svd(m, wr, wc, 0, swapped, adjoint=True)
+    assert np.array_equal(m, held)
+    assert _refines(first.sigmas) and second.mode == 1
+    for system, matrix in ((first, m), (second, m.T)):
+        assert_weighted_svd(system, matrix)
+        assert np.all(np.diff(system.sigmas[: sv.retained_count(system)]) < 0)
+    direct = sv.weighted_svd(m.T, wc, wr)
+    assert _image_gap(second, m.T) <= 4 * _image_gap(direct, m.T)
 
 
 def test_fix_signs_flips_only_the_held_partner_columns():
@@ -335,20 +381,13 @@ def test_mode_svds_refines_the_adjoint_where_mode_zero_was_refined():
     # mode 1 and takes that vector's image as its left one, so mode 1's
     # left vectors are the images of its right ones as closely as in a
     # separate mode_svd(u, 1).
-    from sobosvd.tensor_core import matricize
-
-    def image_gap(s):
-        n = sv.retained_count(s)
-        images = matricize(u.values, 1) @ (s.col_weights[:, None] * s.right_vectors[:, :n])
-        gap = images / s.sigmas[:n] - s.left_vectors[:, :n]
-        return np.max(np.sqrt(s.row_weights @ gap**2))
-
     u = sv.sample_case(sv.get_case("EXPXY"), (129, 129))
     s0, s1 = sv.mode_svds(u)
     assert _refines(s0.sigmas)
-    assert_weighted_svd(s1, matricize(u.values, 1))
+    mat = matricize(u.values, 1)
+    assert_weighted_svd(s1, mat)
     direct = sv.mode_svd(u, 1)
-    assert image_gap(s1) <= 4 * image_gap(direct)
+    assert _image_gap(s1, mat) <= 4 * _image_gap(direct, mat)
     assert np.max(np.abs(s1.sigmas - direct.sigmas)) <= 1e-14 * direct.sigmas[0]
 
 
@@ -367,6 +406,26 @@ def test_mode_svds_refines_both_modes_in_one_long_double_loop(monkeypatch):
     s0, _ = sv.mode_svds(u)
     assert _refines(s0.sigmas)
     assert calls == [(129, 129)]
+
+
+@pytest.mark.parametrize("case, grids", [("EXPXY", 8.0), ("BROWNIAN", 7.5)])
+def test_mode_svds_2d_peak_memory(case, grids):
+    # each mode's vectors are written once, refined (EXPXY) or not
+    # (BROWNIAN): the traced peak above entry, in grid-sized arrays, is
+    # about 7.2 on EXPXY 257^2 (10.1 before the in-place splice) and 7.02
+    # on BROWNIAN 257^2. One more grid-sized array live at the peak adds
+    # 1.0, so each bound leaves under a grid of headroom for allocation
+    # changes in numpy and still fails on a new copy.
+    u = sv.sample_case(sv.get_case(case), (257, 257))
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        systems = sv.mode_svds(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _refines(systems[0].sigmas) == (case == "EXPXY")
+    assert (peak - entry) / u.values.nbytes <= grids
 
 
 def test_mode_svds_3d_is_mode_svd_per_mode():
