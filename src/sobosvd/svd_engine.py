@@ -83,10 +83,10 @@ def _refine_small_triplets(scaled, u, s, v, adjoint=False):
         return (u, s, v, None) if adjoint else (u, s, v)
 
     retained = _count_retained(s)
-    # C order whatever the layout of ``scaled`` (the unfoldings of three or
-    # more variables are F-ordered): np.dot sums each product in the order
-    # matmul does (the same bits) in numpy's faster long-double loop, which
-    # reads big by rows, and big_t lets it read big.T by rows too
+    # C order whatever the layout of ``scaled`` (a bare ``weighted_svd``
+    # keeps its input's, which may be F-ordered): np.dot sums each product
+    # in the order matmul does (the same bits) in numpy's faster long-double
+    # loop, which reads big by rows, and big_t lets it read big.T by rows too
     big = scaled.astype(np.longdouble, order="C")
     big_t = np.ascontiguousarray(big.T)
     left = u[:, :retained].astype(np.longdouble)

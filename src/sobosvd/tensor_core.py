@@ -2,7 +2,9 @@
 
 Flattening convention everywhere: colexicographic, first listed dimension
 fastest (column-major). The mode-j unfolding puts mode j on the rows and
-the other modes on the columns, in ascending mode order.
+the other modes on the columns, in ascending mode order, stored in C
+order: a view where the strides allow (any two-axis array), else a copy,
+whose transpose LAPACK's column-major buffers then take by a plain copy.
 """
 from __future__ import annotations
 
@@ -24,7 +26,8 @@ def matricize(values: np.ndarray, mode: int) -> np.ndarray:
     """Mode-``mode`` unfolding of a tensor with at least two axes.
 
     Row index runs over mode ``mode``; column index runs
-    colexicographically over the remaining modes (ascending).
+    colexicographically over the remaining modes (ascending): those axes
+    reversed and flattened in C order.
     """
     values = np.asarray(values)
     if values.ndim < 2:
@@ -32,7 +35,7 @@ def matricize(values: np.ndarray, mode: int) -> np.ndarray:
     mode = check_mode(mode, values.ndim)
     rest = tuple(j for j in range(values.ndim) if j != mode)
     cols = prod(values.shape[j] for j in rest)
-    return np.transpose(values, (mode, *rest)).reshape((values.shape[mode], cols), order="F")
+    return np.transpose(values, (mode, *rest[::-1])).reshape(values.shape[mode], cols)
 
 
 def mode_product(values: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:

@@ -129,9 +129,9 @@ def _single_mode_sq(u: GridFunction, system, deriv, q, dq, g) -> dict:
     of ``q``: ``h1_sandwich``'s single-mode pass, with D q and its Gram in
     ``dq`` and ``g``, and D u, |D u|^2 and |u|^2 in ``deriv``."""
     j = system.mode
-    c = _analysis_map(u, q, j) @ matricize(u.values, j)
+    c = matricize(_mode_product(u.values, _analysis_map(u, q, j), j), j)
     cw = c * system.col_weights
-    h, e = cw @ c.T, _analysis_map(u, dq, j) @ matricize(deriv.du, j)
+    h, e = cw @ c.T, matricize(_mode_product(deriv.du, _analysis_map(u, dq, j), j), j)
     kept = np.cumsum(np.r_[0.0, np.diag(h)])
     dkept = np.r_[0.0, np.diag(np.cumsum(np.cumsum(g * h, 0), 1))]
     cross = np.cumsum(np.r_[0.0, np.einsum("kc,kc->k", e, cw)])
@@ -344,7 +344,8 @@ def h1_sandwich(
     The same pass measures each single-mode projection P_j, onto the
     first r_j left vectors of mode j, in coefficient space: with M the
     mode-j unfolding, W_c its column weights, F = Q_j^T W_j M(u), E =
-    (D_j Q_j)^T W_j M(D_j u) and H = F W_c F^T, summed over k, l < r_j,
+    (D_j Q_j)^T W_j M(D_j u) (each the unfolding of a mode-j product, so
+    no grid is unfolded) and H = F W_c F^T, summed over k, l < r_j,
     |P_j u|^2 = sum H_kk, |D_j P_j u|^2 = sum (G_j)_kl H_kl and <D_j u,
     D_j P_j u> = sum (E W_c F^T)_kk. The residual terms follow as |u|^2 -
     |P_j u|^2 and |D_j u|^2 - 2 <D_j u, D_j P_j u> + |D_j P_j u|^2, a

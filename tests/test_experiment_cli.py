@@ -816,6 +816,30 @@ def test_run_experiment_3d_differentiates_each_projection_once(monkeypatch):
     assert calls == 2 * d
 
 
+def test_run_experiment_3d_unfolds_each_grid_twice_per_mode(monkeypatch):
+    # per mode: u in mode_svd and D_j u in derivative_data; the single-mode
+    # pass contracts the grids first and unfolds only the coefficients
+    import sobosvd.sobolev as sobolev
+    import sobosvd.svd_engine as svd_engine
+    import sobosvd.truncation as truncation
+
+    shape, calls = (17, 17, 17), []
+    real = svd_engine.matricize
+
+    def counting(values, mode):
+        if np.shape(values) == shape:
+            calls.append(mode)
+        return real(values, mode)
+
+    for module in (svd_engine, sobolev, truncation):
+        monkeypatch.setattr(module, "matricize", counting)
+    config = ExperimentConfig.from_dict(
+        {"function": {"case": "SUM3D"}, "grid": {"n": list(shape)}}
+    )
+    assert run_experiment(config, edge_cases=True).passed
+    assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+
+
 @pytest.mark.parametrize("case, n", [("BROWNIAN", [33, 33]), ("SUM3D", [9, 9, 9])])
 def test_run_experiment_sums_u_squared_in_the_derivative_transfer_only(monkeypatch, case, n):
     # |u|^2 is measured with each mode's derivative data, d grid sums of

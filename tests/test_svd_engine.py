@@ -192,7 +192,7 @@ def test_refinement_sorts_only_the_held_right_columns():
 
 
 def test_refinement_reads_the_long_double_operator_in_c_order(monkeypatch):
-    # the unfoldings of three or more variables are F-ordered; the
+    # a bare weighted_svd scales its input in that input's layout; the
     # refinement builds its long-double operator C-ordered either way, and
     # the same matrix in C and F order refines to the same triplets
     rng = np.random.default_rng(17)
@@ -426,6 +426,66 @@ def test_mode_svds_2d_peak_memory(case, grids):
         tracemalloc.stop()
     assert _refines(systems[0].sigmas) == (case == "EXPXY")
     assert (peak - entry) / u.values.nbytes <= grids
+
+
+def test_mode_svd_3d_peak_memory():
+    # the unfolding, its scaled copy and the small factors: the traced
+    # peak above entry is 3.1 to 3.3 grids in each mode on SUM3D
+    # 33x35x37, so one more grid-sized copy fails the bound
+    u = sv.sample_case(sv.get_case("SUM3D"), (33, 35, 37))
+    for mode in range(3):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            sv.mode_svd(u, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / u.values.nbytes <= 4.0, mode
+
+
+def _3d_inputs():
+    rng = np.random.default_rng(0)
+    axes = tuple(sv.make_axis(n) for n in (9, 11, 13))
+    return (
+        sv.sample_case(sv.get_case("SUM3D"), (17, 17, 17)),
+        sv.GridFunction(axes, rng.standard_normal((9, 11, 13))),
+    )
+
+
+def test_mode_svd_3d_hands_the_r_factor_qr_an_f_ordered_matrix(monkeypatch):
+    # the transpose of a C-ordered unfolding is F-ordered, the layout
+    # LAPACK's buffer takes by a plain copy
+    layouts = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        if mode == "r":
+            layouts.append(a.flags.f_contiguous)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    for u in _3d_inputs():
+        for mode in range(3):
+            sv.mode_svd(u, mode)
+    assert layouts == [True] * 6
+
+
+def test_mode_svd_3d_sigmas_are_the_f_ordered_route_bit_for_bit():
+    # LAPACK gets the same buffer from either layout, so the same R and
+    # sigmas: the reference unfolds in F order, scales as _weighted_svd
+    # does, takes R of the transpose and the SVD of R^T
+    for u in _3d_inputs():
+        for mode in range(3):
+            rest = [j for j in range(3) if j != mode]
+            mat = np.transpose(u.values, (mode, *rest)).reshape(u.shape[mode], -1, order="F")
+            system = sv.mode_svd(u, mode)
+            scaled = mat * np.sqrt(system.row_weights)[:, None]
+            scaled *= np.sqrt(system.col_weights)[None, :]
+            r = np.linalg.qr(scaled.T, mode="r")
+            _, sigmas, _ = np.linalg.svd(r.T, full_matrices=False)
+            assert not _refines(sigmas)
+            assert np.array_equal(system.sigmas, sigmas), mode
 
 
 def test_mode_svds_3d_is_mode_svd_per_mode():

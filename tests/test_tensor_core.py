@@ -18,6 +18,26 @@ def test_matricize_colex_entry():
         assert unfoldings[2][k, i + 2 * j] == t[i, j, k]
 
 
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 1, 4), (2, 3, 4, 5), (1, 3, 1, 2)])
+def test_matricize_is_the_colex_unfolding_in_c_order(shape):
+    # the colexicographic columns of the F-order reshape, and each copy
+    # C-ordered, so that its transpose is F-ordered (a unit axis can leave
+    # a view, of whatever layout)
+    v = np.arange(float(np.prod(shape))).reshape(shape)
+    for mode in range(len(shape)):
+        rest = [j for j in range(len(shape)) if j != mode]
+        want = np.transpose(v, (mode, *rest)).reshape(shape[mode], -1, order="F")
+        got = sv.matricize(v, mode)
+        assert np.array_equal(got, want), (shape, mode)
+        assert np.shares_memory(got, v) or got.flags.c_contiguous, (shape, mode)
+
+
+def test_matricize_2d_returns_views():
+    v = np.arange(12.0).reshape(3, 4)
+    for mode in (0, 1):
+        assert np.shares_memory(sv.matricize(v, mode), v)
+
+
 def test_matricize_rejects_bad_subsets():
     with pytest.raises(ModeError):
         sv.matricize(np.zeros((2, 3, 4)), 3)
