@@ -599,7 +599,8 @@ def run_experiment(
     case, rank exceeding the grid, dimension mismatches) and
     SampleFileError for unreadable or inconsistent sample files. Check
     failures never raise; they are recorded in the report and reflected
-    in ``passed``.
+    in ``passed``. A report to be written that holds a NaN or infinity
+    raises SobosvdError, and neither file is written.
     """
     u, fdesc = _build_function(config)
     rvs = _resolve_ranks(config, u)
@@ -614,6 +615,7 @@ def run_experiment(
                 "mode": j,
                 "sigmas": [float(s) for s in systems[j].sigmas],
                 "numerical_rank": numerical_rank(systems[j]),
+                "held_vectors": systems[j].left_vectors.shape[1],
                 "retained": derivs[j].count,
                 "dpsi_norms": [float(v) for v in derivs[j].dpsi_norms],
                 "bound_values": [float(v) for v in derivs[j].bound_values],
@@ -670,8 +672,11 @@ def run_experiment(
     if out_dir is not None:
         report_path = Path(out_dir) / "report.json"
         sigma_path = Path(out_dir) / "sigma.csv"
-        # unindented: json's C encoder; with indent it falls back to Python
-        _atomic_write_text(report_path, json.dumps(report, sort_keys=True) + "\n")
+        try:  # unindented: json's C encoder; with indent it falls back to Python
+            text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:  # NaN and Infinity are not JSON: write neither file
+            raise SobosvdError(f"report holds a non-finite number: {exc}") from exc
+        _atomic_write_text(report_path, text)
         _atomic_write_text(sigma_path, _sigma_csv(spectra))
 
     return ExperimentResult(report, passed, report_path, sigma_path)

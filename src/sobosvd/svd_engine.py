@@ -12,6 +12,17 @@ the other modes are flattened colexicographically and their weights
 combined into a single column-weight vector. With three or more axes
 only the retained right vectors are formed (``_retained_svd``).
 
+Two variables have one factor, ``_bivariate_svd``. A screen comes first:
+where the span of the 16 largest-norm columns of the scaled matrix A
+misses at most 1e-8 of |A|_F^2, every sigma is taken from LAPACK's
+values-only SVD and vectors only for p = k + 8 directions, k the
+numerical rank: two steps of orthogonal iteration on A A^T from the p
+largest-norm columns, then Rayleigh-Ritz (Golub & Van Loan, Matrix
+Computations, 4th ed., ch. 8). The thin gesdd runs instead where the
+screen fails, 64 > min(m, n) or 4 p > min(m, n), or a Ritz value misses
+sigma_1..sigma_k by over 1e-13 sigma_1. Nothing is randomized, and no
+sigma is dropped: the exact spectral tails stay.
+
 ``mode_svds`` decomposes every mode. In two variables the mode-1
 unfolding is the transpose of the mode-0 one, with the row and column
 weights exchanged: it is the adjoint of the same operator, which has
@@ -39,6 +50,10 @@ RETAIN_REL = 1e-14
 
 _REFINE_TRIGGER = 1e-3  # smallest retained sigma below this times sigma_1
 _REFINE_MAX_COLS = 64
+_SCREEN_COLS = 16  # columns of _bivariate_svd's low-rank screen
+_SCREEN_MISS = 1e-8  # share of |A|_F^2 their span may miss
+_EXTRA_COLS = 8  # vector columns held past the numerical rank
+_RITZ_TOL = 1e-13  # largest Ritz value error, times sigma_1
 
 
 def _count_retained(s: np.ndarray, retain_rel: float = RETAIN_REL) -> int:
@@ -140,7 +155,7 @@ def _splice(u, v, s, left, right):
     if np.all(np.diff(s[:retained]) <= 0):
         return u, s, v
     order = np.r_[np.argsort(-s[:retained], kind="stable"), retained : s.size]
-    return u[:, order], s[order], v[:, order[: v.shape[1]]]
+    return u[:, order[: u.shape[1]]], s[order], v[:, order[: v.shape[1]]]
 
 
 def combined_weights(weight_vectors) -> np.ndarray:
@@ -160,9 +175,12 @@ class SingularSystem:
 
     left_vectors[:, k] and right_vectors[:, k] are orthonormal under the
     row/column weighted inner products; sum_k sigmas[k] * outer(left_k,
-    right_k) reconstructs the decomposed matrix M. A ``mode_svd`` of three
-    or more variables holds only the ``retained_count`` leading right
-    vectors; there the k_max left vectors reconstruct M as left left^T W_r M.
+    right_k) reconstructs the decomposed matrix M. Fewer vector columns
+    than the k_max sigmas may be held: a ``mode_svd`` of three or more
+    variables holds only the ``retained_count`` leading right vectors, and
+    a 2D system of a low-rank input p >= numerical rank + 8 on both sides
+    (module docstring). The held left vectors reconstruct M as left left^T
+    W_r M, up to the sigmas past them, each below 1e-12 sigma_1.
     Sign convention: the largest-magnitude entry of each left vector is
     positive, ties broken by lowest index. The test suite checks this
     contract to 1e-12 (orthonormality entrywise, reconstruction in the
@@ -233,12 +251,39 @@ def weighted_svd(
     row_weights, col_weights : ndarray
         Strictly positive quadrature weights for rows and columns.
     """
-    return _weighted_svd(matrix, row_weights, col_weights, mode, _thin_svd)
+    return _weighted_svd(matrix, row_weights, col_weights, mode, _bivariate_svd)
 
 
 def _thin_svd(scaled):
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
     return u, s, vt.T
+
+
+def _bivariate_svd(scaled):
+    """U, every sigma and V of ``scaled``, vectors for the p leading
+    directions or all (module docstring); the largest-norm columns are
+    picked by stable argsort and taken in index order, so deterministic."""
+    norms = np.einsum("ij,ij->j", scaled, scaled)
+    total, order = norms.sum(), np.argsort(-norms, kind="stable")
+
+    def basis(count):
+        return np.linalg.qr(scaled[:, np.sort(order[:count])])[0]
+
+    if 4 * _SCREEN_COLS > min(scaled.shape) or not 0.0 < total < np.inf:
+        return _thin_svd(scaled)
+    if total - np.linalg.norm(basis(_SCREEN_COLS).T @ scaled) ** 2 > _SCREEN_MISS * total:
+        return _thin_svd(scaled)
+    s = np.linalg.svd(scaled, compute_uv=False)
+    k = _count_retained(s, DEFAULT_RANK_TOL**2)
+    if 4 * (k + _EXTRA_COLS) > min(scaled.shape):
+        return _thin_svd(scaled)
+    x = basis(k + _EXTRA_COLS)
+    for _ in range(2):
+        x = np.linalg.qr(scaled @ (scaled.T @ x / s[0]))[0]  # / sigma_1: scale-free
+    u, ritz, vt = np.linalg.svd(x.T @ scaled, full_matrices=False)
+    if np.any(np.abs(ritz[:k] - s[:k]) > _RITZ_TOL * s[0]):
+        return _thin_svd(scaled)
+    return x @ u, s, vt.T
 
 
 def _retained_svd(scaled):
@@ -310,7 +355,7 @@ def mode_svds(u: GridFunction) -> tuple[SingularSystem, ...]:
     if u.ndim != 2:
         return tuple(mode_svd(u, j) for j in range(u.ndim))
     wr, wc = (ax.quad_weights for ax in u.axes)
-    first, second = _weighted_svd(u.values, wr, wc, 0, _thin_svd, adjoint=True)
+    first, second = _weighted_svd(u.values, wr, wc, 0, _bivariate_svd, adjoint=True)
     if second is None:
         left, right = first.right_vectors.copy(), first.left_vectors.copy()
         second = _system(left, first.sigmas, right, first.col_weights, first.row_weights, 1)

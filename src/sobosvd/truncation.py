@@ -17,8 +17,10 @@ In higher dimension the per-mode projections compose into the Tucker
 truncation; its L2 error lies between the largest per-mode spectral
 tail and the sum of them, so below d times the largest, which is at most
 d times the best error at that rank vector (the quasi-optimality reference).
-Its full Sobolev error is sandwiched between the largest per-mode tail
-series and the sum of tail series with the L2 tails added once more.
+For its full Sobolev error ``h1_sandwich`` reports the largest per-mode
+tail series and, as ``h1_upper``, the sum of the tail series plus the sum
+of the L2 tails. That sum leaves out cross-direction terms, and the
+measured error exceeds it at unequal ranks (ROADMAP item 3 records where).
 An alternating refinement of the subspaces (``hooi``) improves the
 truncation at fixed ranks.
 """
@@ -92,8 +94,9 @@ def _analysis_map(u: GridFunction, q: np.ndarray, mode: int | None) -> np.ndarra
 
 
 def _leading_bases(systems, ranks) -> dict[int, np.ndarray]:
-    """Mode -> the first min(r, k_max) left vectors of that mode's system."""
-    return {s.mode: s.left_vectors[:, : min(r, s.k_max)] for s, r in zip(systems, ranks)}
+    """Mode -> the first r left vectors of that mode's system, r capped at
+    the columns it holds: the one place a basis, core or index is clamped."""
+    return {s.mode: s.left_vectors[:, :r] for s, r in zip(systems, ranks)}
 
 
 def _analysis(u: GridFunction, bases: dict[int, np.ndarray], values=None) -> np.ndarray:
@@ -364,11 +367,14 @@ def h1_sandwich(
       ``approx_h1_sq`` and ``approx_ek_sq`` (|P u|_{e_j}^2 per direction
       j, which no check reads); and ``single_mode``, per mode j,
       ``l2_error_sq``, ``ek_norm_sq`` and ``ek_error_sq``: |u - P_j u|_0^2,
-      |P_j u|_{e_j}^2 and |u - P_j u|_{e_j}^2 (r_j capped at k_max);
+      |P_j u|_{e_j}^2 and |u - P_j u|_{e_j}^2, r_j capped at the held
+      columns, as is every basis and core block;
     - ``series``, the exact spectral series: ``h1_norm_sq`` and
       ``h1_error_sq`` (two-sided, so null unless d = 2), ``ek_norm_sq``
       and ``ek_error_sq`` (one-direction, per mode) and ``l2_error_sq``
-      (per mode, tail_j below);
+      (per mode, tail_j below), r_j capped at k_max: past the held
+      columns they differ from the measured values only by sigmas below
+      1e-12 sigma_1;
     - ``bounds``, the two-sided estimates, and ``bernstein``, per mode j
       the norm-ratio (Bernstein) constant Gamma_j(r_j), the largest
       |v|_{e_j} / |v|_0 over the span of the first r_j left vectors: the
@@ -407,8 +413,8 @@ def h1_sandwich(
     if not rvs:
         return []
 
-    top = [max(min(rv[j], s.k_max) for rv in rvs) for j, s in enumerate(systems)]
-    bases = _leading_bases(systems, top)
+    bases = _leading_bases(systems, [max(rv[j] for rv in rvs) for j in range(d)])
+    top = [q.shape[1] for q in bases.values()]
     core = _analysis(u, bases)
     # per mode: M_j, D_j Q_j and G_j
     mass = [_analysis_map(u, q, j) @ q for j, q in bases.items()]
@@ -428,8 +434,9 @@ def h1_sandwich(
     ]
 
     def report(rv):
-        cut = [min(r, s.k_max) for r, s in zip(rv, systems)]
-        block = tuple(slice(c) for c in cut)
+        cut = [min(r, s.k_max) for r, s in zip(rv, systems)]  # of the series
+        held = [min(r, t) for r, t in zip(rv, top)]  # of the core and single_mode
+        block = tuple(slice(c) for c in held)
         approx_sq = _core_sobolev_sq(core[block], mass, stiff)
         comp = core.copy()  # X, the core outside the block
         comp[block] = 0.0
@@ -453,7 +460,7 @@ def h1_sandwich(
                 "ek": [_root_sum((resid_sq[0], dsq)) for dsq in resid_sq[1:]],
                 "approx_h1_sq": _root_sum(approx_sq) ** 2,
                 "approx_ek_sq": [_root_sum((approx_sq[0], dsq)) ** 2 for dsq in approx_sq[1:]],
-                "single_mode": {k: [s[k][c] for s, c in zip(single, cut)] for k in single[0]},
+                "single_mode": {k: [s[k][c] for s, c in zip(single, held)] for k in single[0]},
             },
             "series": {
                 "h1_norm_sq": h1_norm_sq,

@@ -99,11 +99,13 @@ def assert_weighted_svd(system, matrix=None):
     """Check a ``SingularSystem``'s contract: weighted orthonormality, and
     reconstruction of ``matrix`` if given.
 
-    The right block may hold only its leading columns (a d >= 3 mode
-    system holds the retained ones). The held columns must be orthonormal
-    and partner their left vectors, psi_k^T W_r M = sigma_k phi_k^T; the
-    complete left basis must reproduce M, psi psi^T W_r M = M, with the
-    Gram matrix psi^T W_r M W_c M^T W_r psi = diag(sigma^2).
+    Either block may hold only its leading columns: a d >= 3 mode system
+    holds the retained right ones, a 2D system of a low-rank input at
+    least its numerical rank + 8 on both sides. The held columns must be
+    orthonormal and the held right ones partner their left vectors,
+    psi_k^T W_r M = sigma_k phi_k^T; the held left basis must reproduce
+    M, psi psi^T W_r M = M, with the Gram matrix psi^T W_r M W_c M^T W_r
+    psi = diag(sigma^2) over the held left columns.
 
     Orthonormality is entrywise absolute; reconstruction is relative in
     the weighted Frobenius norm (squared norm for the Gram matrix); all
@@ -111,11 +113,11 @@ def assert_weighted_svd(system, matrix=None):
     over the held right columns, which reconstructs ``matrix`` when the
     right block is full.
     """
-    held = system.right_vectors.shape[1]
-    assert held <= system.k_max
+    held_l, held = system.left_vectors.shape[1], system.right_vectors.shape[1]
+    assert held <= held_l <= system.k_max
     gl = system.left_vectors.T @ (system.row_weights[:, None] * system.left_vectors)
     gr = system.right_vectors.T @ (system.col_weights[:, None] * system.right_vectors)
-    err_l = np.max(np.abs(gl - np.eye(system.k_max))) if system.k_max else 0.0
+    err_l = np.max(np.abs(gl - np.eye(held_l))) if held_l else 0.0
     err_r = np.max(np.abs(gr - np.eye(held))) if held else 0.0
     assert max(err_l, err_r) <= _SVD_TOL, (
         f"weighted orthonormality violated: left {err_l:.3e}, right {err_r:.3e}"
@@ -141,7 +143,9 @@ def assert_weighted_svd(system, matrix=None):
             wc,
         )
         / scale,
-        "gram": np.linalg.norm(coeffs @ (wc[:, None] * coeffs.T) - np.diag(system.sigmas**2))
+        "gram": np.linalg.norm(
+            coeffs @ (wc[:, None] * coeffs.T) - np.diag(system.sigmas[:held_l] ** 2)
+        )
         / scale**2,
     }
     for name, err in errs.items():

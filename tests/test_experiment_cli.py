@@ -990,6 +990,34 @@ def test_run_experiment_statuses_across_scales(tmp_path, c, passed, statuses):
     assert got == statuses
 
 
+def test_run_experiment_writes_strict_json_or_nothing(tmp_path):
+    # BROWNIAN 65^2 scaled by 1e300 overflows into NaN and infinity in the
+    # report: run_experiment raises before either file is written, and
+    # the CLI exits 1
+    u = sv.sample_case(sv.get_case("BROWNIAN"), (65, 65))
+    sv.save_samples(sv.GridFunction(u.axes, 1e300 * u.values), tmp_path / "s.raw")
+    data = {"function": {"file": "s.raw"}, "ranks": {"sweep": {"from": 1, "to": 4}}}
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"), pytest.raises(SobosvdError, match="non-finite"):
+        run_experiment(ExperimentConfig.from_dict(data, tmp_path), out_dir=out, edge_cases=True)
+    config = write_config(tmp_path, {**data, "output": "out"})
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(config)]) == 1
+    assert not (out / "report.json").exists() and not (out / "sigma.csv").exists()
+
+
+@pytest.mark.parametrize("case, n", [("EXPXY", 257), ("BROWNIAN", 65)])
+def test_report_holds_each_modes_held_vector_count(case, n):
+    # EXPXY takes the low-rank route, numerical rank + 8 vector columns;
+    # BROWNIAN fails its screen and holds all k_max
+    cfg = ExperimentConfig.from_dict(
+        {"function": {"case": case}, "grid": {"n": [n, n]}, "ranks": {"explicit": [[1, 1]]}}
+    )
+    for spec in run_experiment(cfg).report["spectra"]:
+        low_rank = spec["numerical_rank"] + 8
+        assert spec["held_vectors"] == (low_rank if case == "EXPXY" else len(spec["sigmas"]))
+
+
 def test_diagnostics_bernstein_slope_brownian():
     # Gamma_j(r) grows like r pi for the Brownian covariance, whose
     # singular vectors are sines; the fit stops at the retained count

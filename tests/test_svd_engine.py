@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import sobosvd as sv
 from sobosvd.errors import ModeError, SobosvdError
+from sobosvd.experiment import ExperimentConfig, run_experiment
 from sobosvd.svd_engine import (
+    _bivariate_svd,
     _count_retained,
     _fix_signs,
     _refine_small_triplets,
@@ -18,7 +20,7 @@ from sobosvd.svd_engine import (
 )
 from sobosvd.tensor_core import matricize
 
-from conftest import assert_weighted_svd
+from conftest import assert_weighted_svd, fd2_matrix, weighted_norm
 
 
 def geometric_matrix(n, count, base, rng):
@@ -233,22 +235,33 @@ def test_adjoint_refinement_gathers_both_modes_out_of_order():
     # pair is close (0.5 and 0.49), as in a near-degenerate spectrum: the
     # power steps keep each direction and only the order is wrong. Mode 1
     # is spliced into mode 0's scaled vectors; the caller's matrix stays.
+    _gather_out_of_order(40, _thin_svd, 40)
+
+
+def test_adjoint_refinement_gathers_only_the_held_columns_out_of_order():
+    # the same through the low-rank route at 200^2, which holds 6 + 8
+    # columns: each splice gathers those, not all 200
+    _gather_out_of_order(200, _bivariate_svd, 14)
+
+
+def _gather_out_of_order(n, factor, columns):
     rng = np.random.default_rng(13)
-    qa, _ = np.linalg.qr(rng.standard_normal((40, 6)))
-    qb, _ = np.linalg.qr(rng.standard_normal((40, 6)))
-    wr, wc = rng.uniform(0.5, 2.0, 40), rng.uniform(0.5, 2.0, 40)
+    qa, _ = np.linalg.qr(rng.standard_normal((n, 6)))
+    qb, _ = np.linalg.qr(rng.standard_normal((n, 6)))
+    wr, wc = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
     sig = np.array([1.0, 0.5, 0.49, 1e-4, 1e-6, 1e-8])
     m = ((qa * sig) @ qb.T) / np.sqrt(np.outer(wr, wc))
     held = m.copy()
 
     def swapped(scaled):
-        u, s, v = _thin_svd(scaled)
+        u, s, v = factor(scaled)
         swap = [0, 2, 1, *range(3, s.size)]
-        return u[:, swap], s[swap], v[:, swap]
+        return u[:, swap[:columns]], s[swap], v[:, swap[:columns]]
 
     first, second = _weighted_svd(m, wr, wc, 0, swapped, adjoint=True)
     assert np.array_equal(m, held)
     assert _refines(first.sigmas) and second.mode == 1
+    assert first.left_vectors.shape[1] == second.right_vectors.shape[1] == columns
     for system, matrix in ((first, m), (second, m.T)):
         assert_weighted_svd(system, matrix)
         assert np.all(np.diff(system.sigmas[: sv.retained_count(system)]) < 0)
@@ -408,14 +421,16 @@ def test_mode_svds_refines_both_modes_in_one_long_double_loop(monkeypatch):
     assert calls == [(129, 129)]
 
 
-@pytest.mark.parametrize("case, grids", [("EXPXY", 8.0), ("BROWNIAN", 7.5)])
+@pytest.mark.parametrize("case, grids", [("EXPXY", 6.0), ("BROWNIAN", 7.5)])
 def test_mode_svds_2d_peak_memory(case, grids):
     # each mode's vectors are written once, refined (EXPXY) or not
     # (BROWNIAN): the traced peak above entry, in grid-sized arrays, is
-    # about 7.2 on EXPXY 257^2 (10.1 before the in-place splice) and 7.02
-    # on BROWNIAN 257^2. One more grid-sized array live at the peak adds
-    # 1.0, so each bound leaves under a grid of headroom for allocation
-    # changes in numpy and still fails on a new copy.
+    # about 5.34 on EXPXY 257^2, whose vectors the low-rank route forms
+    # for 16 directions only (the scaled matrix and the refinement's two
+    # long-double copies make up 5 of it), and 7.02 on BROWNIAN 257^2.
+    # One more grid-sized array live at the peak adds 1.0, so each bound
+    # leaves under a grid of headroom for allocation changes in numpy and
+    # still fails on a new copy.
     u = sv.sample_case(sv.get_case(case), (257, 257))
     tracemalloc.start()
     try:
@@ -426,6 +441,122 @@ def test_mode_svds_2d_peak_memory(case, grids):
         tracemalloc.stop()
     assert _refines(systems[0].sigmas) == (case == "EXPXY")
     assert (peak - entry) / u.values.nbytes <= grids
+
+
+def _gesdd_route(monkeypatch, call):
+    """call() with every 2D factor the thin gesdd, as before the low-rank route."""
+    import sobosvd.svd_engine as svd_engine
+
+    with monkeypatch.context() as patch:
+        patch.setattr(svd_engine, "_bivariate_svd", _thin_svd)
+        return call()
+
+
+def _arrays(system):
+    return (system.sigmas, system.left_vectors, system.right_vectors)
+
+
+@pytest.mark.parametrize("shape", [(257, 257), (257, 129), (129, 257)])
+def test_bivariate_route_holds_the_numerical_rank_plus_eight(monkeypatch, shape):
+    # EXPXY passes the screen, so each mode holds vectors for k + 8
+    # directions, k the numerical rank, and every sigma. Against the
+    # complete gesdd system: the sigmas to 1e-14 sigma_1 and the first
+    # k - 1 left vectors to 1 - |cos| <= 1e-12 (the k-th, near 1e-12
+    # sigma_1, is a noise direction in either); the transfer meets
+    # criterion 2, and a second call gives the same bits
+    u = sv.sample_case(sv.get_case("EXPXY"), shape)
+    systems, again = sv.mode_svds(u), sv.mode_svds(u)
+    full = _gesdd_route(monkeypatch, lambda: sv.mode_svds(u))
+    for j, (s, ref) in enumerate(zip(systems, full)):
+        k = sv.numerical_rank(s)
+        assert s.left_vectors.shape[1] == s.right_vectors.shape[1] == k + 8 < s.k_max
+        assert ref.left_vectors.shape[1] == ref.k_max == s.k_max
+        assert all(np.array_equal(a, b) for a, b in zip(_arrays(s), _arrays(again[j])))
+        assert_weighted_svd(s, matricize(u.values, j))
+        assert np.max(np.abs(s.sigmas - ref.sigmas)) <= 1e-14 * ref.sigmas[0]
+        w = s.row_weights
+        lead, lead_ref = s.left_vectors[:, : k - 1], ref.left_vectors[:, : k - 1]
+        cos = np.abs(np.sum(lead * w[:, None] * lead_ref, axis=0))
+        assert np.all(1.0 - cos <= 1e-12), 1.0 - cos
+        deriv = sv.derivative_data(u, s)
+        direct = fd2_matrix(u.axes[j]) @ s.left_vectors[:, : deriv.count]
+        for gamma, d in zip(deriv.gammas.T, direct.T):
+            assert weighted_norm(w, gamma - d) <= 1e-10 * weighted_norm(w, d)
+
+
+def test_bivariate_route_falls_back_where_a_ritz_value_misses(monkeypatch):
+    import sobosvd.svd_engine as svd_engine
+
+    u = sv.sample_case(sv.get_case("EXPXY"), (129, 129))
+    full = _gesdd_route(monkeypatch, lambda: sv.mode_svds(u))
+    monkeypatch.setattr(svd_engine, "_RITZ_TOL", -1.0)
+    for s, ref in zip(sv.mode_svds(u), full):
+        assert all(np.array_equal(a, b) for a, b in zip(_arrays(s), _arrays(ref)))
+
+
+def _low_rank_narrow():
+    """64 x 200, rank 10 with sigmas 1 down to 1e-3: the screen passes,
+    but 4 (10 + 8) > 64."""
+    rng = np.random.default_rng(19)
+    qa, _ = np.linalg.qr(rng.standard_normal((64, 10)))
+    qb, _ = np.linalg.qr(rng.standard_normal((200, 10)))
+    m = (qa * np.geomspace(1.0, 1e-3, 10)) @ qb.T
+    return m, np.full(64, 1.0 / 64), np.full(200, 1.0 / 200)
+
+
+@pytest.mark.parametrize(
+    "make, svd_calls",
+    [
+        (lambda: sv.sample_case(sv.get_case("BROWNIAN"), (257, 257)), [True]),
+        (lambda: sv.sample_case(sv.get_case("EXPXY"), (63, 257)), [True]),
+        (lambda: sv.sample_case(sv.get_case("EXPXY"), (257, 63)), [True]),
+        (lambda: sv.sample_case(sv.get_case("SEP1"), (40, 40)), [True]),
+        (_low_rank_narrow, [False, True]),
+    ],
+    ids=["BROWNIAN-257", "EXPXY-63x257", "EXPXY-257x63", "SEP1-40", "narrow-rank-10"],
+)
+def test_bivariate_route_keeps_the_complete_gesdd_system(monkeypatch, make, svd_calls):
+    # a failed screen (BROWNIAN), min(m, n) < 64, or 4 (k + 8) > min(m, n)
+    # after the values-only SVD: the thin gesdd's system, bit for bit;
+    # compute_uv of each np.linalg.svd call says which branch ran
+    arg = make()
+
+    def decompose():
+        if isinstance(arg, tuple):
+            return (sv.weighted_svd(*arg),)
+        return sv.mode_svds(arg)
+
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, *args, compute_uv=True, **kwargs):
+        calls.append(compute_uv)
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    full = _gesdd_route(monkeypatch, decompose)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    systems = decompose()
+    monkeypatch.undo()
+    assert calls == svd_calls
+    for s, ref in zip(systems, full):
+        assert s.left_vectors.shape[1] == s.k_max
+        assert all(np.array_equal(a, b) for a, b in zip(_arrays(s), _arrays(ref)))
+
+
+def test_run_experiment_statuses_match_the_gesdd_route(monkeypatch):
+    # every check and the edge cases on EXPXY 257^2, ranks 1..64, most of
+    # them past the 16 held columns of each mode
+    cfg = ExperimentConfig.from_dict(
+        {
+            "function": {"case": "EXPXY"},
+            "grid": {"n": [257, 257]},
+            "ranks": {"sweep": {"from": 1, "to": 64}},
+        }
+    )
+    route = run_experiment(cfg, edge_cases=True).report
+    full = _gesdd_route(monkeypatch, lambda: run_experiment(cfg, edge_cases=True).report)
+    assert [spec["held_vectors"] for spec in route["spectra"]] == [16, 16]
+    assert [spec["held_vectors"] for spec in full["spectra"]] == [257, 257]
+    assert [c["status"] for c in route["checks"]] == [c["status"] for c in full["checks"]]
 
 
 def test_mode_svd_3d_peak_memory():
