@@ -31,17 +31,15 @@ _EXPORTS = {
         "partial_derivative",
         "sample",
     ),
-    "tensor_core": ("matricize", "mode_product"),
+    "tensor_core": ("combined_weights", "matricize", "mode_product"),
     "svd_engine": (
         "DEFAULT_RANK_TOL",
         "RETAIN_REL",
         "SingularSystem",
-        "combined_weights",
         "mode_svd",
         "mode_svds",
         "numerical_rank",
         "retained_count",
-        "weighted_svd",
     ),
     "sobolev": (
         "DerivativeData",

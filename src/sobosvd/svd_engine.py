@@ -27,20 +27,20 @@ sigma is dropped: the exact spectral tails stay.
 unfolding is the transpose of the mode-0 one, with the row and column
 weights exchanged: it is the adjoint of the same operator, which has
 the same singular values with the left and right vectors swapped. So
-mode 1 is read off mode 0: one SVD serves both. Where the long-double
-refinement runs, one loop refines both modes' triplets, and mode 1's block
-is spliced, in place, into the scaled vectors mode 0 was unscaled from.
+mode 1 is read off mode 0: one SVD serves both, and mode 1 is unscaled,
+in place, from the scaled vectors mode 0 was unscaled from. Where the
+long-double refinement runs, one loop refines both modes' triplets, and
+mode 1's block is spliced into those vectors first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .discretization import GridFunction
 from .errors import ModeError, SobosvdError
-from .tensor_core import matricize
+from .tensor_core import combined_weights, matricize
 
 DEFAULT_RANK_TOL = 1e-12
 
@@ -86,20 +86,21 @@ def _refine_small_triplets(scaled, u, s, v, adjoint=False):
     re-orthogonalized against it, overwrite ``u`` and ``v``, which must be
     the factor's fresh outputs (see ``_splice``).
 
-    With ``adjoint`` it also returns the adjoint's block (sigmas, left,
-    right), or None: each refined image of phi_k, deflated and normalised,
-    is a right vector of scaled^T, and its image under scaled^T the left one.
+    Returns (u, s, v, block). ``block`` is the adjoint's refined (sigmas,
+    left, right) with ``adjoint`` where the refinement ran, else None:
+    each refined image of phi_k, deflated and normalised, is a right
+    vector of scaled^T, and its image under scaled^T the left one.
 
     Degenerate clusters are safe: a vector may rotate within its
     cluster, but the returned partner and singular value are rebuilt
     from that same vector, and only their mutual consistency matters.
     """
     if not _refines(s):
-        return (u, s, v, None) if adjoint else (u, s, v)
+        return u, s, v, None
 
     retained = _count_retained(s)
-    # C order whatever the layout of ``scaled`` (a bare ``weighted_svd``
-    # keeps its input's, which may be F-ordered): np.dot sums each product
+    # C order whatever the layout of ``scaled`` (F order in a 2D
+    # mode_svd(u, 1), scaled from the transposed view): np.dot sums each product
     # in the order matmul does (the same bits) in numpy's faster long-double
     # loop, which reads big by rows, and big_t lets it read big.T by rows too
     big = scaled.astype(np.longdouble, order="C")
@@ -130,8 +131,7 @@ def _refine_small_triplets(scaled, u, s, v, adjoint=False):
             if sigma != 0.0:
                 adj_right[:, k], adj_left[:, k], adj_sig[k] = vec, image / sigma, float(sigma)
     del big, big_t
-    first = _splice(u, v, sig, left, right)
-    return (*first, (adj_sig, adj_left, adj_right)) if adjoint else first
+    return (*_splice(u, v, sig, left, right), (adj_sig, adj_left, adj_right) if adjoint else None)
 
 
 def _unit(vec, basis):
@@ -158,17 +158,6 @@ def _splice(u, v, s, left, right):
     return u[:, order[: u.shape[1]]], s[order], v[:, order[: v.shape[1]]]
 
 
-def combined_weights(weight_vectors) -> np.ndarray:
-    """Flatten per-mode weight vectors into one colexicographic vector.
-
-    Entry order matches matricization of the same modes: first vector's
-    index runs fastest.
-    """
-    vecs = [np.asarray(w, dtype=float) for w in weight_vectors]
-    grid = reduce(np.multiply.outer, vecs)
-    return np.ravel(grid, order="F")
-
-
 @dataclass(frozen=True, eq=False)
 class SingularSystem:
     """One weighted SVD, fully unscaled.
@@ -186,13 +175,15 @@ class SingularSystem:
     contract to 1e-12 (orthonormality entrywise, reconstruction in the
     weighted Frobenius norm).
 
-    ``mode`` records, for a system built by ``mode_svd``, the unfolded
-    mode; it is None for a bare matrix.
+    ``mode`` records the unfolded mode. It is None only for a system
+    built by hand, which ``derivative_data`` rejects. All five arrays are
+    read-only.
 
     The system of the adjoint (the transposed matrix, weights exchanged)
     has the same sigmas with left and right vectors swapped; this is how
-    ``mode_svds`` builds mode 1 of a bivariate function from mode 0 (where
-    mode 0 is refined, from the same loop's triplets, spliced in place).
+    ``mode_svds`` builds mode 1 of a bivariate function: from mode 0's
+    scaled vectors, unscaled in place (where mode 0 is refined, the same
+    loop's triplets spliced into them first).
     """
 
     sigmas: np.ndarray
@@ -221,37 +212,13 @@ def _fix_signs(vectors: np.ndarray, partners: np.ndarray | None = None) -> None:
 
 
 def _system(left, sigmas, right, row_weights, col_weights, mode) -> SingularSystem:
-    """Unscaled triplets as a read-only ``SingularSystem``, signs fixed."""
+    """Unscaled triplets, signs fixed, and copies of the weights as a
+    ``SingularSystem``, every array read-only."""
     _fix_signs(left, right)
-    for a in (sigmas, left, right):
+    arrays = (sigmas, left, right, row_weights.copy(), col_weights.copy())
+    for a in arrays:
         a.flags.writeable = False
-    return SingularSystem(
-        sigmas=sigmas,
-        left_vectors=left,
-        right_vectors=right,
-        row_weights=row_weights.copy(),
-        col_weights=col_weights.copy(),
-        mode=mode,
-    )
-
-
-def weighted_svd(
-    matrix: np.ndarray,
-    row_weights: np.ndarray,
-    col_weights: np.ndarray,
-    *,
-    mode: int | None = None,
-) -> SingularSystem:
-    """Thin SVD of a matrix under weighted inner products.
-
-    Parameters
-    ----------
-    matrix : ndarray, shape (m, n)
-        Finite entries.
-    row_weights, col_weights : ndarray
-        Strictly positive quadrature weights for rows and columns.
-    """
-    return _weighted_svd(matrix, row_weights, col_weights, mode, _bivariate_svd)
+    return SingularSystem(*arrays, mode=mode)
 
 
 def _thin_svd(scaled):
@@ -298,9 +265,11 @@ def _retained_svd(scaled):
 
 
 def _weighted_svd(matrix, row_weights, col_weights, mode, factor, adjoint=False):
-    """``weighted_svd`` with the scaled matrix factored by ``factor``; with
-    ``adjoint``, paired with the adjoint's system where the refinement ran,
-    its block spliced into mode 0's scaled vectors, swapped, or else None."""
+    """The system of a finite matrix under strictly positive row and column
+    weights, the scaled matrix factored by ``factor``. With ``adjoint``,
+    paired with the adjoint's system (mode 1): the factor's scaled vectors,
+    swapped and unscaled in place, the refined block spliced in first
+    where the refinement ran."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ModeError(f"need a matrix, got ndim={m.ndim}")
@@ -317,11 +286,11 @@ def _weighted_svd(matrix, row_weights, col_weights, mode, factor, adjoint=False)
     sc = np.sqrt(wc)
     scaled = m * sr[:, None]
     scaled *= sc[None, :]
-    u, s, v, *block = _refine_small_triplets(scaled, *factor(scaled), adjoint)
+    u, s, v, block = _refine_small_triplets(scaled, *factor(scaled), adjoint)
     first = _system(u / sr[:, None], s, v / sc[:, None], wr, wc, mode)
-    if not adjoint or block[0] is None:
-        return (first, None) if adjoint else first
-    left, sigmas, right = _splice(v, u, *block[0])
+    if not adjoint:
+        return first
+    left, sigmas, right = (v, s, u) if block is None else _splice(v, u, *block)
     left /= sc[:, None]
     right /= sr[:, None]
     return first, _system(left, sigmas, right, wc, wr, 1)
@@ -338,9 +307,7 @@ def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
     mode = int(mode)
     wr = u.axes[mode].quad_weights
     wc = combined_weights([ax.quad_weights for j, ax in enumerate(u.axes) if j != mode])
-    if u.ndim == 2:
-        return weighted_svd(mat, wr, wc, mode=mode)
-    return _weighted_svd(mat, wr, wc, mode, _retained_svd)
+    return _weighted_svd(mat, wr, wc, mode, _bivariate_svd if u.ndim == 2 else _retained_svd)
 
 
 def mode_svds(u: GridFunction) -> tuple[SingularSystem, ...]:
@@ -348,18 +315,14 @@ def mode_svds(u: GridFunction) -> tuple[SingularSystem, ...]:
 
     Each is the ``mode_svd`` of its mode, except that with two axes only
     mode 0 is decomposed and mode 1 is its adjoint, the weights exchanged:
-    refined in mode 0's loop (``derivative_data`` divides by its sigma_k),
-    or else mode 0's vectors swapped, copied once the factor's outputs are
-    released, and their signs fixed by the one convention.
+    the factor's vectors swapped and unscaled in place, refined in mode 0's
+    loop where it ran (``derivative_data`` divides by its sigma_k), and
+    their signs fixed by the one convention.
     """
     if u.ndim != 2:
         return tuple(mode_svd(u, j) for j in range(u.ndim))
     wr, wc = (ax.quad_weights for ax in u.axes)
-    first, second = _weighted_svd(u.values, wr, wc, 0, _bivariate_svd, adjoint=True)
-    if second is None:
-        left, right = first.right_vectors.copy(), first.left_vectors.copy()
-        second = _system(left, first.sigmas, right, first.col_weights, first.row_weights, 1)
-    return first, second
+    return _weighted_svd(u.values, wr, wc, 0, _bivariate_svd, adjoint=True)
 
 
 def numerical_rank(system: SingularSystem) -> int:

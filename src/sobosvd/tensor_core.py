@@ -8,6 +8,7 @@ whose transpose LAPACK's column-major buffers then take by a plain copy.
 """
 from __future__ import annotations
 
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -36,6 +37,17 @@ def matricize(values: np.ndarray, mode: int) -> np.ndarray:
     rest = tuple(j for j in range(values.ndim) if j != mode)
     cols = prod(values.shape[j] for j in rest)
     return np.transpose(values, (mode, *rest[::-1])).reshape(values.shape[mode], cols)
+
+
+def combined_weights(weight_vectors) -> np.ndarray:
+    """Flatten per-mode weight vectors into one colexicographic vector.
+
+    Entry order matches the columns ``matricize`` gives the same modes:
+    the first vector's index runs fastest.
+    """
+    vecs = [np.asarray(w, dtype=float) for w in weight_vectors]
+    grid = reduce(np.multiply.outer, vecs)
+    return np.ravel(grid, order="F")
 
 
 def mode_product(values: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:

@@ -262,8 +262,7 @@ def hooi(
             w = u.axes[j].quad_weights
             scaled = mat * np.sqrt(w)[:, None]
             q, _, _ = np.linalg.svd(scaled, full_matrices=False)
-            r_eff = min(rv[j], q.shape[1])
-            new = q[:, :r_eff] / np.sqrt(w)[:, None]
+            new = q[:, : rv[j]] / np.sqrt(w)[:, None]
             _fix_signs(new)
             factors[j] = new
         err = current_error()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sobosvd as sv
+from sobosvd import svd_engine
 from sobosvd.experiment import _brackets
 
 _GRIDS = {
@@ -85,6 +86,13 @@ def fd2_matrix(axis):
     d[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
     d[-1, n - 3 :] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
     return d
+
+
+def weighted_svd(matrix, row_weights, col_weights):
+    """The system of a bare matrix, ``mode`` None, by the factor a 2D
+    ``mode_svd`` uses (looked up when called, so a test may patch it)."""
+    factor = svd_engine._bivariate_svd
+    return svd_engine._weighted_svd(matrix, row_weights, col_weights, None, factor)
 
 
 _SVD_TOL = 1e-12  # orthonormality (entrywise) and reconstruction (relative)

@@ -206,6 +206,7 @@ def _top_level_names(tree: ast.Module) -> list[str]:
         "norm_mix",
         "singular_derivative_operator",
         "truncate_svd",
+        "weighted_svd",
     ],
 )
 def test_removed_names_absent(name):
@@ -334,6 +335,20 @@ def test_truncation_never_decomposes():
             names |= {alias.asname or alias.name for alias in node.names}
         names |= {getattr(node, "id", None), getattr(node, "attr", None)}
     assert names & {"mode_svd", "mode_svds", "derivative_data"} == set()
+
+
+def test_mode_one_copies_no_vectors():
+    # mode_svds unscales mode 1 in place from the factor's scaled vectors;
+    # svd_engine.py copies no system's left or right vectors
+    found = [
+        node.lineno
+        for node in ast.walk(_tree("svd_engine.py"))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "copy"
+        and getattr(node.func.value, "attr", None) in {"left_vectors", "right_vectors"}
+    ]
+    assert found == []
 
 
 def test_rank_report_holds_no_verdict():

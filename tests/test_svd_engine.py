@@ -20,7 +20,7 @@ from sobosvd.svd_engine import (
 )
 from sobosvd.tensor_core import matricize
 
-from conftest import assert_weighted_svd, fd2_matrix, weighted_norm
+from conftest import assert_weighted_svd, fd2_matrix, weighted_norm, weighted_svd
 
 
 def geometric_matrix(n, count, base, rng):
@@ -45,7 +45,7 @@ def test_weighted_svd_hand_case():
     # scaled matrix diag(3, 1) so sigmas are 3 and 1, left vectors
     # unscale to (1, 0) and (0, 2)
     m = np.diag([3.0, 2.0])
-    s = sv.weighted_svd(m, np.array([1.0, 0.25]), np.array([1.0, 1.0]))
+    s = weighted_svd(m, np.array([1.0, 0.25]), np.array([1.0, 1.0]))
     np.testing.assert_allclose(s.sigmas, [3.0, 1.0])
     np.testing.assert_allclose(s.left_vectors, [[1.0, 0.0], [0.0, 2.0]], atol=1e-15)
     np.testing.assert_allclose(s.right_vectors, np.eye(2), atol=1e-15)
@@ -57,7 +57,7 @@ def test_weighted_svd_reconstruction_and_orthonormality():
     m = rng.standard_normal((12, 8))
     wr = rng.uniform(0.5, 2.0, 12)
     wc = rng.uniform(0.5, 2.0, 8)
-    s = sv.weighted_svd(m, wr, wc)
+    s = weighted_svd(m, wr, wc)
     rebuilt = assert_weighted_svd(s, m)
     assert s.k_max == 8
     assert np.all(np.diff(s.sigmas) <= 0)
@@ -67,7 +67,7 @@ def test_weighted_svd_reconstruction_and_orthonormality():
 def test_weighted_svd_sign_convention():
     rng = np.random.default_rng(6)
     m = rng.standard_normal((9, 9))
-    s = sv.weighted_svd(m, np.ones(9), np.ones(9))
+    s = weighted_svd(m, np.ones(9), np.ones(9))
     for k in range(s.k_max):
         col = s.left_vectors[:, k]
         assert col[np.argmax(np.abs(col))] > 0
@@ -78,8 +78,8 @@ def test_weighted_svd_sign_flips_pairs():
     # the sign convention on the left side are unchanged
     rng = np.random.default_rng(12)
     m = rng.standard_normal((7, 7))
-    a = sv.weighted_svd(m, np.ones(7), np.ones(7))
-    b = sv.weighted_svd(-m, np.ones(7), np.ones(7))
+    a = weighted_svd(m, np.ones(7), np.ones(7))
+    b = weighted_svd(-m, np.ones(7), np.ones(7))
     np.testing.assert_allclose(a.sigmas, b.sigmas)
     np.testing.assert_allclose(a.left_vectors, b.left_vectors, atol=1e-12)
     np.testing.assert_allclose(a.right_vectors, -b.right_vectors, atol=1e-12)
@@ -88,17 +88,17 @@ def test_weighted_svd_sign_flips_pairs():
 
 def test_weighted_svd_input_validation():
     with pytest.raises(ModeError):
-        sv.weighted_svd(np.zeros(3), np.ones(3), np.ones(3))
+        weighted_svd(np.zeros(3), np.ones(3), np.ones(3))
     with pytest.raises(ModeError):
-        sv.weighted_svd(np.zeros((3, 3)), np.ones(4), np.ones(3))
+        weighted_svd(np.zeros((3, 3)), np.ones(4), np.ones(3))
     with pytest.raises(SobosvdError):
-        sv.weighted_svd(np.zeros((3, 3)), np.array([1.0, 0.0, 1.0]), np.ones(3))
+        weighted_svd(np.zeros((3, 3)), np.array([1.0, 0.0, 1.0]), np.ones(3))
     with pytest.raises(SobosvdError):
-        sv.weighted_svd(np.full((3, 3), np.nan), np.ones(3), np.ones(3))
+        weighted_svd(np.full((3, 3), np.nan), np.ones(3), np.ones(3))
 
 
 def test_weighted_svd_zero_matrix():
-    s = sv.weighted_svd(np.zeros((4, 3)), np.ones(4), np.ones(3))
+    s = weighted_svd(np.zeros((4, 3)), np.ones(4), np.ones(3))
     np.testing.assert_array_equal(s.sigmas, np.zeros(3))
     assert sv.numerical_rank(s) == 0
 
@@ -106,7 +106,7 @@ def test_weighted_svd_zero_matrix():
 def test_validate_rejects_tampering():
     rng = np.random.default_rng(7)
     m = rng.standard_normal((6, 6))
-    s = sv.weighted_svd(m, np.ones(6), np.ones(6))
+    s = weighted_svd(m, np.ones(6), np.ones(6))
     with pytest.raises(AssertionError, match="reconstruction"):
         assert_weighted_svd(s, m + 1e-6)
 
@@ -124,7 +124,7 @@ def test_validate_rejects_tampering_with_a_narrow_right_block():
 def test_numerical_rank_threshold():
     rng = np.random.default_rng(8)
     m, _ = geometric_matrix(20, 6, 1e-4, rng)
-    s = sv.weighted_svd(m, np.ones(20), np.ones(20))
+    s = weighted_svd(m, np.ones(20), np.ones(20))
     # spectrum 1, 1e-4, ..., 1e-20; the cutoff is strict, so a sigma
     # sitting exactly on the threshold is dropped: 1e-12 keeps three
     assert sv.numerical_rank(s) == 3
@@ -141,7 +141,7 @@ def test_deep_spectrum_triplet_consistency():
     m = (qa * sig) @ qb.T
     wr = np.full(200, 1.0 / 200)
     wc = np.full(200, 1.0 / 200)
-    s = sv.weighted_svd(m, wr, wc)
+    s = weighted_svd(m, wr, wc)
     assert_weighted_svd(s, m)
     ret = 8
     # weighted sigmas scale by the weight product; ratios are invariant
@@ -159,7 +159,7 @@ def test_refinement_skips_flat_spectra():
     rng = np.random.default_rng(10)
     scaled = rng.standard_normal((30, 30))
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    ru, rs, rv = _refine_small_triplets(scaled, u, s, vt.T)
+    ru, rs, rv, _ = _refine_small_triplets(scaled, u, s, vt.T)
     assert ru is u and rs is s
 
 
@@ -170,7 +170,7 @@ def test_refinement_skips_wide_retained_blocks():
     qb, _ = np.linalg.qr(rng.standard_normal((100, 80)))
     scaled = (qa * sig) @ qb.T
     u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    ru, rs, rv = _refine_small_triplets(scaled, u, s, vt.T)
+    ru, rs, rv, _ = _refine_small_triplets(scaled, u, s, vt.T)
     assert ru is u
 
 
@@ -184,8 +184,8 @@ def test_refinement_sorts_only_the_held_right_columns():
     swap = [0, 2, 1, *range(3, s.size)]
     u, s, v = u[:, swap], s[swap], vt.T[:, swap]
     assert _refines(s) and _count_retained(s) == 4
-    fu, fs, fv = _refine_small_triplets(scaled, u.copy(), s, np.copy(v))
-    nu, ns, nv = _refine_small_triplets(scaled, u.copy(), s, v[:, :4].copy())
+    fu, fs, fv, _ = _refine_small_triplets(scaled, u.copy(), s, np.copy(v))
+    nu, ns, nv, _ = _refine_small_triplets(scaled, u.copy(), s, v[:, :4].copy())
     assert np.all(np.diff(fs[:4]) < 0)
     assert nv.shape == (40, 4)
     assert np.array_equal(nu, fu) and np.array_equal(ns, fs)
@@ -194,7 +194,7 @@ def test_refinement_sorts_only_the_held_right_columns():
 
 
 def test_refinement_reads_the_long_double_operator_in_c_order(monkeypatch):
-    # a bare weighted_svd scales its input in that input's layout; the
+    # a 2D mode_svd(u, 1) scales the transposed, F-ordered view; the
     # refinement builds its long-double operator C-ordered either way, and
     # the same matrix in C and F order refines to the same triplets
     rng = np.random.default_rng(17)
@@ -265,7 +265,7 @@ def _gather_out_of_order(n, factor, columns):
     for system, matrix in ((first, m), (second, m.T)):
         assert_weighted_svd(system, matrix)
         assert np.all(np.diff(system.sigmas[: sv.retained_count(system)]) < 0)
-    direct = sv.weighted_svd(m.T, wc, wr)
+    direct = weighted_svd(m.T, wc, wr)
     assert _image_gap(second, m.T) <= 4 * _image_gap(direct, m.T)
 
 
@@ -335,6 +335,8 @@ def test_mode_svd_3d_contract(u):
         assert s.right_vectors.shape == (u.values.size // u.shape[j], sv.retained_count(s))
         assert s.left_vectors.shape == (u.shape[j], s.k_max)
         assert_weighted_svd(s, matricize(u.values, j))
+        for a in (s.sigmas, s.left_vectors, s.right_vectors, s.row_weights, s.col_weights):
+            assert not a.flags.writeable
 
 
 def test_mode_svd_3d_refines_a_narrow_block():
@@ -380,7 +382,7 @@ def test_mode_svds_2d_mode_one_is_the_adjoint():
     # lowest index on ties, is positive
     pick = np.argmax(np.abs(s1.left_vectors), axis=0)
     assert np.all(s1.left_vectors[pick, np.arange(s1.k_max)] > 0)
-    for a in (s1.sigmas, s1.left_vectors, s1.right_vectors):
+    for a in (s1.sigmas, s1.left_vectors, s1.right_vectors, s1.row_weights, s1.col_weights):
         assert not a.flags.writeable
 
     direct = sv.mode_svd(u, 1)
@@ -404,6 +406,31 @@ def test_mode_svds_refines_the_adjoint_where_mode_zero_was_refined():
     assert np.max(np.abs(s1.sigmas - direct.sigmas)) <= 1e-14 * direct.sigmas[0]
 
 
+@pytest.mark.parametrize(
+    "case, refined",
+    [("BROWNIAN", False), ("SINSUM", False), ("EXPXY", True)],
+    ids=["BROWNIAN-gesdd", "SINSUM-low-rank", "EXPXY-refined"],
+)
+def test_mode_svds_2d_mode_one_takes_the_factor_arrays(monkeypatch, case, refined):
+    # mode 1 is unscaled in place from the factor's own (V, U), whether or
+    # not the refinement spliced its block in first: no copy of mode 0
+    import sobosvd.svd_engine as svd_engine
+
+    outputs = []
+    real = svd_engine._bivariate_svd
+
+    def spy(scaled):
+        outputs.append(real(scaled))
+        return outputs[-1]
+
+    monkeypatch.setattr(svd_engine, "_bivariate_svd", spy)
+    s0, s1 = sv.mode_svds(sv.sample_case(sv.get_case(case), (129, 129)))
+    ((u, _, v),) = outputs
+    assert _refines(s0.sigmas) == refined
+    assert (s0.left_vectors.shape[1] < s0.k_max) == (case != "BROWNIAN")
+    assert np.shares_memory(s1.left_vectors, v) and np.shares_memory(s1.right_vectors, u)
+
+
 def test_mode_svds_refines_both_modes_in_one_long_double_loop(monkeypatch):
     import sobosvd.svd_engine as svd_engine
 
@@ -424,7 +451,8 @@ def test_mode_svds_refines_both_modes_in_one_long_double_loop(monkeypatch):
 @pytest.mark.parametrize("case, grids", [("EXPXY", 6.0), ("BROWNIAN", 7.5)])
 def test_mode_svds_2d_peak_memory(case, grids):
     # each mode's vectors are written once, refined (EXPXY) or not
-    # (BROWNIAN): the traced peak above entry, in grid-sized arrays, is
+    # (BROWNIAN, whose mode 1 is unscaled in place from the gesdd output
+    # like EXPXY's refined one): the traced peak above entry, in grid-sized arrays, is
     # about 5.34 on EXPXY 257^2, whose vectors the low-rank route forms
     # for 16 directions only (the scaled matrix and the refinement's two
     # long-double copies make up 5 of it), and 7.02 on BROWNIAN 257^2.
@@ -523,7 +551,7 @@ def test_bivariate_route_keeps_the_complete_gesdd_system(monkeypatch, make, svd_
 
     def decompose():
         if isinstance(arg, tuple):
-            return (sv.weighted_svd(*arg),)
+            return (weighted_svd(*arg),)
         return sv.mode_svds(arg)
 
     calls, svd = [], np.linalg.svd
@@ -656,7 +684,7 @@ def test_weighted_svd_random_property(m, n, seed):
     mat = rng.standard_normal((m, n))
     wr = rng.uniform(0.1, 3.0, m)
     wc = rng.uniform(0.1, 3.0, n)
-    s = sv.weighted_svd(mat, wr, wc)
+    s = weighted_svd(mat, wr, wc)
     assert_weighted_svd(s, mat)
     assert np.all(s.sigmas >= 0)
     assert np.all(np.diff(s.sigmas) <= 1e-15)
