@@ -206,6 +206,20 @@ def _fd2(values: np.ndarray, h: float, axis: int, out: np.ndarray) -> np.ndarray
     return out
 
 
+def _fd2_adjoint(values: np.ndarray, h: float) -> np.ndarray:
+    """D^T y for the FD2 matrix D of ``_fd2`` at spacing h, along axis 0
+    of a thin n x r array y (n >= 3), as a new array: each row of D
+    spreads its node's y over the nodes its stencil reads (at n = 3 and
+    4 the end stencils overlap the interior ones)."""
+    mid = values[1:-1] * (0.5 / h)
+    out = np.zeros(values.shape)
+    out[2:] += mid
+    out[:-2] -= mid
+    out[:3] += np.multiply.outer((-1.5 / h, 2.0 / h, -0.5 / h), values[0])
+    out[-3:] += np.multiply.outer((0.5 / h, -2.0 / h, 1.5 / h), values[-1])
+    return out
+
+
 def partial_derivative(f: GridFunction, mode: int) -> GridFunction:
     """Second-order finite differences of ``f`` along one mode.
 

@@ -390,10 +390,13 @@ def _check_diagnostics(run, tol):
     return "pass", None, ", ".join(parts)
 
 
-def _check_edge_cases(run, tol):
-    u, systems = run.u, run.systems
+def _check_edge_cases(u, systems):
+    """Status, worst and detail of the edge check, from u and its mode
+    systems alone; it measures |u| itself, so a run takes it before the
+    derivative transfer."""
     problems = []
-    scale = max(run.l2, _TINY)
+    l2 = norm_l2(u)
+    scale = max(l2, _TINY)
 
     def resid_norm(projected):  # |u - P u|, squared in place: one grid temporary
         diff = u.values - projected.values
@@ -407,7 +410,7 @@ def _check_edge_cases(run, tol):
     zero_rank = hosvd_project(u, (0,) * u.ndim, systems=systems).projected
     if norm_l2(zero_rank) != 0.0:
         problems.append("rank-zero projection is not identically zero")
-    if abs(resid_norm(zero_rank) - run.l2) > 1e-12 * scale:
+    if abs(resid_norm(zero_rank) - l2) > 1e-12 * scale:
         problems.append("rank-zero residual differs from the function norm")
 
     # the zero path does not depend on the grid size: 3 nodes per axis will do
@@ -423,8 +426,11 @@ def _check_edge_cases(run, tol):
 
 # The check table: each name a config may select, in report order, with
 # its check, which maps (run, tolerance) to (status, worst, detail), and
-# its default tolerance (None for a check that takes none). The checks
-# ``edge_cases=True`` adds (``_check_edge_cases``) are not selectable.
+# its default tolerance (None for a check that takes none). The edge
+# check that ``edge_cases=True`` adds (``_check_edge_cases``) is not
+# selectable: it reads only u and the systems, and a run takes it right
+# after the decomposition, while no transferred derivative is alive, and
+# reports it after the selected checks.
 _CHECKS = {
     "eckart_young": (_check_eckart_young, 1e-10),
     "h1_identity": (_check_h1_identity, 1e-9),
@@ -606,6 +612,7 @@ def run_experiment(
     rvs = _resolve_ranks(config, u)
 
     systems = mode_svds(u)
+    edge = _check_edge_cases(u, systems) if edge_cases else None
     derivs = tuple(derivative_data(u, s) for s in systems)
 
     spectra = []
@@ -627,8 +634,8 @@ def run_experiment(
     run = _Run(u, systems, derivs, rvs, reports, u_sq)
 
     selected = [(name, _CHECKS[name][0]) for name in config.checks]
-    if edge_cases:
-        selected.append(("edge_cases", _check_edge_cases))
+    if edge is not None:
+        selected.append(("edge_cases", lambda run, tol: edge))
     checks = []
     for name, check in selected:
         tol = config.tolerance(name)

@@ -93,17 +93,16 @@ class DerivativeData:
     (1/lambda_k) |u| |d_j u|. Only the ``retained_count`` leading
     directions are kept; ``count`` says how many.
 
-    ``du`` is the array D_mode u the transfer differentiates, ``du_sq``
-    its squared weighted norm |D_mode u|^2 and ``u_sq`` |u|^2. The
-    single-mode measurements and the norm scales of a run read them
-    instead of measuring u or differentiating it again.
+    ``du_sq`` is |D_mode u|^2 and ``u_sq`` |u|^2; the single-mode
+    measurements and the norm scales of a run read them instead of
+    measuring u again. D_mode u itself is not kept: the single-mode pass
+    moves D_mode onto its basis (``truncation._single_mode_coeffs``).
     """
 
     mode: int
     gammas: np.ndarray
     dpsi_norms: np.ndarray
     bound_values: np.ndarray
-    du: np.ndarray
     du_sq: float
     u_sq: float
 
@@ -148,7 +147,6 @@ def derivative_data(u: GridFunction, system: SingularSystem) -> DerivativeData:
         gammas=gammas,
         dpsi_norms=dpsi,
         bound_values=bounds,
-        du=du.values,
         du_sq=du_sq,
         u_sq=u_sq,
     )

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discretization import GridFunction, _fd2, _sq_l2
+from .discretization import GridFunction, _fd2, _fd2_adjoint, _sq_l2
 from .errors import ModeError, SobosvdError
 from .sobolev import DerivativeData, _root_sum, norm_l2
 from .svd_engine import SingularSystem, _fix_signs
@@ -126,15 +126,26 @@ def _stencil_gram(u: GridFunction, q: np.ndarray, mode: int) -> tuple[np.ndarray
     return dq, _analysis_map(u, dq, mode) @ dq
 
 
+def _single_mode_coeffs(u: GridFunction, q, dq, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """F = Q^T W M(u) and E = (D Q)^T W M(D u), M the ``mode`` unfolding,
+    Q = ``q`` and D Q = ``dq``, from one mode product of u with the
+    stacked map [Q^T W; S^T], S = D^T (W D Q): D acts on the rows of M,
+    so E = S^T M(u), and u is read once and D u never formed."""
+    ax = u.axes[mode]
+    s = _fd2_adjoint(dq * ax.quad_weights[:, None], ax.spacing)
+    stacked = np.vstack((_analysis_map(u, q, mode), s.T))
+    fe = matricize(_mode_product(u.values, stacked, mode), mode)
+    return fe[: q.shape[1]], fe[q.shape[1] :]
+
+
 def _single_mode_sq(u: GridFunction, system, deriv, q, dq, g) -> dict:
     """|u - P u|^2, |P u|_e^2 and |u - P u|_e^2, each a list over r = 0, 1,
     ..., P the projection of the system's mode e onto the first r columns
     of ``q``: ``h1_sandwich``'s single-mode pass, with D q and its Gram in
-    ``dq`` and ``g``, and D u, |D u|^2 and |u|^2 in ``deriv``."""
-    j = system.mode
-    c = matricize(_mode_product(u.values, _analysis_map(u, q, j), j), j)
+    ``dq`` and ``g``, and |D u|^2 and |u|^2 in ``deriv``."""
+    c, e = _single_mode_coeffs(u, q, dq, system.mode)
     cw = c * system.col_weights
-    h, e = cw @ c.T, matricize(_mode_product(deriv.du, _analysis_map(u, dq, j), j), j)
+    h = cw @ c.T
     kept = np.cumsum(np.r_[0.0, np.diag(h)])
     dkept = np.r_[0.0, np.diag(np.cumsum(np.cumsum(g * h, 0), 1))]
     cross = np.cumsum(np.r_[0.0, np.einsum("kc,kc->k", e, cw)])
@@ -346,13 +357,14 @@ def h1_sandwich(
     The same pass measures each single-mode projection P_j, onto the
     first r_j left vectors of mode j, in coefficient space: with M the
     mode-j unfolding, W_c its column weights, F = Q_j^T W_j M(u), E =
-    (D_j Q_j)^T W_j M(D_j u) (each the unfolding of a mode-j product, so
-    no grid is unfolded) and H = F W_c F^T, summed over k, l < r_j,
+    (D_j Q_j)^T W_j M(D_j u) and H = F W_c F^T, summed over k, l < r_j,
     |P_j u|^2 = sum H_kk, |D_j P_j u|^2 = sum (G_j)_kl H_kl and <D_j u,
     D_j P_j u> = sum (E W_c F^T)_kk. The residual terms follow as |u|^2 -
     |P_j u|^2 and |D_j u|^2 - 2 <D_j u, D_j P_j u> + |D_j P_j u|^2, a
     subtraction that costs about eps |u|^2, which the identity checks
-    divide out. No sigma or transferred derivative enters.
+    divide out. No sigma or transferred derivative enters. F and E come
+    from one mode-j product of u (``_single_mode_coeffs``), which moves
+    D_j onto the basis, so D_j u is not formed again.
 
     ``systems`` and ``derivs`` (one per mode, modes 0..d-1 in order, else
     ModeError) are the caller's.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,20 @@ def fd2_matrix(axis):
     d[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
     d[-1, n - 3 :] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
     return d
+
+
+def traced_peak(call, grid):
+    """``call()``'s result, the traced peak of its allocations above the
+    level at entry, and the level it leaves live; both in arrays of the
+    size of ``grid``."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = call()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, (peak - entry) / grid.nbytes, (live - entry) / grid.nbytes
 
 
 def weighted_svd(matrix, row_weights, col_weights):

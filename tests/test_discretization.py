@@ -4,7 +4,7 @@ import pytest
 import sobosvd as sv
 from sobosvd import Axis, GridFunction
 from sobosvd.errors import AxisMismatchError, InvalidAxisError, ModeError, SamplingError
-from sobosvd.discretization import _fd2, check_mode, require_same_axes
+from sobosvd.discretization import _fd2, _fd2_adjoint, check_mode, require_same_axes
 
 from conftest import fd2_matrix
 
@@ -243,3 +243,17 @@ def test_fd2_stencil_is_np_gradient_bit_for_bit(shape, values_layout, out_layout
         assert _fd2(values, h, j, out) is out
         assert np.array_equal(out, want), j
     assert np.array_equal(values, v)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 33])
+@pytest.mark.parametrize("cols", [1, 6])
+def test_fd2_adjoint_is_the_transposed_matrix(n, cols):
+    # D^T y of the dense reference, for thin y; at n = 3 and 4 the
+    # one-sided end stencils overlap each other and the interior ones
+    rng = np.random.default_rng(n)
+    ax = sv.make_axis(n, -0.5, rng.uniform(0.1, 3.0))
+    y = rng.standard_normal((n, cols))
+    want = fd2_matrix(ax).T @ y
+    got = _fd2_adjoint(y, ax.spacing)
+    assert got.shape == y.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -21,7 +21,7 @@ from sobosvd.experiment import (
     save_samples,
 )
 
-from conftest import bracket_holds
+from conftest import bracket_holds, traced_peak
 
 _ENV_VARS = (
     "SOBOSVD_THREADS",
@@ -840,6 +840,50 @@ def test_run_experiment_3d_unfolds_each_grid_twice_per_mode(monkeypatch):
     assert sorted(calls) == [0, 0, 1, 1, 2, 2]
 
 
+@pytest.mark.parametrize(
+    "case, shape, grids", [("BROWNIAN", (129, 129), 10.25), ("SUM3D", (17, 17, 17), 6.25)]
+)
+def test_verify_run_traced_peak(tmp_path, case, shape, grids):
+    # a verify run with edge cases, from a sample file as the benchmark's
+    # runs read one: the traced peak above entry is 9.70 grids on BROWNIAN
+    # 129^2, set by h1_sandwich beside the systems and the transferred
+    # derivatives, and 5.51 on SUM3D 17^3. No D_j u may outlive
+    # derivative_data (kept, the peak reads 11.73 and 8.59 grids), and
+    # on BROWNIAN the edge check's full-rank projection must run beside
+    # the systems only (beside the transferred derivatives: 10.49). Half
+    # a grid-sized array more at the peak fails the bound.
+    u = sv.sample_case(sv.get_case(case), shape)
+    save_samples(u, tmp_path / "u.raw")
+    config = ExperimentConfig.from_dict({"function": {"file": "u.raw"}}, base_dir=tmp_path)
+    result, peak, _ = traced_peak(lambda: run_experiment(config, edge_cases=True), u.values)
+    assert result.passed
+    assert peak <= grids
+
+
+def test_edge_check_runs_before_the_derivative_transfer(monkeypatch):
+    # the edge check's projections are made right after the decomposition,
+    # before derivative_data allocates a transferred derivative; its
+    # verdict is still reported after the selected checks
+    import sobosvd.experiment as experiment
+
+    calls = []
+
+    def spying(name, real):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return spy
+
+    for name in ("hosvd_project", "derivative_data"):
+        monkeypatch.setattr(experiment, name, spying(name, getattr(experiment, name)))
+    config = _config("SUM3D", [9, 9, 9], {"sweep": {"from": 1, "to": 2}})
+    result = run_experiment(config, edge_cases=True)
+    assert calls == ["hosvd_project"] * 2 + ["derivative_data"] * 3
+    assert [c["name"] for c in result.report["checks"]][-1] == "edge_cases"
+    assert result.passed
+
+
 @pytest.mark.parametrize("case, n", [("BROWNIAN", [33, 33]), ("SUM3D", [9, 9, 9])])
 def test_run_experiment_sums_u_squared_in_the_derivative_transfer_only(monkeypatch, case, n):
     # |u|^2 is measured with each mode's derivative data, d grid sums of
@@ -875,6 +919,16 @@ def _single_mode_entries(rep) -> list[tuple]:
     return list(zip(*(single[k] for k in _SINGLE_MODE_KEYS)))
 
 
+_SINGLE_MODE_CASES = [
+    ("BROWNIAN", (33, 33)),
+    ("EXPXY", (33, 33)),
+    ("SINSUM", (33, 33)),
+    ("EXPXY", (33, 21)),
+    ("SUM3D", (17, 17, 17)),
+    ("SEP3D", (17, 13, 9)),
+]
+
+
 def test_single_mode_matches_grid_projections():
     # every single-mode entry of each rank vector's report, the vector on
     # its own, equals a single-mode projection and its residual built as
@@ -884,15 +938,7 @@ def test_single_mode_matches_grid_projections():
     from sobosvd.sobolev import _root_sum
     from sobosvd.truncation import _apply_projection, _leading_bases
 
-    cases = [
-        ("BROWNIAN", (33, 33)),
-        ("EXPXY", (33, 33)),
-        ("SINSUM", (33, 33)),
-        ("EXPXY", (33, 21)),
-        ("SUM3D", (17, 17, 17)),
-        ("SEP3D", (17, 13, 9)),
-    ]
-    for name, shape in cases:
+    for name, shape in _SINGLE_MODE_CASES:
         u = sv.sample_case(sv.get_case(name), shape)
         systems = sv.mode_svds(u)
         derivs = tuple(sv.derivative_data(u, s) for s in systems)
@@ -913,6 +959,27 @@ def test_single_mode_matches_grid_projections():
                 key = (j, min(rv[j], systems[j].k_max))
                 for g, (want, scale) in zip(got, fresh[key]):
                     assert abs(g - want) <= 1e-13 * scale, (name, shape, rv, key)
+
+
+def test_single_mode_coefficients_match_the_differentiated_grid():
+    # E = S^T M(u) with S = D^T W D Q, the stencil moved onto the basis,
+    # is (D Q)^T W M(D u) with D u differentiated on the grid, and F is
+    # the analysis of u, over every held left vector of each mode
+    from sobosvd.truncation import _analysis_map, _single_mode_coeffs, _stencil_gram
+    from sobosvd.tensor_core import matricize
+
+    for name, shape in _SINGLE_MODE_CASES:
+        u = sv.sample_case(sv.get_case(name), shape)
+        for j, system in enumerate(sv.mode_svds(u)):
+            q = system.left_vectors
+            dq, _ = _stencil_gram(u, q, j)
+            f, e = _single_mode_coeffs(u, q, dq, j)
+            du = sv.partial_derivative(u, j).values
+            for got, grid, basis in ((f, u.values, q), (e, du, dq)):
+                want = matricize(sv.mode_product(grid, _analysis_map(u, basis, j), j), j)
+                assert got.shape == want.shape
+                gap = np.max(np.abs(got - want))
+                assert gap <= 1e-13 * np.max(np.abs(want)), (name, shape, j)
 
 
 def test_single_mode_explicit_ranks():

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +19,7 @@ from sobosvd.svd_engine import (
 )
 from sobosvd.tensor_core import matricize
 
-from conftest import assert_weighted_svd, fd2_matrix, weighted_norm, weighted_svd
+from conftest import assert_weighted_svd, fd2_matrix, traced_peak, weighted_norm, weighted_svd
 
 
 def geometric_matrix(n, count, base, rng):
@@ -460,15 +459,9 @@ def test_mode_svds_2d_peak_memory(case, grids):
     # leaves under a grid of headroom for allocation changes in numpy and
     # still fails on a new copy.
     u = sv.sample_case(sv.get_case(case), (257, 257))
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        systems = sv.mode_svds(u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    systems, peak, _ = traced_peak(lambda: sv.mode_svds(u), u.values)
     assert _refines(systems[0].sigmas) == (case == "EXPXY")
-    assert (peak - entry) / u.values.nbytes <= grids
+    assert peak <= grids
 
 
 def _gesdd_route(monkeypatch, call):
@@ -593,14 +586,8 @@ def test_mode_svd_3d_peak_memory():
     # 33x35x37, so one more grid-sized copy fails the bound
     u = sv.sample_case(sv.get_case("SUM3D"), (33, 35, 37))
     for mode in range(3):
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            sv.mode_svd(u, mode)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - entry) / u.values.nbytes <= 4.0, mode
+        _, peak, _ = traced_peak(lambda: sv.mode_svd(u, mode), u.values)
+        assert peak <= 4.0, mode
 
 
 def _3d_inputs():

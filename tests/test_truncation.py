@@ -8,7 +8,7 @@ import pytest
 import sobosvd as sv
 from sobosvd.errors import ModeError, SobosvdError
 
-from conftest import bernstein_constants, bracket_holds, smooth_random
+from conftest import bernstein_constants, bracket_holds, smooth_random, traced_peak
 
 
 def _truncation(u, systems, r):
@@ -527,8 +527,6 @@ def test_sandwich_grid_work_is_per_call(monkeypatch):
     # vectors, and not at all without one; and the 64-vector call's
     # working memory stays within one grid array of the one-vector call
     # at the same largest ranks
-    import tracemalloc
-
     import sobosvd.truncation as truncation
 
     u = sv.sample_case(sv.get_case("BROWNIAN"), (65, 65))
@@ -551,17 +549,14 @@ def test_sandwich_grid_work_is_per_call(monkeypatch):
     assert counts == [0, 2 * u.ndim, 2 * u.ndim]
     monkeypatch.undo()
 
-    def transient(rvs) -> int:
-        tracemalloc.start()
-        try:
-            reports = sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    def transient(rvs) -> float:
+        reports, peak, live = traced_peak(
+            lambda: sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs), u.values
+        )
         assert len(reports) == len(rvs)
-        return peak - held
+        return peak - live
 
-    assert transient(sweep) <= transient([sweep[-1]]) + u.values.nbytes
+    assert transient(sweep) <= transient([sweep[-1]]) + 1.0
 
 
 def test_sandwich_bernstein_uses_effective_rank(catalog):
