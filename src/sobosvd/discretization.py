@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,7 +95,8 @@ class GridFunction:
 
     ``values[i1, ..., id]`` is the sample at ``(axes[0].nodes[i1], ...)``.
     Instances are immutable; the only arithmetic is ``-`` of two grid
-    functions on the same axes, which returns a new object.
+    functions on the same axes, which returns a new object. So |f|^2
+    (``sq_l2``) is summed on the grid once, at its first read.
     """
 
     axes: tuple[Axis, ...]
@@ -125,6 +127,12 @@ class GridFunction:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
+
+    @cached_property
+    def sq_l2(self) -> float:
+        """|f|^2, the squared quadrature-weighted L2 norm (``_sq_l2``),
+        kept after the first read; read-only, as the instance is."""
+        return _sq_l2(self.values, self.axes)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         require_same_axes(self, other)

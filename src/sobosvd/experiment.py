@@ -392,25 +392,27 @@ def _check_diagnostics(run, tol):
 
 def _check_edge_cases(u, systems):
     """Status, worst and detail of the edge check, from u and its mode
-    systems alone; it measures |u| itself, so a run takes it before the
-    derivative transfer."""
+    systems alone, so a run takes it before the derivative transfer. |u|
+    is u's own ``sq_l2``, summed once per run wherever it is read first;
+    both residuals are measured in one grid workspace, and the rank-zero
+    projection must hold no nonzero entry, however small."""
     problems = []
     l2 = norm_l2(u)
     scale = max(l2, _TINY)
 
-    def resid_norm(projected):  # |u - P u|, squared in place: one grid temporary
-        diff = u.values - projected.values
-        return _root_sum((_sq_l2(diff, u.axes, diff),))
+    def resid_norm(work):  # |u - P u| from work = u - P u, squared in place
+        return _root_sum((_sq_l2(work, u.axes, work),))
 
     full = tuple(numerical_rank(s) for s in systems)
-    resid = resid_norm(hosvd_project(u, full, systems=systems).projected)
+    work = u.values - hosvd_project(u, full, systems=systems).projected.values
+    resid = resid_norm(work)
     if resid > 1e-10 * scale:
         problems.append(f"full-rank projection leaves relative residual {resid / scale:.3e}")
 
-    zero_rank = hosvd_project(u, (0,) * u.ndim, systems=systems).projected
-    if norm_l2(zero_rank) != 0.0:
+    zero_rank = hosvd_project(u, (0,) * u.ndim, systems=systems).projected.values
+    if np.any(zero_rank):
         problems.append("rank-zero projection is not identically zero")
-    if abs(resid_norm(zero_rank) - l2) > 1e-12 * scale:
+    if abs(resid_norm(np.subtract(u.values, zero_rank, out=work)) - l2) > 1e-12 * scale:
         problems.append("rank-zero residual differs from the function norm")
 
     # the zero path does not depend on the grid size: 3 nodes per axis will do

@@ -11,7 +11,8 @@ With D_j the second-order three-point stencil along axis j
 
 ``sobolev_sq``, behind ``norm_h1``, returns |v|^2 and every |D_j v|^2,
 differentiating once per direction. Every norm sums its squares left to
-right in the order above.
+right in the order above. |v|^2 is read from ``GridFunction.sq_l2``,
+summed on the grid at its first read and kept, so a run sums u^2 once.
 
 Measuring a projection
 ----------------------
@@ -34,6 +35,9 @@ the decomposition reproduces the derivative of psi_k,
 
 and gamma_k equals D_j psi_k exactly in the discrete algebra. Its norm is
 bounded by (1/lambda_k) |u| |d_j u|, the discrete Cauchy-Schwarz chain.
+``derivative_data`` forms D_j u and, with three or more axes, its
+unfolding copy, and squares D_j u into that copy once the transfer has
+read it: two grid-sized arrays above its entry.
 """
 from __future__ import annotations
 
@@ -41,13 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (
-    GridFunction,
-    _sq_l2,
-    check_mode,
-    inner_l2,
-    partial_derivative,
-)
+from .discretization import GridFunction, _sq_l2, check_mode, inner_l2, partial_derivative
 from .svd_engine import SingularSystem, retained_count
 from .tensor_core import matricize
 
@@ -62,20 +60,20 @@ def _root_sum(terms) -> float:
 
 def norm_l2(f: GridFunction) -> float:
     """Quadrature-weighted L2 norm."""
-    return _root_sum((_sq_l2(f.values, f.axes),))
+    return _root_sum((f.sq_l2,))
 
 
 def norm_ek(f: GridFunction, mode: int) -> float:
     """Sobolev norm in one direction: L2 of the value and of d/dx_mode."""
     mode = check_mode(mode, f.ndim)
     df = partial_derivative(f, mode)
-    return _root_sum((inner_l2(f, f), inner_l2(df, df)))
+    return _root_sum((f.sq_l2, inner_l2(df, df)))
 
 
 def sobolev_sq(f: GridFunction) -> tuple[float, ...]:
     """(|f|^2, |D_0 f|^2, ..., |D_{d-1} f|^2), each derivative taken once."""
     derivatives = (partial_derivative(f, j) for j in range(f.ndim))
-    return (inner_l2(f, f), *(inner_l2(df, df) for df in derivatives))
+    return (f.sq_l2, *(inner_l2(df, df) for df in derivatives))
 
 
 def norm_h1(f: GridFunction) -> float:
@@ -93,10 +91,12 @@ class DerivativeData:
     (1/lambda_k) |u| |d_j u|. Only the ``retained_count`` leading
     directions are kept; ``count`` says how many.
 
-    ``du_sq`` is |D_mode u|^2 and ``u_sq`` |u|^2; the single-mode
-    measurements and the norm scales of a run read them instead of
-    measuring u again. D_mode u itself is not kept: the single-mode pass
-    moves D_mode onto its basis (``truncation._single_mode_coeffs``).
+    ``du_sq`` is |D_mode u|^2 and ``u_sq`` |u|^2, read from
+    ``u.sq_l2``: the grid sum of u^2 is made once per grid function, not
+    once per mode. The single-mode measurements and the norm scales of a
+    run read them instead of measuring u again. D_mode u itself is not
+    kept: the single-mode pass moves D_mode onto its basis
+    (``truncation._single_mode_coeffs``).
     """
 
     mode: int
@@ -126,10 +126,16 @@ def derivative_data(u: GridFunction, system: SingularSystem) -> DerivativeData:
     The Cauchy-Schwarz bound is computed, not enforced: the
     ``derivative_bound`` check of a run compares ``dpsi_norms`` with
     ``bound_values`` and records a violation in the report.
+
+    Grid work: u^2 is summed once per grid function (``u.sq_l2``, read
+    before D_mode u exists); with three or more axes the squares of D_mode
+    u go into the unfolding copy the transfer product has just read, so
+    no grid-sized array is made past D_mode u and that copy.
     """
     mode = check_mode(system.mode, u.ndim)
     m = retained_count(system)
     w = u.axes[mode].quad_weights
+    u_sq = u.sq_l2
 
     du = partial_derivative(u, mode)
     md = matricize(du.values, mode)
@@ -138,7 +144,8 @@ def derivative_data(u: GridFunction, system: SingularSystem) -> DerivativeData:
     ) / system.sigmas[:m][None, :]
 
     dpsi = np.sqrt(np.maximum(np.einsum("ik,i,ik->k", gammas, w, gammas), 0.0))
-    u_sq, du_sq = _sq_l2(u.values, u.axes), inner_l2(du, du)
+    # a 2D unfolding is a view of D_mode u; a d >= 3 one a C-ordered copy
+    du_sq = _sq_l2(du.values, u.axes, md.reshape(u.shape) if u.ndim > 2 else None)
     u_norm, du_norm = (float(np.sqrt(max(sq, 0.0))) for sq in (u_sq, du_sq))
     lam = system.sigmas[:m] ** 2
     bounds = u_norm * du_norm / lam

@@ -9,8 +9,12 @@ ones.
 
 ``mode_svd`` applies this to the mode-j unfolding of a grid function:
 the other modes are flattened colexicographically and their weights
-combined into a single column-weight vector. With three or more axes
-only the retained right vectors are formed (``_retained_svd``).
+combined into a single column-weight vector. The scaled unfolding is the
+one grid-sized array it makes: u's transposed view (mode j first,
+``tensor_core._unfolding_view``) times sqrt(w_r), written C-ordered into
+a new array, then times sqrt(w_c) in place, so no unscaled unfolding is
+copied first. With three or more axes only the retained right vectors
+are formed (``_retained_svd``).
 
 Two variables have one factor, ``_bivariate_svd``. A screen comes first:
 where the span of the 16 largest-norm columns of the scaled matrix A
@@ -40,7 +44,7 @@ import numpy as np
 
 from .discretization import GridFunction
 from .errors import ModeError, SobosvdError
-from .tensor_core import combined_weights, matricize
+from .tensor_core import _unfolding_view, combined_weights
 
 DEFAULT_RANK_TOL = 1e-12
 
@@ -99,8 +103,7 @@ def _refine_small_triplets(scaled, u, s, v, adjoint=False):
         return u, s, v, None
 
     retained = _count_retained(s)
-    # C order whatever the layout of ``scaled`` (F order in a 2D
-    # mode_svd(u, 1), scaled from the transposed view): np.dot sums each product
+    # C order whatever the layout of ``scaled``: np.dot sums each product
     # in the order matmul does (the same bits) in numpy's faster long-double
     # loop, which reads big by rows, and big_t lets it read big.T by rows too
     big = scaled.astype(np.longdouble, order="C")
@@ -266,25 +269,29 @@ def _retained_svd(scaled):
 
 def _weighted_svd(matrix, row_weights, col_weights, mode, factor, adjoint=False):
     """The system of a finite matrix under strictly positive row and column
-    weights, the scaled matrix factored by ``factor``. With ``adjoint``,
-    paired with the adjoint's system (mode 1): the factor's scaled vectors,
-    swapped and unscaled in place, the refined block spliced in first
-    where the refinement ran."""
+    weights, the scaled matrix factored by ``factor``. ``matrix`` may also
+    be an unfolding before its columns are flattened (``_unfolding_view``,
+    rows on axis 0, columns in C order); either way the scaled matrix is
+    written C-ordered into one new array. With ``adjoint``, paired with
+    the adjoint's system (mode 1): the factor's scaled vectors, swapped and
+    unscaled in place, the refined block spliced in first where the
+    refinement ran."""
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise ModeError(f"need a matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise SobosvdError("matrix entries must be finite")
     wr = np.asarray(row_weights, dtype=float)
     wc = np.asarray(col_weights, dtype=float)
-    if wr.shape != (m.shape[0],) or wc.shape != (m.shape[1],):
+    if wr.shape != (m.shape[0],) or wc.shape != (m[0].size,):
         raise ModeError("weight vector lengths do not match the matrix")
     if np.any(wr <= 0) or np.any(wc <= 0):
         raise SobosvdError("quadrature weights must be positive")
 
     sr = np.sqrt(wr)
     sc = np.sqrt(wc)
-    scaled = m * sr[:, None]
+    scaled = np.multiply(m, sr.reshape((-1,) + (1,) * (m.ndim - 1)), order="C")
+    scaled = scaled.reshape(sr.size, sc.size)
     scaled *= sc[None, :]
     u, s, v, block = _refine_small_triplets(scaled, *factor(scaled), adjoint)
     first = _system(u / sr[:, None], s, v / sc[:, None], wr, wc, mode)
@@ -303,11 +310,11 @@ def mode_svd(u: GridFunction, mode: int) -> SingularSystem:
     the combined weights of all other axes in unfolding order. Raises
     ModeError for a bad mode or a one-axis function.
     """
-    mat = matricize(u.values, mode)
+    view = _unfolding_view(u.values, mode)
     mode = int(mode)
     wr = u.axes[mode].quad_weights
     wc = combined_weights([ax.quad_weights for j, ax in enumerate(u.axes) if j != mode])
-    return _weighted_svd(mat, wr, wc, mode, _bivariate_svd if u.ndim == 2 else _retained_svd)
+    return _weighted_svd(view, wr, wc, mode, _bivariate_svd if u.ndim == 2 else _retained_svd)
 
 
 def mode_svds(u: GridFunction) -> tuple[SingularSystem, ...]:

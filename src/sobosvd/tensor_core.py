@@ -5,6 +5,8 @@ fastest (column-major). The mode-j unfolding puts mode j on the rows and
 the other modes on the columns, in ascending mode order, stored in C
 order: a view where the strides allow (any two-axis array), else a copy,
 whose transpose LAPACK's column-major buffers then take by a plain copy.
+``_unfolding_view`` is the same unfolding before its columns are
+flattened, always a view.
 """
 from __future__ import annotations
 
@@ -30,13 +32,22 @@ def matricize(values: np.ndarray, mode: int) -> np.ndarray:
     colexicographically over the remaining modes (ascending): those axes
     reversed and flattened in C order.
     """
+    view = _unfolding_view(values, mode)
+    return view.reshape(view.shape[0], prod(view.shape[1:]))
+
+
+def _unfolding_view(values: np.ndarray, mode: int) -> np.ndarray:
+    """The mode-``mode`` unfolding before its columns are flattened: a view
+    of ``values`` with mode ``mode`` first and the remaining modes after it,
+    last first, so that its C-order flattening is ``matricize``'s. A product
+    read from it into a new C-ordered array writes the unfolding in the
+    one copy (``svd_engine.mode_svd`` scales u that way)."""
     values = np.asarray(values)
     if values.ndim < 2:
         raise ModeError(f"unfolding needs at least two axes, got {values.ndim}")
     mode = check_mode(mode, values.ndim)
     rest = tuple(j for j in range(values.ndim) if j != mode)
-    cols = prod(values.shape[j] for j in rest)
-    return np.transpose(values, (mode, *rest[::-1])).reshape(values.shape[mode], cols)
+    return np.transpose(values, (mode, *rest[::-1]))
 
 
 def combined_weights(weight_vectors) -> np.ndarray:

@@ -104,6 +104,46 @@ def traced_peak(call, grid):
     return result, (peak - entry) / grid.nbytes, (live - entry) / grid.nbytes
 
 
+def stage_peaks(monkeypatch, names, call, grid):
+    """``call()``'s result and, for each of ``names`` (bindings of
+    ``sobosvd.experiment`` that ``call`` reaches), that stage's traced
+    peak above the level at its entry, in arrays of the size of ``grid``:
+    the largest over its calls. A stage called inside another counts
+    toward both."""
+    import sobosvd.experiment as experiment
+
+    peaks, stack = dict.fromkeys(names, 0.0), []  # stack: [entry, highest] per open stage
+
+    def fold():  # the peak since the last reset, into every open stage
+        high = tracemalloc.get_traced_memory()[1]
+        for frame in stack:
+            frame[1] = max(frame[1], high)
+
+    def staged(name, real):
+        def stage(*args, **kwargs):
+            fold()
+            tracemalloc.reset_peak()
+            entry = tracemalloc.get_traced_memory()[0]
+            stack.append([entry, entry])
+            try:
+                return real(*args, **kwargs)
+            finally:
+                fold()
+                start, high = stack.pop()
+                peaks[name] = max(peaks[name], (high - start) / grid.nbytes)
+
+        return stage
+
+    for name in names:
+        monkeypatch.setattr(experiment, name, staged(name, getattr(experiment, name)))
+    tracemalloc.start()
+    try:
+        result = call()
+    finally:
+        tracemalloc.stop()
+    return result, peaks
+
+
 def weighted_svd(matrix, row_weights, col_weights):
     """The system of a bare matrix, ``mode`` None, by the factor a 2D
     ``mode_svd`` uses (looked up when called, so a test may patch it)."""

@@ -21,7 +21,7 @@ from sobosvd.experiment import (
     save_samples,
 )
 
-from conftest import bracket_holds, traced_peak
+from conftest import bracket_holds, stage_peaks, traced_peak
 
 _ENV_VARS = (
     "SOBOSVD_THREADS",
@@ -495,6 +495,28 @@ def test_run_experiment_edge_cases_block():
     assert result.passed
 
 
+def test_edge_check_fails_a_rank_zero_projection_that_underflows(monkeypatch):
+    # a rank-zero projection of 1e-170 everywhere squares to 0.0, so its
+    # norm reads 0 and the residual |u - P u| equals |u|; the edge check
+    # still finds the nonzero entries and fails
+    import sobosvd.truncation as truncation
+
+    real = truncation._apply_projection
+
+    def nonzero_at_rank_zero(u, bases):
+        if all(q.shape[1] == 0 for q in bases.values()):
+            return np.full(u.shape, 1e-170)
+        return real(u, bases)
+
+    monkeypatch.setattr(truncation, "_apply_projection", nonzero_at_rank_zero)
+    cfg = ExperimentConfig.from_dict({"function": {"case": "BROWNIAN"}, "grid": {"n": [33, 33]}})
+    result = run_experiment(cfg, edge_cases=True)
+    (edge,) = [c for c in result.report["checks"] if c["name"] == "edge_cases"]
+    assert edge["status"] == "fail"
+    assert edge["detail"] == "rank-zero projection is not identically zero"
+    assert not result.passed
+
+
 def test_cli_list_cases(capsys):
     assert main(["list-cases"]) == 0
     out = capsys.readouterr().out
@@ -817,22 +839,26 @@ def test_run_experiment_3d_differentiates_each_projection_once(monkeypatch):
 
 
 def test_run_experiment_3d_unfolds_each_grid_twice_per_mode(monkeypatch):
-    # per mode: u in mode_svd and D_j u in derivative_data; the single-mode
-    # pass contracts the grids first and unfolds only the coefficients
+    # per mode: u in mode_svd (its unfolding view, scaled into the one
+    # copy) and D_j u in derivative_data; the single-mode pass contracts
+    # the grids first and unfolds only the coefficients
     import sobosvd.sobolev as sobolev
     import sobosvd.svd_engine as svd_engine
     import sobosvd.truncation as truncation
 
     shape, calls = (17, 17, 17), []
-    real = svd_engine.matricize
 
-    def counting(values, mode):
-        if np.shape(values) == shape:
-            calls.append(mode)
-        return real(values, mode)
+    def counting(real):
+        def spy(values, mode):
+            if np.shape(values) == shape:
+                calls.append(mode)
+            return real(values, mode)
 
-    for module in (svd_engine, sobolev, truncation):
-        monkeypatch.setattr(module, "matricize", counting)
+        return spy
+
+    unfoldings = ((svd_engine, "_unfolding_view"), (sobolev, "matricize"), (truncation, "matricize"))
+    for module, name in unfoldings:
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     config = ExperimentConfig.from_dict(
         {"function": {"case": "SUM3D"}, "grid": {"n": list(shape)}}
     )
@@ -858,6 +884,24 @@ def test_verify_run_traced_peak(tmp_path, case, shape, grids):
     result, peak, _ = traced_peak(lambda: run_experiment(config, edge_cases=True), u.values)
     assert result.passed
     assert peak <= grids
+
+
+def test_derivative_data_3d_traced_peak(monkeypatch):
+    # per call in a 3D verify run: D_j u, its unfolding copy, and the
+    # squares of D_j u written into that copy once the transfer has read
+    # it. The traced peak above entry is 2.13 grids on SUM3D 33x35x37
+    # (3.03 with the squares in a new grid), so one more grid-sized array
+    # fails the bound
+    shape = (33, 35, 37)
+    config = ExperimentConfig.from_dict({"function": {"case": "SUM3D"}, "grid": {"n": list(shape)}})
+    result, peaks = stage_peaks(
+        monkeypatch,
+        ("derivative_data",),
+        lambda: run_experiment(config, edge_cases=True),
+        np.empty(shape),
+    )
+    assert result.passed
+    assert peaks["derivative_data"] <= 2.5
 
 
 def test_edge_check_runs_before_the_derivative_transfer(monkeypatch):
@@ -886,22 +930,38 @@ def test_edge_check_runs_before_the_derivative_transfer(monkeypatch):
 
 @pytest.mark.parametrize("case, n", [("BROWNIAN", [33, 33]), ("SUM3D", [9, 9, 9])])
 def test_run_experiment_sums_u_squared_in_the_derivative_transfer_only(monkeypatch, case, n):
-    # |u|^2 is measured with each mode's derivative data, d grid sums of
-    # u^2 per run; the run's norm scales and h1_sandwich read derivs' u_sq
+    # |u|^2 is summed on the grid once per run (u.sq_l2), with or without
+    # the edge check: each mode's derivative data, the edge check's scale,
+    # the run's norm scales and h1_sandwich all read that one sum. Only
+    # sums of u's own values count: the edge check's rank-zero residual
+    # u - 0, measured in its workspace, equals u but is not u.
     import sobosvd.discretization as discretization
+    import sobosvd.experiment as experiment
 
-    u = sv.sample_case(sv.get_case(case), tuple(n))
-    real, u_squared, sums = discretization._weighted_sum, u.values * u.values, []
+    real, build, run_u, sums = discretization._sq_l2, experiment._build_function, [], []
 
-    def counting(values, axes):
-        if values.shape == u.shape and np.array_equal(values, u_squared):
+    def building(config):
+        u, fdesc = build(config)
+        run_u.append(u)
+        return u, fdesc
+
+    def counting(values, axes, out=None):
+        if values is run_u[-1].values:
             sums.append(values.shape)
-        return real(values, axes)
+        return real(values, axes, out)
 
-    monkeypatch.setattr(discretization, "_weighted_sum", counting)
-    result = run_experiment(_config(case, n, {"sweep": {"from": 1, "to": 3}}))
-    assert result.passed
-    assert len(sums) == u.ndim
+    monkeypatch.setattr(experiment, "_build_function", building)
+    for name, module in list(sys.modules.items()):
+        if name == "sobosvd" or name.startswith("sobosvd."):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counting)
+    for edge_cases in (False, True):
+        sums.clear()
+        config = _config(case, n, {"sweep": {"from": 1, "to": 3}})
+        assert run_experiment(config, edge_cases=edge_cases).passed
+        assert len(sums) == 1, edge_cases
+    u = sv.sample_case(sv.get_case(case), tuple(n))
     derivs = [sv.derivative_data(u, s) for s in sv.mode_svds(u)]
     assert all(dv.u_sq == sv.inner_l2(u, u) for dv in derivs)
 
