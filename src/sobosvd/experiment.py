@@ -209,14 +209,13 @@ def _resolve_ranks(config: ExperimentConfig, u: GridFunction):
 
 @dataclass
 class _Run:
-    """What the checks read: the function, its mode systems and
-    derivative data, the rank vectors, the ``h1_sandwich`` report of each,
-    and ``sq``, (|u|^2, |D_0 u|^2, ...), that the checks' norm scales come
-    from. The diagnostics check stores its block in ``diagnostics``.
+    """What the checks read: the function, its derivative data, the rank
+    vectors, the ``h1_sandwich`` report of each, and ``sq``, (|u|^2,
+    |D_0 u|^2, ...), that the checks' norm scales come from. The
+    diagnostics check stores its block in ``diagnostics``.
     """
 
     u: GridFunction
-    systems: tuple
     derivs: tuple
     rvs: tuple
     reports: list
@@ -392,28 +391,19 @@ def _check_diagnostics(run, tol):
 
 def _check_edge_cases(u, systems):
     """Status, worst and detail of the edge check, from u and its mode
-    systems alone, so a run takes it before the derivative transfer. |u|
-    is u's own ``sq_l2``, summed once per run wherever it is read first;
-    both residuals are measured in one grid workspace, and the rank-zero
-    projection must hold no nonzero entry, however small."""
+    systems alone, so a run takes it before the derivative transfer: the
+    full-rank projection must reproduce u, and an all-zero input must
+    report rank zero. |u| is u's own ``sq_l2``, summed once per run
+    wherever it is read first. That a rank-zero projection is exactly
+    zero is a property of ``hosvd_project``, not of u, so no run checks it."""
     problems = []
-    l2 = norm_l2(u)
-    scale = max(l2, _TINY)
-
-    def resid_norm(work):  # |u - P u| from work = u - P u, squared in place
-        return _root_sum((_sq_l2(work, u.axes, work),))
+    scale = max(norm_l2(u), _TINY)
 
     full = tuple(numerical_rank(s) for s in systems)
     work = u.values - hosvd_project(u, full, systems=systems).projected.values
-    resid = resid_norm(work)
+    resid = _root_sum((_sq_l2(work, u.axes, work),))  # squared in place
     if resid > 1e-10 * scale:
         problems.append(f"full-rank projection leaves relative residual {resid / scale:.3e}")
-
-    zero_rank = hosvd_project(u, (0,) * u.ndim, systems=systems).projected.values
-    if np.any(zero_rank):
-        problems.append("rank-zero projection is not identically zero")
-    if abs(resid_norm(np.subtract(u.values, zero_rank, out=work)) - l2) > 1e-12 * scale:
-        problems.append("rank-zero residual differs from the function norm")
 
     # the zero path does not depend on the grid size: 3 nodes per axis will do
     tiny = tuple(make_axis(3, ax.lower, ax.upper) for ax in u.axes)
@@ -423,7 +413,7 @@ def _check_edge_cases(u, systems):
 
     if problems:
         return "fail", None, "; ".join(problems)
-    return "pass", None, "full-rank, rank-zero and zero-input behaviour as expected"
+    return "pass", None, "full-rank and zero-input behaviour as expected"
 
 
 # The check table: each name a config may select, in report order, with
@@ -631,9 +621,9 @@ def run_experiment(
             }
         )
 
-    u_sq = (derivs[0].u_sq, *(dv.du_sq for dv in derivs))
+    u_sq = (u.sq_l2, *(dv.du_sq for dv in derivs))
     reports = h1_sandwich(u, rvs, systems=systems, derivs=derivs)
-    run = _Run(u, systems, derivs, rvs, reports, u_sq)
+    run = _Run(u, derivs, rvs, reports, u_sq)
 
     selected = [(name, _CHECKS[name][0]) for name in config.checks]
     if edge is not None:

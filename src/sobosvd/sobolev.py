@@ -12,7 +12,8 @@ With D_j the second-order three-point stencil along axis j
 ``sobolev_sq``, behind ``norm_h1``, returns |v|^2 and every |D_j v|^2,
 differentiating once per direction. Every norm sums its squares left to
 right in the order above. |v|^2 is read from ``GridFunction.sq_l2``,
-summed on the grid at its first read and kept, so a run sums u^2 once.
+summed on the grid at its first read and kept, so a run sums u^2 once;
+no ``DerivativeData`` holds a copy.
 
 Measuring a projection
 ----------------------
@@ -91,11 +92,10 @@ class DerivativeData:
     (1/lambda_k) |u| |d_j u|. Only the ``retained_count`` leading
     directions are kept; ``count`` says how many.
 
-    ``du_sq`` is |D_mode u|^2 and ``u_sq`` |u|^2, read from
-    ``u.sq_l2``: the grid sum of u^2 is made once per grid function, not
-    once per mode. The single-mode measurements and the norm scales of a
-    run read them instead of measuring u again. D_mode u itself is not
-    kept: the single-mode pass moves D_mode onto its basis
+    ``du_sq`` is |D_mode u|^2, which the single-mode measurements and the
+    norm scales of a run read instead of measuring D_mode u again; |u|^2
+    they read from ``u.sq_l2``. D_mode u itself is not kept: the
+    single-mode pass moves D_mode onto its basis
     (``truncation._single_mode_coeffs``).
     """
 
@@ -104,7 +104,6 @@ class DerivativeData:
     dpsi_norms: np.ndarray
     bound_values: np.ndarray
     du_sq: float
-    u_sq: float
 
     @property
     def count(self) -> int:
@@ -155,5 +154,4 @@ def derivative_data(u: GridFunction, system: SingularSystem) -> DerivativeData:
         dpsi_norms=dpsi,
         bound_values=bounds,
         du_sq=du_sq,
-        u_sq=u_sq,
     )

@@ -142,14 +142,14 @@ def _single_mode_sq(u: GridFunction, system, deriv, q, dq, g) -> dict:
     """|u - P u|^2, |P u|_e^2 and |u - P u|_e^2, each a list over r = 0, 1,
     ..., P the projection of the system's mode e onto the first r columns
     of ``q``: ``h1_sandwich``'s single-mode pass, with D q and its Gram in
-    ``dq`` and ``g``, and |D u|^2 and |u|^2 in ``deriv``."""
+    ``dq`` and ``g``, |D u|^2 in ``deriv`` and |u|^2 from ``u.sq_l2``."""
     c, e = _single_mode_coeffs(u, q, dq, system.mode)
     cw = c * system.col_weights
     h = cw @ c.T
     kept = np.cumsum(np.r_[0.0, np.diag(h)])
     dkept = np.r_[0.0, np.diag(np.cumsum(np.cumsum(g * h, 0), 1))]
     cross = np.cumsum(np.r_[0.0, np.einsum("kc,kc->k", e, cw)])
-    tails = list(zip(deriv.u_sq - kept, deriv.du_sq - 2.0 * cross + dkept))
+    tails = list(zip(u.sq_l2 - kept, deriv.du_sq - 2.0 * cross + dkept))
     sums = ([t[:1] for t in tails], zip(kept, dkept), tails)
     keys = ("l2_error_sq", "ek_norm_sq", "ek_error_sq")
     return {key: [_root_sum(t) ** 2 for t in terms] for key, terms in zip(keys, sums)}

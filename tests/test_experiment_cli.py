@@ -495,28 +495,6 @@ def test_run_experiment_edge_cases_block():
     assert result.passed
 
 
-def test_edge_check_fails_a_rank_zero_projection_that_underflows(monkeypatch):
-    # a rank-zero projection of 1e-170 everywhere squares to 0.0, so its
-    # norm reads 0 and the residual |u - P u| equals |u|; the edge check
-    # still finds the nonzero entries and fails
-    import sobosvd.truncation as truncation
-
-    real = truncation._apply_projection
-
-    def nonzero_at_rank_zero(u, bases):
-        if all(q.shape[1] == 0 for q in bases.values()):
-            return np.full(u.shape, 1e-170)
-        return real(u, bases)
-
-    monkeypatch.setattr(truncation, "_apply_projection", nonzero_at_rank_zero)
-    cfg = ExperimentConfig.from_dict({"function": {"case": "BROWNIAN"}, "grid": {"n": [33, 33]}})
-    result = run_experiment(cfg, edge_cases=True)
-    (edge,) = [c for c in result.report["checks"] if c["name"] == "edge_cases"]
-    assert edge["status"] == "fail"
-    assert edge["detail"] == "rank-zero projection is not identically zero"
-    assert not result.passed
-
-
 def test_cli_list_cases(capsys):
     assert main(["list-cases"]) == 0
     out = capsys.readouterr().out
@@ -904,10 +882,27 @@ def test_derivative_data_3d_traced_peak(monkeypatch):
     assert peaks["derivative_data"] <= 2.5
 
 
+@pytest.mark.parametrize("case, shape", [("SUM3D", (33, 35, 37)), ("EXPXY", (129, 129))])
+def test_edge_check_traced_peak(monkeypatch, case, shape):
+    # the edge check makes one projection, at full rank: its grid, the
+    # GridFunction copy and the workspace u - P u. The traced peak above
+    # entry is 2.00 grids on both inputs (3.01 with a rank-zero projection
+    # made beside the workspace), so one more grid-sized array fails
+    config = ExperimentConfig.from_dict({"function": {"case": case}, "grid": {"n": list(shape)}})
+    result, peaks = stage_peaks(
+        monkeypatch,
+        ("_check_edge_cases",),
+        lambda: run_experiment(config, edge_cases=True),
+        np.empty(shape),
+    )
+    assert result.passed
+    assert peaks["_check_edge_cases"] <= 2.5
+
+
 def test_edge_check_runs_before_the_derivative_transfer(monkeypatch):
-    # the edge check's projections are made right after the decomposition,
-    # before derivative_data allocates a transferred derivative; its
-    # verdict is still reported after the selected checks
+    # the edge check's one projection, at full rank, is made right after
+    # the decomposition, before derivative_data allocates a transferred
+    # derivative; its verdict is still reported after the selected checks
     import sobosvd.experiment as experiment
 
     calls = []
@@ -923,7 +918,7 @@ def test_edge_check_runs_before_the_derivative_transfer(monkeypatch):
         monkeypatch.setattr(experiment, name, spying(name, getattr(experiment, name)))
     config = _config("SUM3D", [9, 9, 9], {"sweep": {"from": 1, "to": 2}})
     result = run_experiment(config, edge_cases=True)
-    assert calls == ["hosvd_project"] * 2 + ["derivative_data"] * 3
+    assert calls == ["hosvd_project"] + ["derivative_data"] * 3
     assert [c["name"] for c in result.report["checks"]][-1] == "edge_cases"
     assert result.passed
 
@@ -933,8 +928,7 @@ def test_run_experiment_sums_u_squared_in_the_derivative_transfer_only(monkeypat
     # |u|^2 is summed on the grid once per run (u.sq_l2), with or without
     # the edge check: each mode's derivative data, the edge check's scale,
     # the run's norm scales and h1_sandwich all read that one sum. Only
-    # sums of u's own values count: the edge check's rank-zero residual
-    # u - 0, measured in its workspace, equals u but is not u.
+    # sums of u's own values count.
     import sobosvd.discretization as discretization
     import sobosvd.experiment as experiment
 
@@ -961,9 +955,6 @@ def test_run_experiment_sums_u_squared_in_the_derivative_transfer_only(monkeypat
         config = _config(case, n, {"sweep": {"from": 1, "to": 3}})
         assert run_experiment(config, edge_cases=edge_cases).passed
         assert len(sums) == 1, edge_cases
-    u = sv.sample_case(sv.get_case(case), tuple(n))
-    derivs = [sv.derivative_data(u, s) for s in sv.mode_svds(u)]
-    assert all(dv.u_sq == sv.inner_l2(u, u) for dv in derivs)
 
 
 _SINGLE_MODE_KEYS = ("l2_error_sq", "ek_norm_sq", "ek_error_sq")
@@ -1193,7 +1184,7 @@ def test_check_with_nan_defect_fails(check, path):
     entry[last] = float("nan")
 
     def run_check(reps):
-        run = experiment._Run(u, (), (), (), reps, sv.sobolev_sq(u))
+        run = experiment._Run(u, (), (), reps, sv.sobolev_sq(u))
         return experiment._CHECKS[check][0](run, 1e-9)
 
     status, worst, detail = run_check([good[0], bad])
@@ -1217,7 +1208,7 @@ def test_l2_bracket_floor_is_judged(case, n):
     systems = sv.mode_svds(u)
     derivs = tuple(sv.derivative_data(u, s) for s in systems)
     reps = sv.h1_sandwich(u, [(r,) * u.ndim for r in (1, 2)], systems=systems, derivs=derivs)
-    run = experiment._Run(u, (), (), (), reps, sv.sobolev_sq(u))
+    run = experiment._Run(u, (), (), reps, sv.sobolev_sq(u))
     checks = {name: experiment._CHECKS[name][0] for name in ("hosvd_bound", "quasi_opt")}
     tol = 1e-10
     assert all(check(run, tol)[0] == "pass" for check in checks.values())
@@ -1249,7 +1240,7 @@ def test_each_bracket_is_judged_by_its_check(case, n):
     derivs = tuple(sv.derivative_data(u, s) for s in systems)
     rvs = [(r,) * u.ndim for r in (1, 2)]
     good = sv.h1_sandwich(u, rvs, systems=systems, derivs=derivs)
-    run = experiment._Run(u, systems, derivs, tuple(rvs), good, sv.sobolev_sq(u))
+    run = experiment._Run(u, derivs, tuple(rvs), good, sv.sobolev_sq(u))
 
     def failing(reps):
         bad_run = dataclasses.replace(run, reports=reps)

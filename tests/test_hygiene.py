@@ -220,6 +220,7 @@ def test_removed_names_absent(name):
 @pytest.mark.parametrize(
     "owner, member",
     [
+        ("DerivativeData", "u_sq"),
         ("ExperimentResult", "config"),
         ("ExperimentResult", "function"),
         ("GridFunction", "__add__"),

@@ -173,6 +173,37 @@ def test_hosvd_project_l2_bound(catalog):
         assert err_sq <= tails + 1e-10
 
 
+def test_hosvd_project_is_zero_at_rank_zero(monkeypatch):
+    # at rank (0, ..., 0) the projection holds no nonzero entry, however
+    # small: a projection of 1e-170 everywhere squares to 0.0, so its norm
+    # reads 0 and |u - P u| equals |u|, yet np.any still finds it
+    import sobosvd.truncation as truncation
+
+    brownian = sv.sample_case(sv.get_case("BROWNIAN"), (33, 33))
+    inputs = [
+        brownian,
+        sv.sample_case(sv.get_case("SUM3D"), (9, 11, 13)),
+        sv.GridFunction(brownian.axes, brownian.values * 1e-160),
+    ]
+    pairs = [(u, sv.mode_svds(u)) for u in inputs]
+
+    def rank_zero(u, systems):
+        return sv.hosvd_project(u, (0,) * u.ndim, systems=systems).projected
+
+    assert [np.any(rank_zero(*pair).values) for pair in pairs] == [False] * 3
+
+    real = truncation._apply_projection
+
+    def nonzero_at_rank_zero(u, bases):
+        if all(q.shape[1] == 0 for q in bases.values()):
+            return np.full(u.shape, 1e-170)
+        return real(u, bases)
+
+    monkeypatch.setattr(truncation, "_apply_projection", nonzero_at_rank_zero)
+    assert [np.any(rank_zero(*pair).values) for pair in pairs] == [True] * 3
+    assert sv.norm_l2(brownian - rank_zero(*pairs[0])) == sv.norm_l2(brownian)
+
+
 def test_given_systems_must_cover_every_mode_in_order():
     # two systems of one mode used to drop a mode silently: hosvd_project
     # returned two factors for a three-way rank vector
